@@ -100,10 +100,12 @@ def aperture_gain_dbi(theta_off_axis_deg, pattern: AperturePattern):
     au = np.abs(u)
     rel = np.ones_like(au)
     big = au > 1e-9
+    if not pattern.bessel_sidelobes:
+        past_null = au > FIRST_J1_ZERO
+        rel[past_null] = 0.0
+        big &= ~past_null  # floored anyway: spend J1 on the main lobe only
     ub = au[big]
     rel[big] = (2.0 * bessel_j1(ub) / ub) ** 2
-    if not pattern.bessel_sidelobes:
-        rel[au > FIRST_J1_ZERO] = 0.0
     floor_lin = 10.0 ** (-pattern.floor_db / 10.0)
     rel_db = 10.0 * np.log10(np.maximum(rel, floor_lin))
     gain = pattern.peak_gain_dbi + rel_db

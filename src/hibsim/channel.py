@@ -2,8 +2,10 @@
 
 Every public function returns dB quantities and leaves antenna gains out of
 the pathloss itself; `coupling_loss_db` assembles the full link afterwards.
-Shadow fading is drawn here (one i.i.d. normal per link per call) so that a
-single Generator passed down from the engine fixes the whole drop.
+A link budget comes in two halves. `ntn_link_medians` and `rma_link_medians`
+give the fading-free half, computed once per transmitter; `resolve_links`
+turns it into LOS states and shadowing from draws the caller made, so the
+caller alone fixes which random numbers each link consumes.
 """
 
 from __future__ import annotations
@@ -101,33 +103,68 @@ class NtnParams:
         return np.interp(e, [10.0, 90.0], [self.clutter_low_db, self.clutter_high_db])
 
 
-def ntn_rural_pathloss(
+@dataclass(frozen=True)
+class LinkMedians:
+    """Fading-free half of the links from one transmitter: every field
+    broadcasts to the links' shape.
+
+    A link is LOS when its uniform draw falls below `p_los`, or always where
+    `always_los` holds. LOS links take `pl_los_db` and `sigma_los_db`; NLOS
+    links take `pl_nlos_db`, `sigma_nlos_db` and, kept apart from the
+    pathloss, the extra `clutter_db`.
+    """
+
+    pl_los_db: np.ndarray
+    pl_nlos_db: np.ndarray
+    clutter_db: np.ndarray | float
+    p_los: np.ndarray
+    sigma_los_db: np.ndarray | float
+    sigma_nlos_db: float
+    always_los: bool
+
+
+def ntn_link_medians(
     elevation_deg,
     distance_m,
     frequency_hz: float,
-    rng: np.random.Generator,
     params: NtnParams = NtnParams(),
-    shadowing: bool = True,
-):
-    """Platform-to-ground link pieces: (pathloss, shadow, clutter, los).
+) -> LinkMedians:
+    """Platform-to-ground medians: free space at the slant range in both
+    states, plus elevation-dependent clutter on NLOS links.
 
-    LOS state is Bernoulli(p_los(elevation)) per link; the clutter column is
-    zero on LOS links. Elevations outside [10, 90] degrees are rejected: the
-    LOS table does not extrapolate.
+    Elevations outside [10, 90] degrees are rejected: the LOS table does not
+    extrapolate.
     """
     elev = np.asarray(elevation_deg, dtype=float)
     if np.any(elev < 10.0 - 1e-9) or np.any(elev > 90.0 + 1e-9):
         raise ValueError("elevation must lie in [10, 90] degrees")
     pl = fspl_db(distance_m, frequency_hz)
-    shape = np.broadcast(elev, np.asarray(distance_m, dtype=float)).shape
-    if params.los_only:
-        los = np.ones(shape, dtype=bool)
+    return LinkMedians(
+        pl_los_db=pl,
+        pl_nlos_db=pl,
+        clutter_db=params.clutter_db(elev),
+        p_los=params.p_los(elev),
+        sigma_los_db=params.sigma_los_db,
+        sigma_nlos_db=params.sigma_nlos_db,
+        always_los=params.los_only,
+    )
+
+
+def resolve_links(medians: LinkMedians, uniform, normal):
+    """Links from their medians and draws: (pathloss, shadow, clutter, los).
+
+    `uniform` holds the LOS draws (ignored where `always_los`), `normal` the
+    unit shadowing draws, or None for no shadowing. The clutter column is
+    zero on LOS links.
+    """
+    los = medians.always_los | (uniform < medians.p_los)
+    pl = np.where(los, medians.pl_los_db, medians.pl_nlos_db)
+    clutter = np.where(los, 0.0, medians.clutter_db)
+    if normal is None:
+        shadow = np.zeros(los.shape)
     else:
-        los = rng.random(shape) < params.p_los(elev)
-    clutter = np.where(los, 0.0, params.clutter_db(elev))
-    sigma = np.where(los, params.sigma_los_db, params.sigma_nlos_db)
-    shadow = sigma * rng.standard_normal(shape) if shadowing else np.zeros(shape)
-    return np.broadcast_to(pl, shape).copy(), shadow, clutter, los
+        shadow = np.where(los, medians.sigma_los_db, medians.sigma_nlos_db) * normal
+    return pl, shadow, clutter, los
 
 
 @dataclass(frozen=True)
@@ -208,33 +245,29 @@ def rma_median_pathloss(
     return pl_los, pl_nlos, pre_bp, p_los, clamped
 
 
-def rma_pathloss(
+def rma_link_medians(
     d2d_m,
     frequency_hz: float,
-    rng: np.random.Generator,
     h_bs_m: float = 30.0,
     h_ut_m: float = 1.5,
     params: RmaParams = RmaParams(),
-    shadowing: bool = True,
-):
-    """TR 38.901 rural-macro pathloss: (pathloss, shadow, los, clamped).
-
-    Dual-slope LOS around the breakpoint 2*pi*h_bs*h_ut*f/c; NLOS is the max
-    of the LOS curve and the RMa NLOS formula.
-    """
-    pl_los, pl_nlos, pre_bp, p_los, clamped = rma_median_pathloss(
+) -> LinkMedians:
+    """TR 38.901 rural-macro medians: the `rma_median_pathloss` curves, with
+    the LOS shadowing sigma switching at the breakpoint and no clutter."""
+    pl_los, pl_nlos, pre_bp, p_los, _ = rma_median_pathloss(
         d2d_m, frequency_hz, h_bs_m, h_ut_m, params
     )
-    shape = pl_los.shape
-    los = rng.random(shape) < p_los
-    pl = np.where(los, pl_los, pl_nlos)
-    sigma = np.where(
-        los,
-        np.where(pre_bp, params.sigma_los_near_db, params.sigma_los_far_db),
-        params.sigma_nlos_db,
+    return LinkMedians(
+        pl_los_db=pl_los,
+        pl_nlos_db=pl_nlos,
+        clutter_db=0.0,
+        p_los=p_los,
+        sigma_los_db=np.where(
+            pre_bp, params.sigma_los_near_db, params.sigma_los_far_db
+        ),
+        sigma_nlos_db=params.sigma_nlos_db,
+        always_los=False,
     )
-    shadow = sigma * rng.standard_normal(shape) if shadowing else np.zeros(shape)
-    return pl, shadow, los, clamped
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,15 @@ def _parse_densities(text: str) -> tuple[float, ...]:
     return values
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject counts below one before any scenario is built."""
+    for flag in ("drops", "users_per_drop", "threads"):
+        value = getattr(args, flag, None)  # --users-per-drop: coupling-loss only
+        if value is not None and value < 1:
+            name = "--" + flag.replace("_", "-")
+            raise ConfigError(f"{name}: must be at least 1, got {value}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hibsim",
@@ -92,6 +101,7 @@ def _band_warnings(cfg: ScenarioConfig, directions: tuple[str, ...]) -> list[str
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         cfg = load_config(args.config) if args.config else ScenarioConfig()
         out_dir = args.out or os.environ.get("HIBSIM_OUT_DIR") or "results"
         directions = ("DL", "UL") if args.command == "sinr-sweep" else ("DL",)

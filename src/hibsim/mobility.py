@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from . import antenna, channel, network
+from . import channel, network
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 from .network import CellKind
@@ -94,63 +93,49 @@ def _track_rx_power_dbm(
 ) -> np.ndarray:
     """Received DL power (T, n_cells) along one track.
 
-    Draw order per cell: one LOS threshold, then (shadowed only) T AR(1)
-    innovations; cells in id order — a fixed (seed, user) pair reproduces
-    the track exactly, and the LOS pattern is identical across the two
-    decision signals.
+    Draw order per cell: one LOS threshold (none when the cell is always
+    LOS), then (shadowed only) T AR(1) innovations; cells in id order — a
+    fixed (seed, user) pair reproduces the track exactly, and the LOS pattern
+    is identical across the two decision signals.
     """
     cfg = scenario.cfg
-    n_t = pos_xyz.shape[0]
-    n_c = scenario.n_cells
-    rx = np.empty((n_t, n_c))
-    innov_scale = math.sqrt(max(1.0 - rho * rho, 0.0))
-    for i, cell in enumerate(scenario.cells):
-        if cell.kind is CellKind.HIBS_BEAM:
-            slant, elev, off_axis = network.hibs_link_geometry(cell, pos_xyz)
-            pl = channel.fspl_db(slant, cfg.carrier.frequency_hz)
-            p_los = cfg.channel.ntn.p_los(elev)
-            los = (
-                np.ones(n_t, dtype=bool)
-                if cfg.channel.ntn.los_only
-                else rng.random() < p_los
-            )
-            pl = pl + np.where(los, 0.0, cfg.channel.ntn.clutter_db(elev))
-            sigma = np.where(
-                los, cfg.channel.ntn.sigma_los_db, cfg.channel.ntn.sigma_nlos_db
-            )
-            g_tx = antenna.aperture_gain_dbi(off_axis, cell.pattern)
-        else:
-            d2d, az_off, depression = network.tn_link_geometry(cell, pos_xyz)
-            pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
-                d2d,
-                cfg.carrier.frequency_hz,
-                h_bs_m=cell.tx_position[2],
-                h_ut_m=cfg.ue.height_m,
-                params=cfg.channel.rma,
-            )
-            los = rng.random() < p_los
-            pl = np.where(los, pl_los, pl_nlos)
-            sigma = np.where(
-                los,
-                np.where(
-                    pre_bp,
-                    cfg.channel.rma.sigma_los_near_db,
-                    cfg.channel.rma.sigma_los_far_db,
-                ),
-                cfg.channel.rma.sigma_nlos_db,
-            )
-            g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
-        if shadowed and cfg.channel.shadowing:
-            innov = rng.standard_normal(n_t)
-            innov[1:] *= innov_scale
-            unit = lfilter([1.0], [1.0, -rho], innov)
-            shadow = sigma * unit
-        else:
-            shadow = 0.0
-        rx[:, i] = (
-            cell.tx_power_dbm - pl - shadow + g_tx + cfg.ue.antenna_gain_dbi
+    txs = network.transmitter_budgets(
+        scenario.cells,
+        pos_xyz,
+        cfg.carrier.frequency_hz,
+        cfg.channel.ntn,
+        cfg.channel.rma,
+        cfg.ue.height_m,
+    )
+    n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
+    always_los = network.always_los_cells(txs, n_c)
+    threshold = np.zeros((n_c, 1))
+    innov = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
+    for i in range(n_c):
+        if not always_los[i]:
+            threshold[i] = rng.random()
+        if innov is not None:
+            rng.standard_normal(out=innov[i])
+    unit = None
+    if innov is not None:
+        from scipy.signal import lfilter  # costly import, needed here only
+
+        innov[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+        unit = lfilter([1.0], [1.0, -rho], innov, axis=1)
+    rx = np.empty((n_c, n_t))
+    for tx in txs:
+        r = tx.rows
+        pl, shadow, clutter, _ = channel.resolve_links(
+            tx.medians, threshold[r], None if unit is None else unit[r]
         )
-    return rx
+        rx[r] = (
+            scenario.tx_power_dbm[r, None]
+            - (pl + clutter)
+            - shadow
+            + tx.g_tx_dbi
+            + cfg.ue.antenna_gain_dbi
+        )
+    return rx.T
 
 
 def run_mobility(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,27 +102,89 @@ class DropBudgets:
     los: np.ndarray
 
 
-def hibs_link_geometry(cell: Cell, users_xyz: np.ndarray):
-    """(slant_m, elevation_deg, off_axis_deg) from platform beam to users."""
-    delta = users_xyz - cell.tx_position
+def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
+    """(slant_m, elevation_deg, off_axis_deg) from one platform to receivers;
+    off-axis angles have one row per beam boresight (unit vectors)."""
+    delta = rx_xyz - position
     slant = np.linalg.norm(delta, axis=1)
     horiz = np.hypot(delta[:, 0], delta[:, 1])
-    elev = np.degrees(np.arctan2(-delta[:, 2], horiz))  # platform above users
-    cosang = np.clip(delta @ cell.boresight / slant, -1.0, 1.0)
-    off_axis = np.degrees(np.arccos(cosang))
+    elev = np.degrees(np.arctan2(-delta[:, 2], horiz))  # platform above receivers
+    # one matrix-vector product per beam, so each angle is the same whatever
+    # the beam count
+    cosang = np.stack([delta @ b for b in boresights]) / slant
+    off_axis = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return slant, elev, off_axis
 
 
-def tn_link_geometry(cell: Cell, users_xyz: np.ndarray):
-    """(d2d_m, az_off_deg, depression_deg) from sector antenna to users."""
-    dx = users_xyz[:, 0] - cell.tx_position[0]
-    dy = users_xyz[:, 1] - cell.tx_position[1]
+def site_geometry(position: np.ndarray, azimuths_deg: np.ndarray, rx_xyz: np.ndarray):
+    """(d2d_m, az_off_deg, depression_deg) from one macro site to receivers;
+    azimuth offsets have one row per sector boresight azimuth."""
+    dx = rx_xyz[:, 0] - position[0]
+    dy = rx_xyz[:, 1] - position[1]
     d2d = np.hypot(dx, dy)
-    az_off = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
-    depression = np.degrees(
-        np.arctan2(cell.tx_position[2] - users_xyz[:, 2], d2d)
-    )
+    az_off = np.degrees(np.arctan2(dy, dx)) - azimuths_deg[:, None]
+    depression = np.degrees(np.arctan2(position[2] - rx_xyz[:, 2], d2d))
     return d2d, az_off, depression
+
+
+class TransmitterBudget(NamedTuple):
+    """Deterministic half of the link budget from one transmitter."""
+
+    rows: np.ndarray  # its cells, as row indices into the cell list
+    medians: channel.LinkMedians  # fields over the receivers
+    g_tx_dbi: np.ndarray  # (n rows, n receivers)
+
+
+def transmitter_budgets(
+    cells: list[Cell],
+    rx_xyz: np.ndarray,
+    frequency_hz: float,
+    ntn_params: NtnParams,
+    rma_params: RmaParams,
+    ue_height_m: float = 1.5,
+) -> list[TransmitterBudget]:
+    """Deterministic half of the link budget, once per transmitter.
+
+    Cells sharing a kind, a phase center and a pattern form one transmitter
+    (the beams of a platform, the sectors of a site): its geometry and
+    pathloss medians are computed once, and the gains of all its cells in
+    one call.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        key = (cell.kind, cell.tx_position.tobytes(), cell.pattern)
+        groups.setdefault(key, []).append(i)
+    budgets = []
+    for indices in groups.values():
+        tx = cells[indices[0]]
+        if tx.kind is CellKind.HIBS_BEAM:
+            slant, elev, off_axis = platform_geometry(
+                tx.tx_position, [cells[i].boresight for i in indices], rx_xyz
+            )
+            medians = channel.ntn_link_medians(elev, slant, frequency_hz, ntn_params)
+            g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
+        else:
+            d2d, az_off, depression = site_geometry(
+                tx.tx_position, np.array([cells[i].azimuth_deg for i in indices]), rx_xyz
+            )
+            medians = channel.rma_link_medians(
+                d2d,
+                frequency_hz,
+                h_bs_m=tx.tx_position[2],
+                h_ut_m=ue_height_m,
+                params=rma_params,
+            )
+            g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
+        budgets.append(TransmitterBudget(np.array(indices), medians, g_tx))
+    return budgets
+
+
+def always_los_cells(budgets: list[TransmitterBudget], n_cells: int) -> np.ndarray:
+    """(n_cells,) bool: cells whose links are LOS without a draw."""
+    always = np.zeros(n_cells, dtype=bool)
+    for tx in budgets:
+        always[tx.rows] = tx.medians.always_los
+    return always
 
 
 def coupling_loss_matrix(
@@ -135,36 +198,32 @@ def coupling_loss_matrix(
     shadowing: bool = True,
     ue_height_m: float = 1.5,
 ) -> DropBudgets:
-    """Full coupling-loss matrix for one drop.
+    """Full coupling-loss matrix for one drop, LOS and shadowing i.i.d. per link.
 
-    Cells are processed in list order and each consumes its own slice of the
-    generator, so a fixed seed reproduces the matrix bit for bit.
+    Cells draw in list order, each its own slice of the generator: n uniforms
+    for the LOS states (none when the cell is always LOS), then n normals for
+    shadowing. A fixed seed reproduces the matrix bit for bit.
     """
-    n_c, n_u = len(cells), users_xyz.shape[0]
-    pl = np.zeros((n_c, n_u))
-    sh = np.zeros((n_c, n_u))
-    cl = np.zeros((n_c, n_u))
-    gt = np.zeros((n_c, n_u))
-    los = np.zeros((n_c, n_u), dtype=bool)
-    for i, cell in enumerate(cells):
-        if cell.kind is CellKind.HIBS_BEAM:
-            slant, elev, off_axis = hibs_link_geometry(cell, users_xyz)
-            pl[i], sh[i], cl[i], los[i] = channel.ntn_rural_pathloss(
-                elev, slant, frequency_hz, rng, ntn_params, shadowing
-            )
-            gt[i] = antenna.aperture_gain_dbi(off_axis, cell.pattern)
-        else:
-            d2d, az_off, depression = tn_link_geometry(cell, users_xyz)
-            pl[i], sh[i], los[i], _ = channel.rma_pathloss(
-                d2d,
-                frequency_hz,
-                rng,
-                h_bs_m=cell.tx_position[2],
-                h_ut_m=ue_height_m,
-                params=rma_params,
-                shadowing=shadowing,
-            )
-            gt[i] = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
+    txs = transmitter_budgets(
+        cells, users_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
+    )
+    shape = (len(cells), users_xyz.shape[0])
+    always_los = always_los_cells(txs, len(cells))
+    uniform = np.zeros(shape)
+    normal = np.empty(shape) if shadowing else None
+    for i in range(len(cells)):
+        if not always_los[i]:
+            rng.random(out=uniform[i])
+        if shadowing:
+            rng.standard_normal(out=normal[i])
+    pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
+    los = np.empty(shape, dtype=bool)
+    for tx in txs:
+        r = tx.rows
+        pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
+            tx.medians, uniform[r], None if normal is None else normal[r]
+        )
+        gt[r] = tx.g_tx_dbi
     coupling = pl + sh + cl - gt - g_rx_dbi
     return DropBudgets(
         coupling_db=coupling,

@@ -13,9 +13,10 @@ from hibsim.channel import (
     coupling_loss_db,
     fspl_db,
     noise_power_dbm,
-    ntn_rural_pathloss,
+    ntn_link_medians,
+    resolve_links,
+    rma_link_medians,
     rma_median_pathloss,
-    rma_pathloss,
 )
 
 FSPL_GRID_D_M = np.array([1.0, 100.0, 1_000.0, 20_000.0, 40_000.0])
@@ -52,6 +53,29 @@ RMA_GRID_NLOS_DB = np.array(
         178.57708610452022,
     ]
 )
+
+
+def _draw_ntn_links(
+    elevation_deg, distance_m, frequency_hz, rng, params=NtnParams(), shadowing=True
+):
+    """Platform links drawn i.i.d. from their medians, as the drop engine does."""
+    medians = ntn_link_medians(elevation_deg, distance_m, frequency_hz, params)
+    shape = np.broadcast(np.asarray(elevation_deg), np.asarray(distance_m)).shape
+    uniform = np.zeros(shape) if params.los_only else rng.random(shape)
+    normal = rng.standard_normal(shape) if shadowing else None
+    return resolve_links(medians, uniform, normal)
+
+
+def _draw_rma_links(d2d_m, frequency_hz, rng, shadowing=True):
+    """Rural-macro links drawn i.i.d. from their medians: (pathloss, shadow,
+    los, clamped)."""
+    medians = rma_link_medians(d2d_m, frequency_hz)
+    shape = np.shape(d2d_m)
+    uniform = rng.random(shape)
+    normal = rng.standard_normal(shape) if shadowing else None
+    pl, shadow, clutter, los = resolve_links(medians, uniform, normal)
+    assert np.all(clutter == 0.0)
+    return pl, shadow, los, rma_median_pathloss(d2d_m, frequency_hz)[4]
 
 
 def test_fspl_reference_values():
@@ -142,7 +166,7 @@ def test_ntn_pathloss_zenith_always_los():
     rng = np.random.default_rng(3)
     elev = np.full(2_000, 90.0)
     dist = np.full(2_000, 20_000.0)
-    pl, shadow, clutter, los = ntn_rural_pathloss(elev, dist, 2.0e9, rng)
+    pl, shadow, clutter, los = _draw_ntn_links(elev, dist, 2.0e9, rng)
     assert np.all(los)
     assert np.all(clutter == 0.0)
     assert_allclose(pl, fspl_db(20_000.0, 2.0e9))
@@ -153,15 +177,15 @@ def test_ntn_pathloss_mean_worse_at_low_elevation():
     rng = np.random.default_rng(4)
     n = 20_000
     dist = np.full(n, 25_000.0)
-    pl30, _, cl30, _ = ntn_rural_pathloss(np.full(n, 30.0), dist, 2.0e9, rng)
-    pl90, _, cl90, _ = ntn_rural_pathloss(np.full(n, 90.0), dist, 2.0e9, rng)
+    pl30, _, cl30, _ = _draw_ntn_links(np.full(n, 30.0), dist, 2.0e9, rng)
+    pl90, _, cl90, _ = _draw_ntn_links(np.full(n, 90.0), dist, 2.0e9, rng)
     assert (pl30 + cl30).mean() > (pl90 + cl90).mean()
 
 
 def test_ntn_pathloss_shadow_zero_mean():
     rng = np.random.default_rng(5)
     n = 40_000
-    _, shadow, _, _ = ntn_rural_pathloss(
+    _, shadow, _, _ = _draw_ntn_links(
         np.full(n, 50.0), np.full(n, 25_000.0), 2.0e9, rng
     )
     # sigma mixes 4 (LOS) and 8 (NLOS); bound with the larger one
@@ -171,15 +195,15 @@ def test_ntn_pathloss_shadow_zero_mean():
 def test_ntn_pathloss_rejects_out_of_range_elevation():
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="elevation"):
-        ntn_rural_pathloss(5.0, 20_000.0, 2.0e9, rng)
+        _draw_ntn_links(5.0, 20_000.0, 2.0e9, rng)
     with pytest.raises(ValueError, match="elevation"):
-        ntn_rural_pathloss(91.0, 20_000.0, 2.0e9, rng)
+        _draw_ntn_links(91.0, 20_000.0, 2.0e9, rng)
 
 
 def test_ntn_pathloss_los_only_switch():
     rng = np.random.default_rng(6)
     n = 1_000
-    _, _, clutter, los = ntn_rural_pathloss(
+    _, _, clutter, los = _draw_ntn_links(
         np.full(n, 10.0),
         np.full(n, 30_000.0),
         2.0e9,
@@ -192,7 +216,7 @@ def test_ntn_pathloss_los_only_switch():
 
 def test_ntn_pathloss_shadowing_switch():
     rng = np.random.default_rng(7)
-    _, shadow, _, _ = ntn_rural_pathloss(
+    _, shadow, _, _ = _draw_ntn_links(
         np.full(100, 50.0), np.full(100, 20_000.0), 2.0e9, rng, shadowing=False
     )
     assert np.all(shadow == 0.0)
@@ -204,7 +228,7 @@ def test_ntn_los_fraction_monotone_in_elevation():
     n = 10_000
     fractions = []
     for elev_deg in range(10, 100, 10):
-        _, _, _, los = ntn_rural_pathloss(
+        _, _, _, los = _draw_ntn_links(
             np.full(n, float(elev_deg)), np.full(n, 25_000.0), 2.0e9, rng
         )
         fractions.append(los.mean())
@@ -217,14 +241,14 @@ def test_ntn_pathloss_plus_clutter_never_below_fspl():
     n = 5_000
     dist = rng.uniform(20_000.0, 41_000.0, size=n)
     elev = rng.uniform(10.0, 90.0, size=n)
-    pl, _, clutter, _ = ntn_rural_pathloss(elev, dist, 2.0e9, rng)
+    pl, _, clutter, _ = _draw_ntn_links(elev, dist, 2.0e9, rng)
     assert np.all(pl + clutter >= fspl_db(dist, 2.0e9) - 1e-9)
 
 
 def test_shadow_draws_independent_lag1():
     rng = np.random.default_rng(10)
     n = 10_000
-    _, shadow, _, _ = ntn_rural_pathloss(
+    _, shadow, _, _ = _draw_ntn_links(
         np.full(n, 50.0), np.full(n, 25_000.0), 2.0e9, rng
     )
     lag1 = float(np.corrcoef(shadow[:-1], shadow[1:])[0, 1])
@@ -301,7 +325,7 @@ def test_rma_pathloss_sampled():
     rng = np.random.default_rng(12)
     n = 5_000
     d2d = np.full(n, 2_000.0)
-    pl, shadow, los, clamped = rma_pathloss(d2d, 2.0e9, rng)
+    pl, shadow, los, clamped = _draw_rma_links(d2d, 2.0e9, rng)
     pl_los, pl_nlos, _, p_los, _ = rma_median_pathloss(2_000.0, 2.0e9)
     assert np.all(np.isin(pl, [pl_los, pl_nlos]))
     assert np.all(pl[los] == pl_los)
@@ -312,11 +336,11 @@ def test_rma_pathloss_sampled():
 
 def test_rma_pathloss_shadowing_switch():
     rng = np.random.default_rng(13)
-    _, shadow, _, _ = rma_pathloss(np.full(50, 3_000.0), 2.0e9, rng, shadowing=False)
+    _, shadow, _, _ = _draw_rma_links(np.full(50, 3_000.0), 2.0e9, rng, shadowing=False)
     assert np.all(shadow == 0.0)
 
 
 def test_rma_pathloss_always_los_at_min_distance():
     rng = np.random.default_rng(14)
-    _, _, los, _ = rma_pathloss(np.full(500, 10.0), 2.0e9, rng)
+    _, _, los, _ = _draw_rma_links(np.full(500, 10.0), 2.0e9, rng)
     assert np.all(los)

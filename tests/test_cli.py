@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hibsim import engine
 from hibsim.cli import _parse_densities, main
 from hibsim.config import ConfigError
 
@@ -146,10 +147,38 @@ def test_bad_densities_exit_1(tmp_path, capsys):
     assert "--densities" in capsys.readouterr().err
 
 
-def test_runtime_error_exits_2(tmp_path, capsys):
-    code = main(["coupling-loss", "--drops", "0", "--out", str(tmp_path)])
+def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("drop failed")
+
+    monkeypatch.setattr(engine, "run_coupling_loss", fail)
+    code = main(["coupling-loss", *SMALL, "--out", str(tmp_path)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: drop failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("coupling-loss", "--drops"),
+        ("coupling-loss", "--users-per-drop"),
+        ("sinr-sweep", "--threads"),
+        ("mobility", "--threads"),
+    ],
+)
+def test_counts_below_one_exit_1(tmp_path, monkeypatch, capsys, command, flag, value):
+    def no_scenario(cfg):
+        raise AssertionError("scenario built before the flags were checked")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    out = tmp_path / "run"
+    code = main([command, flag, value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and value in err
+    assert not out.exists()
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):

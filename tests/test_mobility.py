@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
-from hibsim import engine
+import hibsim
+from hibsim import antenna, channel, engine
 from hibsim.config import config_from_dict
 from hibsim.mobility import (
     CENTER_PARK_RADIUS_M,
@@ -15,8 +20,10 @@ from hibsim.mobility import (
     MobilityResult,
     _consecutive_needed,
     _first_sustained,
+    _track_rx_power_dbm,
     run_mobility,
 )
+from hibsim.network import CellKind
 
 RING_RADIUS_M = 17386.66487320323
 
@@ -172,3 +179,81 @@ def test_inbound_tracks_park_at_center():
     res = run_mobility(cfg, seed=13)
     for e in res.events:
         assert math.hypot(e.x_m, e.y_m) >= CENTER_PARK_RADIUS_M - 1e-9
+
+
+def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
+    """Received power (T, n_cells) computed one cell at a time: geometry,
+    medians, one LOS threshold (unless always LOS), then T AR(1) innovations."""
+    cfg = scenario.cfg
+    ntn, rma = cfg.channel.ntn, cfg.channel.rma
+    n_t = pos_xyz.shape[0]
+    rx = np.empty((n_t, scenario.n_cells))
+    for i, cell in enumerate(scenario.cells):
+        if cell.kind is CellKind.HIBS_BEAM:
+            delta = pos_xyz - cell.tx_position
+            slant = np.linalg.norm(delta, axis=1)
+            elev = np.degrees(
+                np.arctan2(-delta[:, 2], np.hypot(delta[:, 0], delta[:, 1]))
+            )
+            off_axis = np.degrees(
+                np.arccos(np.clip(delta @ cell.boresight / slant, -1.0, 1.0))
+            )
+            los = np.ones(n_t, dtype=bool) if ntn.los_only else rng.random() < ntn.p_los(elev)
+            pl = channel.fspl_db(slant, cfg.carrier.frequency_hz)
+            pl = pl + np.where(los, 0.0, ntn.clutter_db(elev))
+            sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
+            g_tx = antenna.aperture_gain_dbi(off_axis, cell.pattern)
+        else:
+            dx = pos_xyz[:, 0] - cell.tx_position[0]
+            dy = pos_xyz[:, 1] - cell.tx_position[1]
+            d2d = np.hypot(dx, dy)
+            az_off = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
+            depression = np.degrees(np.arctan2(cell.tx_position[2] - pos_xyz[:, 2], d2d))
+            pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
+                d2d, cfg.carrier.frequency_hz, cell.tx_position[2], cfg.ue.height_m, rma
+            )
+            los = rng.random() < p_los
+            pl = np.where(los, pl_los, pl_nlos)
+            sigma = np.where(
+                los,
+                np.where(pre_bp, rma.sigma_los_near_db, rma.sigma_los_far_db),
+                rma.sigma_nlos_db,
+            )
+            g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
+        shadow = 0.0
+        if shadowed and cfg.channel.shadowing:
+            innov = rng.standard_normal(n_t)
+            innov[1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+            shadow = sigma * lfilter([1.0], [1.0, -rho], innov)
+        rx[:, i] = cell.tx_power_dbm - pl - shadow + g_tx + cfg.ue.antenna_gain_dbi
+    return rx
+
+
+@pytest.mark.parametrize("shadowed", [False, True])
+@pytest.mark.parametrize("los_only", [False, True])
+def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
+    cfg = config_from_dict({"channel": {"ntn": {"los_only": los_only}}})
+    scenario = engine.build_combined_scenario(cfg)
+    # an inbound track from outside the site ring to the center
+    t = np.linspace(0.0, 1.0, 400)[:, None]
+    pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
+        [300.0, 80.0, 1.5]
+    )
+    core_rng = engine.derive_rng(4, engine._MOBILITY, 9)
+    rng = engine.derive_rng(4, engine._MOBILITY, 9)
+    got = _track_rx_power_dbm(scenario, pos_xyz, core_rng, 0.9, shadowed)
+    want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
+    assert got.shape == (400, 37)
+    assert np.array_equal(got, want)
+    assert core_rng.random() == rng.random()  # same number of draws
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # only the shadowed decision signal filters; plain runs skip its import
+    src = os.path.dirname(os.path.dirname(hibsim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, hibsim, hibsim.output; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

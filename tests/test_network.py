@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hibsim import engine, geometry, network
+from hibsim import antenna, channel, engine, geometry, network
 from hibsim.antenna import SectorPattern, make_aperture_pattern
 from hibsim.channel import NtnParams, RmaParams, noise_power_dbm
-from hibsim.config import ScenarioConfig
+from hibsim.config import ScenarioConfig, config_from_dict
 from hibsim.network import (
     CellKind,
     RateParams,
@@ -56,10 +56,12 @@ def test_build_tn_cells_structure():
 def test_hibs_link_geometry_nadir():
     cells = _hibs_cells()
     users = np.array([[0.0, 0.0, 0.0], [20_000.0, 0.0, 0.0]])
-    slant, elev, off_axis = network.hibs_link_geometry(cells[0], users)
+    slant, elev, off_axis = network.platform_geometry(
+        cells[0].tx_position, [cells[0].boresight], users
+    )
     assert_allclose(slant, [20_000.0, 20_000.0 * math.sqrt(2.0)])
     assert_allclose(elev, [90.0, 45.0])
-    assert_allclose(off_axis, [0.0, 45.0])
+    assert_allclose(off_axis, [[0.0, 45.0]])
 
 
 def test_tn_link_geometry():
@@ -67,9 +69,11 @@ def test_tn_link_geometry():
     cells = build_tn_cells(layout, SectorPattern(), 49.0, 5.0)
     site = cells[0].tx_position  # azimuth 0 sector
     user = np.array([[site[0] + 1_000.0, site[1], 1.5]])
-    d2d, az_off, depression = network.tn_link_geometry(cells[0], user)
+    d2d, az_off, depression = network.site_geometry(
+        site, np.array([c.azimuth_deg for c in cells[:3]]), user
+    )
     assert_allclose(d2d, 1_000.0)
-    assert_allclose(az_off, 0.0)
+    assert_allclose(az_off, [[0.0], [-120.0], [-240.0]])
     assert_allclose(depression, math.degrees(math.atan2(28.5, 1_000.0)))
 
 
@@ -131,6 +135,96 @@ def test_coupling_loss_matrix_shapes_and_determinism():
         a.coupling_db,
         a.pathloss_db + a.shadow_db + a.clutter_db - a.g_tx_dbi - 0.0,
     )
+
+
+def reference_aperture_gain_dbi(theta_deg, pattern):
+    """Airy gain with J1 evaluated on every element, floored afterwards."""
+    u = np.abs(pattern.ka * np.sin(np.radians(theta_deg)))
+    rel = np.ones_like(u)
+    big = u > 1e-9
+    rel[big] = (2.0 * antenna.bessel_j1(u[big]) / u[big]) ** 2
+    if not pattern.bessel_sidelobes:
+        rel[u > antenna.FIRST_J1_ZERO] = 0.0
+    rel_db = 10.0 * np.log10(np.maximum(rel, 10.0 ** (-pattern.floor_db / 10.0)))
+    return pattern.peak_gain_dbi + rel_db
+
+
+def reference_cell_budget(cell, users, cfg, rng):
+    """One cell's (pathloss, shadow, clutter, g_tx, los) row, computed for
+    that cell alone: geometry, medians and draws (n LOS uniforms unless the
+    cell is always LOS, then n shadowing normals)."""
+    n = users.shape[0]
+    f = cfg.carrier.frequency_hz
+    ntn, rma = cfg.channel.ntn, cfg.channel.rma
+    if cell.kind is CellKind.HIBS_BEAM:
+        delta = users - cell.tx_position
+        slant = np.linalg.norm(delta, axis=1)
+        elev = np.degrees(np.arctan2(-delta[:, 2], np.hypot(delta[:, 0], delta[:, 1])))
+        off_axis = np.degrees(
+            np.arccos(np.clip(delta @ cell.boresight / slant, -1.0, 1.0))
+        )
+        pl = channel.fspl_db(slant, f)
+        los = np.ones(n, dtype=bool) if ntn.los_only else rng.random(n) < ntn.p_los(elev)
+        clutter = np.where(los, 0.0, ntn.clutter_db(elev))
+        sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
+        g_tx = reference_aperture_gain_dbi(off_axis, cell.pattern)
+    else:
+        dx = users[:, 0] - cell.tx_position[0]
+        dy = users[:, 1] - cell.tx_position[1]
+        d2d = np.hypot(dx, dy)
+        az_off = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
+        depression = np.degrees(np.arctan2(cell.tx_position[2] - users[:, 2], d2d))
+        pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
+            d2d, f, cell.tx_position[2], cfg.ue.height_m, rma
+        )
+        los = rng.random(n) < p_los
+        pl = np.where(los, pl_los, pl_nlos)
+        clutter = np.zeros(n)
+        sigma = np.where(
+            los,
+            np.where(pre_bp, rma.sigma_los_near_db, rma.sigma_los_far_db),
+            rma.sigma_nlos_db,
+        )
+        g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
+    shadow = sigma * rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
+    return pl, shadow, clutter, g_tx, los
+
+
+@pytest.mark.parametrize(
+    "overrides, combined",
+    [
+        ({}, False),
+        ({"scheduler": {"overlay_cochannel_beams": True}}, True),
+        ({"channel": {"shadowing": False}}, True),
+        ({"channel": {"ntn": {"los_only": True}}}, True),
+        ({"hibs": {"pattern_sidelobes": "bessel"}}, False),
+    ],
+    ids=["platform", "combined", "no-shadowing", "los-only", "bessel-sidelobes"],
+)
+def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
+    cfg = config_from_dict(overrides)
+    build = engine.build_combined_scenario if combined else engine.build_hibs_scenario
+    scenario = build(cfg)
+    cells = scenario.cells + list(scenario.dl_interferers)
+    assert len(cells) == (55 if combined else 19)
+    users = geometry.drop_users(
+        150, np.random.default_rng(31), scenario.service_radius_m, height_m=1.5
+    )
+    core_rng, rng = engine.derive_rng(7, 1, 2), engine.derive_rng(7, 1, 2)
+    budgets = engine.drop_budgets(scenario, users, core_rng)
+    rows = [reference_cell_budget(c, users, cfg, rng) for c in cells]
+    pl, sh, cl, gt, los = (np.stack(col) for col in zip(*rows))
+    coupling = pl + sh + cl - gt - cfg.ue.antenna_gain_dbi
+    for got, want in (
+        (budgets.coupling_db, coupling),
+        (budgets.pathloss_db, pl),
+        (budgets.shadow_db, sh),
+        (budgets.clutter_db, cl),
+        (budgets.g_tx_dbi, gt),
+        (budgets.los, los),
+    ):
+        assert np.array_equal(got, want)
+    assert core_rng.random() == rng.random()  # same number of draws
 
 
 def test_coupling_loss_center_user_deterministic_budget():
