@@ -1,7 +1,7 @@
 """Propagation models: free space, platform-to-ground rural, and TR 38.901 RMa.
 
 Every public function returns dB quantities and leaves antenna gains out of
-the pathloss itself; `coupling_loss_db` assembles the full link afterwards.
+the pathloss itself; `network.coupling_loss_matrix` assembles the full links.
 A link budget comes in two halves. `ntn_link_medians` and `rma_link_medians`
 give the fading-free half, computed once per transmitter; `resolve_links`
 turns it into LOS states and shadowing from draws the caller made, so the
@@ -11,7 +11,7 @@ caller alone fixes which random numbers each link consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +50,6 @@ def noise_power_dbm(
     if bandwidth_hz <= 0.0:
         raise ValueError("bandwidth must be positive")
     return thermal_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-
-
-def coupling_loss_db(
-    pathloss_db, shadow_db=0.0, clutter_db=0.0, g_tx_dbi=0.0, g_rx_dbi=0.0
-):
-    """Total loss between transmit and receive ports (gains subtract)."""
-    return (
-        np.asarray(pathloss_db, dtype=float)
-        + shadow_db
-        + clutter_db
-        - g_tx_dbi
-        - g_rx_dbi
-    )
 
 
 @dataclass(frozen=True)
@@ -268,28 +255,3 @@ def rma_link_medians(
         sigma_nlos_db=params.sigma_nlos_db,
         always_los=False,
     )
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """One transmitter-to-receiver link, fully itemized (all dB/dBi/m)."""
-
-    distance_m: float
-    elevation_deg: float
-    pathloss_db: float
-    shadow_db: float
-    clutter_db: float
-    g_tx_dbi: float
-    g_rx_dbi: float
-    coupling_loss_db: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coupling_loss_db",
-            self.pathloss_db
-            + self.shadow_db
-            + self.clutter_db
-            - self.g_tx_dbi
-            - self.g_rx_dbi,
-        )

@@ -30,7 +30,7 @@ def _parse_densities(text: str) -> tuple[float, ...]:
 def _check_counts(args: argparse.Namespace) -> None:
     """Reject counts below one before any scenario is built."""
     for flag in ("drops", "users_per_drop", "threads"):
-        value = getattr(args, flag, None)  # --users-per-drop: coupling-loss only
+        value = getattr(args, flag, None)  # not every command has every flag
         if value is not None and value < 1:
             name = "--" + flag.replace("_", "-")
             raise ConfigError(f"{name}: must be at least 1, got {value}")
@@ -47,17 +47,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML scenario file (defaults apply if omitted)")
     common.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    common.add_argument("--drops", type=int, default=100, help="Monte Carlo drops (default 100)")
     common.add_argument(
         "--out",
         help="output directory (default $HIBSIM_OUT_DIR or ./results)",
     )
     common.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
+    # mobility runs tracks, not drops, so only the drop commands take --drops
+    drops = argparse.ArgumentParser(add_help=False)
+    drops.add_argument("--drops", type=int, default=100, help="Monte Carlo drops (default 100)")
+
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser(
         "coupling-loss",
-        parents=[common],
+        parents=[common, drops],
         help="serving-beam coupling loss by beam ring (platform only)",
     )
     p.add_argument(
@@ -67,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sinr-sweep", "DL/UL SINR distributions vs user density (platform only)"),
         ("throughput-sweep", "full-buffer throughput vs user density (combined overlay)"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common, drops], help=help_text)
         p.add_argument(
             "--densities",
             default=DEFAULT_DENSITIES,

@@ -1,9 +1,12 @@
 """Monte Carlo drop engine: scenario assembly, drops, and the three sweeps.
 
 Every drop owns an independent generator derived from (seed, experiment,
-density index, drop index) via SeedSequence spawn keys, and results are
-merged in key order — so the output is bit-identical no matter how many
-worker threads execute the drops.
+density index, drop index) via SeedSequence spawn keys. The sweeps evaluate
+blocks of consecutive drops in one link-budget pass each; every drop still
+draws from its own generator, the block partition depends on the drops
+alone, and results are merged in key order — so the output is bit-identical
+no matter how many worker threads execute the blocks, and more drops only
+append samples.
 """
 
 from __future__ import annotations
@@ -160,9 +163,10 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, rng: np.random.Generator):
+def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, streams):
     """Coupling-loss matrix over serving cells then dl_interferers (row order
-    fixed by cell id so RNG consumption is reproducible)."""
+    fixed by cell id so RNG consumption is reproducible). `streams` is one
+    generator, or one (generator, user count) pair per drop of a block."""
     cfg = scenario.cfg
     return network.coupling_loss_matrix(
         scenario.cells + list(scenario.dl_interferers),
@@ -171,9 +175,61 @@ def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, rng: np.random.Gener
         cfg.ue.antenna_gain_dbi,
         cfg.channel.ntn,
         cfg.channel.rma,
-        rng,
+        streams,
         shadowing=cfg.channel.shadowing,
         ue_height_m=cfg.ue.height_m,
+    )
+
+
+# A block of consecutive drops shares one link-budget pass. It holds at most
+# this many links (cells x receivers), about one density-20 overlay drop, so
+# batching makes no array larger than the largest single drop of the
+# paper's sweeps.
+_BLOCK_LINKS = 1 << 15
+
+
+def _drop_blocks(links: list[int]) -> list[range]:
+    """Greedy runs of consecutive drops, starting from drop 0, each holding
+    at most _BLOCK_LINKS links (a larger drop runs alone). The partition
+    depends on the drops alone, never on the thread count."""
+    blocks, start, total = [], 0, 0
+    for d, n in enumerate(links):
+        if d > start and total + n > _BLOCK_LINKS:
+            blocks.append(range(start, d))
+            start, total = d, 0
+        total += n
+    blocks.append(range(start, len(links)))
+    return blocks
+
+
+def _block_budgets(scenario: Scenario, drops: list):
+    """Link budgets of a block of drops, users laid end to end in drop order.
+
+    `drops` holds one (generator, user count) pair per drop; each drop draws
+    its user positions, then its links, from its own generator. Returns the
+    budgets (None when the block has no users) and each user's index into
+    `drops`.
+    """
+    sizes = [n for _, n in drops]
+    drop = np.repeat(np.arange(len(drops)), sizes)
+    streams = [(rng, n) for rng, n in drops if n]
+    if not streams:
+        return None, drop
+    users = np.concatenate(
+        [
+            geometry.drop_users(
+                n, rng, scenario.service_radius_m, height_m=scenario.cfg.ue.height_m
+            )
+            for rng, n in streams
+        ]
+    )
+    return drop_budgets(scenario, users, streams), drop
+
+
+def _active_by_drop(serving: np.ndarray, drop: np.ndarray, n_drops: int, n_cells: int):
+    """(n_drops, n_cells) mask of the cells with at least one user, per drop."""
+    return network.active_cells(drop * n_cells + serving, n_drops * n_cells).reshape(
+        n_drops, n_cells
     )
 
 
@@ -188,6 +244,19 @@ def _map_ordered(worker, keys, threads: int) -> list:
         for fut, i in futures.items():
             out[i] = fut.result()
     return out
+
+
+def _map_blocks(worker, drops: list, links: list[int], threads: int) -> list:
+    """Run worker over blocks of consecutive drops, results in drop order."""
+    blocks = [drops[b.start : b.stop] for b in _drop_blocks(links)]
+    return _map_ordered(worker, blocks, threads)
+
+
+def _by_density(pieces: list[np.ndarray], drops: list, n_drops: int) -> list[np.ndarray]:
+    """Per-user arrays of consecutive blocks, joined and cut into one array
+    per density (each density owns n_drops consecutive drops)."""
+    counts = [sum(n for _, n in drops[i : i + n_drops]) for i in range(0, len(drops), n_drops)]
+    return np.split(np.concatenate(pieces), np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -211,22 +280,19 @@ def run_coupling_loss(
     if n_drops <= 0 or users_per_drop <= 0:
         raise ValueError("n_drops and users_per_drop must be positive")
     scenario = build_hibs_scenario(cfg)
+    drops = [(derive_rng(seed, _COUPLING, d), users_per_drop) for d in range(n_drops)]
 
-    def one_drop(d: int):
-        rng = derive_rng(seed, _COUPLING, d)
-        users = geometry.drop_users(
-            users_per_drop, rng, scenario.service_radius_m, height_m=cfg.ue.height_m
-        )
-        budgets = drop_budgets(scenario, users, rng)
+    def one_block(block):
+        budgets, _ = _block_budgets(scenario, block)
         serving = network.associate(budgets.coupling_db)
-        cl = budgets.coupling_db[serving, np.arange(users_per_drop)]
+        cl = budgets.coupling_db[serving, np.arange(serving.size)]
         return cl, scenario.ring[serving]
 
-    results = _map_ordered(one_drop, range(n_drops), threads)
-    rings = sorted(set(scenario.ring.tolist()))
-    by_ring = {
-        r: np.concatenate([cl[rg == r] for cl, rg in results]) for r in rings
-    }
+    links = [scenario.n_cells * users_per_drop] * n_drops
+    results = _map_blocks(one_block, drops, links, threads)
+    cl = np.concatenate([c for c, _ in results])
+    ring = np.concatenate([r for _, r in results])
+    by_ring = {r: cl[ring == r] for r in sorted(set(scenario.ring.tolist()))}
     return CouplingLossResult(
         samples_by_ring=by_ring,
         n_drops=n_drops,
@@ -253,6 +319,17 @@ def _check_densities(densities) -> tuple[float, ...]:
     return densities
 
 
+def _poisson_drops(seed: int, experiment: int, densities, n_drops: int, n_cells: int):
+    """One (generator, user count) pair per drop, keys (density, drop) in
+    order; each generator has drawn its drop's Poisson user count."""
+    drops = []
+    for di, density in enumerate(densities):
+        for d in range(n_drops):
+            rng = derive_rng(seed, experiment, di, d)
+            drops.append((rng, int(rng.poisson(density * n_cells))))
+    return drops
+
+
 def _ul_sinr_coscheduled(
     coupling_db: np.ndarray,
     serving: np.ndarray,
@@ -260,7 +337,7 @@ def _ul_sinr_coscheduled(
     ue_tx_power_dbm: float,
     noise_mw: np.ndarray,
 ) -> np.ndarray:
-    """One uplink SINR sample per user under round-robin TDM.
+    """One uplink SINR sample per user of one drop under round-robin TDM.
 
     Slot k schedules user (k mod n_c) of every active cell c; the sample for
     a user is taken in its first scheduled slot, with whoever else the round
@@ -284,29 +361,33 @@ def _ul_sinr_coscheduled(
     return out
 
 
-def _full_load_ul_interference_mw(
-    scenario: Scenario, rng: np.random.Generator
-) -> np.ndarray:
+def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
     """Uplink interference floor per station under the busy-system assumption:
     every beam carries one full-power UE, uniform in its footprint, all slots.
 
-    Returns (n_cells,) mW; entry c excludes beam c's own user (that slot
-    belongs to the user being evaluated)."""
+    One drop per generator, each drawing its phantom positions, then their
+    links. Returns (n drops, n_cells) mW; entry c excludes beam c's own user
+    (that slot belongs to the user being evaluated)."""
     centers = scenario.beam_centers
     n_b = centers.shape[0]
     cfg = scenario.cfg
-    r = 0.5 * cfg.hibs.footprint_diameter_m * np.sqrt(rng.uniform(size=n_b))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n_b)
-    phantoms = centers.copy()
-    phantoms[:, 0] += r * np.cos(theta)
-    phantoms[:, 1] += r * np.sin(theta)
-    phantoms[:, 2] = cfg.ue.height_m
-    budgets = drop_budgets(scenario, phantoms, rng)
-    rx = 10.0 ** ((cfg.ue.tx_power_dbm - budgets.coupling_db) / 10.0)  # (cells, beams)
-    total = rx.sum(axis=1)
+    phantoms = np.empty((len(rngs), n_b, 3))
+    for k, rng in enumerate(rngs):
+        r = 0.5 * cfg.hibs.footprint_diameter_m * np.sqrt(rng.uniform(size=n_b))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n_b)
+        phantoms[k, :, 0] = centers[:, 0] + r * np.cos(theta)
+        phantoms[k, :, 1] = centers[:, 1] + r * np.sin(theta)
+    phantoms[:, :, 2] = cfg.ue.height_m
+    budgets = drop_budgets(
+        scenario, phantoms.reshape(-1, 3), [(rng, n_b) for rng in rngs]
+    )
+    rx = 10.0 ** ((cfg.ue.tx_power_dbm - budgets.coupling_db) / 10.0)
+    rx = rx.reshape(rx.shape[0], len(rngs), n_b)  # (cells, drops, beams)
+    total = rx.sum(axis=2)  # one drop's n_b phantoms at a time
     own = np.zeros_like(total)
-    own[:n_b] = rx[np.arange(n_b), np.arange(n_b)]  # beam i is cell i by build order
-    return total - own
+    beams = np.arange(n_b)
+    own[:n_b] = rx[beams, :, beams]  # beam i is cell i by build order
+    return (total - own).T
 
 
 def run_sinr_sweep(
@@ -321,6 +402,7 @@ def run_sinr_sweep(
         raise ValueError("n_drops must be positive")
     densities = _check_densities(densities)
     scenario = build_hibs_scenario(cfg)
+    n_cells = scenario.n_cells
     noise_dl_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     noise_ul_mw = 10.0 ** (
         np.array(
@@ -334,48 +416,51 @@ def run_sinr_sweep(
 
     ul_mode = cfg.scheduler.ul_interference
 
-    def one_drop(key):
-        di, d = key
-        rng = derive_rng(seed, _SINR, di, d)
-        n_users = int(rng.poisson(densities[di] * scenario.n_cells))
-        if n_users == 0:
+    def one_block(block):
+        block = [(rng, n) for rng, n in block if n]  # empty drops yield nothing
+        budgets, drop = _block_budgets(scenario, block)
+        if budgets is None:
             return np.empty(0), np.empty(0)
-        users = geometry.drop_users(
-            n_users, rng, scenario.service_radius_m, height_m=cfg.ue.height_m
-        )
-        budgets = drop_budgets(scenario, users, rng)
-        serving = network.associate(budgets.coupling_db)
-        active = network.active_cells(serving, scenario.n_cells)
+        coupling = budgets.coupling_db
+        serving = network.associate(coupling)
+        active = _active_by_drop(serving, drop, len(block), n_cells)
         dl = network.dl_sinr_db(
-            budgets.coupling_db, serving, scenario.tx_power_dbm, active, noise_dl_dbm
+            coupling, serving, scenario.tx_power_dbm, active[drop].T, noise_dl_dbm
         )
         if ul_mode == "coscheduled":
-            ul = _ul_sinr_coscheduled(
-                budgets.coupling_db, serving, active, cfg.ue.tx_power_dbm, noise_ul_mw
+            edges = np.cumsum([0] + [n for _, n in block])
+            ul = np.concatenate(
+                [
+                    _ul_sinr_coscheduled(
+                        coupling[:, lo:hi],
+                        serving[lo:hi],
+                        active[d],
+                        cfg.ue.tx_power_dbm,
+                        noise_ul_mw,
+                    )
+                    for d, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+                ]
             )
         else:
             if ul_mode == "full_load":
-                i_mw = _full_load_ul_interference_mw(scenario, rng)
+                i_mw = _full_load_ul_interference_mw(scenario, [rng for rng, _ in block])
             else:  # "none": pure uplink SNR
-                i_mw = np.zeros(scenario.n_cells)
-            s_dbm = cfg.ue.tx_power_dbm - budgets.coupling_db[
-                serving, np.arange(n_users)
-            ]
-            denom = i_mw[serving] + noise_ul_mw[serving]
+                i_mw = np.zeros((len(block), n_cells))
+            s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(serving.size)]
+            denom = i_mw[drop, serving] + noise_ul_mw[serving]
             ul = s_dbm - 10.0 * np.log10(denom)
         return dl, ul
 
-    keys = [(di, d) for di in range(len(densities)) for d in range(n_drops)]
-    results = _map_ordered(one_drop, keys, threads)
-    dl_by_density, ul_by_density = {}, {}
-    for di, density in enumerate(densities):
-        chunk = results[di * n_drops : (di + 1) * n_drops]
-        dl_by_density[density] = np.concatenate([c[0] for c in chunk])
-        ul_by_density[density] = np.concatenate([c[1] for c in chunk])
+    drops = _poisson_drops(seed, _SINR, densities, n_drops, n_cells)
+    phantoms = scenario.beam_centers.shape[0] if ul_mode == "full_load" else 0
+    links = [n_cells * (n + phantoms) if n else 0 for _, n in drops]
+    results = _map_blocks(one_block, drops, links, threads)
+    dl = _by_density([r[0] for r in results], drops, n_drops)
+    ul = _by_density([r[1] for r in results], drops, n_drops)
     return SinrSweepResult(
         densities=densities,
-        dl_by_density=dl_by_density,
-        ul_by_density=ul_by_density,
+        dl_by_density=dict(zip(densities, dl)),
+        ul_by_density=dict(zip(densities, ul)),
         n_drops=n_drops,
         seed=seed,
     )
@@ -438,39 +523,39 @@ def run_throughput_sweep(
         [scenario.tx_power_dbm, scenario.interferer_tx_power_dbm]
     )
 
-    def one_drop(key):
-        di, d = key
-        rng = derive_rng(seed, _THROUGHPUT, di, d)
-        n_users = int(rng.poisson(densities[di] * n_serv))
-        if n_users == 0:
-            zeros_cells = np.zeros(n_serv)
-            return zeros_cells, np.empty(0), np.empty(0, dtype=int)
-        users = geometry.drop_users(
-            n_users, rng, scenario.service_radius_m, height_m=cfg.ue.height_m
-        )
-        budgets = drop_budgets(scenario, users, rng)
+    def one_block(block):
+        n_d = len(block)
+        budgets, drop = _block_budgets(scenario, block)
+        if budgets is None:
+            return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
         serving = network.associate(budgets.coupling_db[:n_serv])
         # non-serving beams never empty out: they are on-air by construction
         active = np.concatenate(
-            [network.active_cells(serving, n_serv), np.ones(n_phantom, dtype=bool)]
+            [
+                _active_by_drop(serving, drop, n_d, n_serv)[drop].T,
+                np.ones((n_phantom, drop.size), dtype=bool),
+            ]
         )
         dl = network.dl_sinr_db(
             budgets.coupling_db, serving, tx_all_dbm, active, noise_dl_dbm
         )
+        # round robin per (drop, cell): each drop's cells are cells of their own
         cell_bps, user_bps, _ = network.round_robin_throughput_bps(
-            dl, serving, n_serv, bw, cfg.rate
+            dl, drop * n_serv + serving, n_d * n_serv, bw, cfg.rate
         )
-        return cell_bps, user_bps, serving
+        return cell_bps.reshape(n_d, n_serv), user_bps, serving
 
-    keys = [(di, d) for di in range(len(densities)) for d in range(n_drops)]
-    results = _map_ordered(one_drop, keys, threads)
+    drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, n_serv)
+    rows = n_serv + n_phantom
+    results = _map_blocks(one_block, drops, [rows * n for _, n in drops], threads)
+    cell_bps_all = np.concatenate([r[0] for r in results])  # (drops, n_cells)
+    user_bps_all = _by_density([r[1] for r in results], drops, n_drops)
+    serving_all = _by_density([r[2] for r in results], drops, n_drops)
     points = []
     for di, density in enumerate(densities):
-        chunk = results[di * n_drops : (di + 1) * n_drops]
-        cell_bps = np.stack([c[0] for c in chunk])  # (drops, n_cells)
-        user_bps = np.concatenate([c[1] for c in chunk])
-        serving = np.concatenate([c[2] for c in chunk])
-        user_is_hibs = hibs_mask[serving] if serving.size else np.empty(0, dtype=bool)
+        cell_bps = cell_bps_all[di * n_drops : (di + 1) * n_drops]
+        user_bps, serving = user_bps_all[di], serving_all[di]
+        user_is_hibs = hibs_mask[serving]
         hibs_users = user_bps[user_is_hibs]
         tn_users = user_bps[~user_is_hibs]
         hibs_cell = float(cell_bps[:, hibs_mask].mean())

@@ -128,14 +128,26 @@ def _track_rx_power_dbm(
         pl, shadow, clutter, _ = channel.resolve_links(
             tx.medians, threshold[r], None if unit is None else unit[r]
         )
-        rx[r] = (
-            scenario.tx_power_dbm[r, None]
-            - (pl + clutter)
-            - shadow
-            + tx.g_tx_dbi
-            + cfg.ue.antenna_gain_dbi
-        )
+        # adding an all-zero term changes no bit, so skip it
+        loss = pl + clutter if clutter.any() else pl
+        rx_r = scenario.tx_power_dbm[r, None] - loss
+        if unit is not None:
+            rx_r -= shadow
+        rx_r += tx.g_tx_dbi
+        rx_r += cfg.ue.antenna_gain_dbi
+        rx[r] = rx_r
     return rx.T
+
+
+def _best_two(rx: np.ndarray):
+    """Per sample of a (T, n_cells) track: (best, best cell, runner-up,
+    runner-up cell), ties to the lowest cell index as argmax breaks them."""
+    t = np.arange(rx.shape[0])
+    best_cell = np.argmax(rx, axis=1)
+    rest = rx.copy()
+    rest[t, best_cell] = -np.inf
+    second_cell = np.argmax(rest, axis=1)
+    return rx[t, best_cell], best_cell, rest[t, second_cell], second_cell
 
 
 def run_mobility(
@@ -193,21 +205,21 @@ def run_mobility(
             pos = pos[: arrived[0] + 1]
         rx = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
 
+        # the strongest cell other than the serving one is the runner-up
+        # where the serving cell is best, else the best
+        best, best_cell, second, second_cell = _best_two(rx)
         events: list[HandoverEvent] = []
-        serving = int(np.argmax(rx[0]))
+        serving = int(best_cell[0])
         start = 1
         while start < pos.shape[0]:
-            seg = rx[start:]
-            others = seg.copy()
-            others[:, serving] = -np.inf
-            cond = others.max(axis=1) > seg[:, serving] + offset
+            is_best = best_cell[start:] == serving
+            rival = np.where(is_best, second[start:], best[start:])
+            cond = rival > rx[start:, serving] + offset
             rel = _first_sustained(cond, k_need)
             if rel < 0:
                 break
             t_idx = start + rel
-            row = rx[t_idx].copy()
-            row[serving] = -np.inf
-            new = int(np.argmax(row))
+            new = int(second_cell[t_idx] if is_best[rel] else best_cell[t_idx])
             if kinds[new] is not kinds[serving]:
                 direction = (
                     TN_TO_HIBS if kinds[new] is CellKind.HIBS_BEAM else HIBS_TO_TN

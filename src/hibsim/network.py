@@ -110,8 +110,10 @@ def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
     horiz = np.hypot(delta[:, 0], delta[:, 1])
     elev = np.degrees(np.arctan2(-delta[:, 2], horiz))  # platform above receivers
     # one matrix-vector product per beam, so each angle is the same whatever
-    # the beam count
-    cosang = np.stack([delta @ b for b in boresights]) / slant
+    # the beam count; a single receiver goes in twice, because numpy's
+    # one-row product takes another BLAS path with other last bits
+    rows = np.repeat(delta, 2, axis=0) if delta.shape[0] == 1 else delta
+    cosang = np.stack([(rows @ b)[: delta.shape[0]] for b in boresights]) / slant
     off_axis = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return slant, elev, off_axis
 
@@ -194,28 +196,40 @@ def coupling_loss_matrix(
     g_rx_dbi: float,
     ntn_params: NtnParams,
     rma_params: RmaParams,
-    rng: np.random.Generator,
+    streams,
     shadowing: bool = True,
     ue_height_m: float = 1.5,
 ) -> DropBudgets:
-    """Full coupling-loss matrix for one drop, LOS and shadowing i.i.d. per link.
+    """Full coupling-loss matrix, LOS and shadowing i.i.d. per link.
 
-    Cells draw in list order, each its own slice of the generator: n uniforms
-    for the LOS states (none when the cell is always LOS), then n normals for
-    shadowing. A fixed seed reproduces the matrix bit for bit.
+    `streams` is one generator for all the users, or one (generator, user
+    count) pair per drop when the users of several drops lie end to end.
+    Each drop draws from its own generator, cells in list order, each its
+    own slice: n uniforms for the LOS states (none when the cell is always
+    LOS), then n normals for shadowing. A fixed seed reproduces a drop's
+    columns bit for bit, whichever drops share the call.
     """
+    n_users = users_xyz.shape[0]
+    if isinstance(streams, np.random.Generator):
+        streams = [(streams, n_users)]
+    if sum(n for _, n in streams) != n_users:
+        raise ValueError("stream user counts must add up to the users given")
     txs = transmitter_budgets(
         cells, users_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
     )
-    shape = (len(cells), users_xyz.shape[0])
+    shape = (len(cells), n_users)
     always_los = always_los_cells(txs, len(cells))
     uniform = np.zeros(shape)
     normal = np.empty(shape) if shadowing else None
-    for i in range(len(cells)):
-        if not always_los[i]:
-            rng.random(out=uniform[i])
-        if shadowing:
-            rng.standard_normal(out=normal[i])
+    lo = 0
+    for rng, n in streams:
+        hi = lo + n
+        for i in range(len(cells)):
+            if not always_los[i]:
+                rng.random(out=uniform[i, lo:hi])
+            if shadowing:
+                rng.standard_normal(out=normal[i, lo:hi])
+        lo = hi
     pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
     los = np.empty(shape, dtype=bool)
     for tx in txs:
@@ -246,6 +260,18 @@ def active_cells(serving: np.ndarray, n_cells: int) -> np.ndarray:
     return np.bincount(serving, minlength=n_cells) > 0
 
 
+def _sum_over_cells(x: np.ndarray) -> np.ndarray:
+    """Column sums of a (cells, users) matrix, adding the rows in cell order.
+
+    numpy's own sum switches to pairwise summation when there is a single
+    column, so its last bits would depend on how many users share the matrix.
+    """
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
 def dl_sinr_db(
     coupling_db: np.ndarray,
     serving: np.ndarray,
@@ -253,36 +279,22 @@ def dl_sinr_db(
     active: np.ndarray,
     noise_dbm: float,
 ) -> np.ndarray:
-    """Downlink SINR per user with all active cells transmitting full power."""
-    if not np.all(active[serving]):
+    """Downlink SINR per user with all active cells transmitting full power.
+
+    `active` is one mask over the cells, or one column per user when users
+    of several drops (each with its own active set) lie side by side.
+    """
+    idx = np.arange(serving.shape[0])
+    active = np.broadcast_to(active.reshape(active.shape[0], -1), coupling_db.shape)
+    if not np.all(active[serving, idx]):
         raise ValueError("serving cells must be active")
     rx_lin_mw = np.where(
-        active[:, None], 10.0 ** ((tx_power_dbm[:, None] - coupling_db) / 10.0), 0.0
+        active, 10.0 ** ((tx_power_dbm[:, None] - coupling_db) / 10.0), 0.0
     )
-    idx = np.arange(serving.shape[0])
     s = rx_lin_mw[serving, idx]
-    interference = rx_lin_mw.sum(axis=0) - s
+    interference = _sum_over_cells(rx_lin_mw) - s
     noise_mw = 10.0 ** (noise_dbm / 10.0)
     return 10.0 * np.log10(s / (interference + noise_mw))
-
-
-def ul_sinr_db(
-    serving_coupling_db,
-    interferer_coupling_db,
-    ue_tx_power_dbm: float,
-    noise_dbm: float,
-):
-    """Uplink SINR at a base station for one scheduled user.
-
-    `interferer_coupling_db` holds the coupling losses from the co-scheduled
-    users of the *other* active cells to this station (may be empty). No
-    uplink power control: every user transmits `ue_tx_power_dbm`.
-    """
-    s = 10.0 ** ((ue_tx_power_dbm - np.asarray(serving_coupling_db, dtype=float)) / 10.0)
-    interferers = np.asarray(interferer_coupling_db, dtype=float)
-    i_mw = np.sum(10.0 ** ((ue_tx_power_dbm - interferers) / 10.0), axis=-1) if interferers.size else 0.0
-    noise_mw = 10.0 ** (noise_dbm / 10.0)
-    return 10.0 * np.log10(s / (i_mw + noise_mw))
 
 
 @dataclass(frozen=True)

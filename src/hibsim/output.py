@@ -34,10 +34,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_num(v) if not isinstance(v, str) else v for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_lines(
+        path,
+        header,
+        (",".join(_num(v) if not isinstance(v, str) else v for v in row) for row in rows),
+    )
+
+
+def _write_lines(path: str, header: list[str], lines) -> None:
+    """CSV from rows already formatted; per-sample files build their lines
+    from `ndarray.tolist()`, whose floats format with repr directly."""
+    _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_summary(path: str, experiment: str, seed: int, cfg: ScenarioConfig, results: dict) -> None:
@@ -58,12 +65,11 @@ def emit_coupling_loss(
     result: CouplingLossResult, cfg: ScenarioConfig, out_dir: str
 ) -> list[str]:
     csv_path = os.path.join(out_dir, "coupling_loss.csv")
-    rows = []
+    lines = []
     for ring in sorted(result.samples_by_ring):
         label = ring_label(ring)
-        for v in result.samples_by_ring[ring]:
-            rows.append((label, v))
-    _write_csv(csv_path, ["ring", "sample_db"], rows)
+        lines += [f"{label},{v!r}" for v in result.samples_by_ring[ring].tolist()]
+    _write_lines(csv_path, ["ring", "sample_db"], lines)
 
     medians = {
         f"median_{ring_label(r)}_db": (median(s) if s.size else None)
@@ -89,13 +95,12 @@ def emit_sinr_sweep(
     result: SinrSweepResult, cfg: ScenarioConfig, out_dir: str
 ) -> list[str]:
     csv_path = os.path.join(out_dir, "sinr.csv")
-    rows = []
+    lines = []
     for density in result.densities:
-        for v in result.dl_by_density[density]:
-            rows.append((_num(density), "dl", v))
-        for v in result.ul_by_density[density]:
-            rows.append((_num(density), "ul", v))
-    _write_csv(csv_path, ["density", "direction", "sinr_db"], rows)
+        key = _num(density)
+        lines += [f"{key},dl,{v!r}" for v in result.dl_by_density[density].tolist()]
+        lines += [f"{key},ul,{v!r}" for v in result.ul_by_density[density].tolist()]
+    _write_lines(csv_path, ["density", "direction", "sinr_db"], lines)
 
     results = {
         "dl_median_db": {

@@ -278,6 +278,32 @@ def test_sector_gain_azimuth_wrap():
     )
 
 
+def test_sector_gain_wrap_matches_float_remainder():
+    # the shift-by-360 wrap must give the bits of (az + 180) % 360 - 180,
+    # inside site_geometry's (-540, 180] range, at its edges, and beyond
+    pattern = SectorPattern()
+    edges = [-540.0, -360.0, -180.0, 0.0, -0.0, 180.0, 360.0, 539.999]
+    az = np.concatenate(
+        [
+            np.random.default_rng(3).uniform(-540.0, 180.0, 100_000),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+        ]
+    )
+    el = np.full(az.shape, 3.0)
+    wrapped = (az + 180.0) % 360.0 - 180.0
+    a_h = np.minimum(12.0 * (wrapped / pattern.h_hpbw_deg) ** 2, pattern.front_back_db)
+    a_v = np.minimum(12.0 * ((el - pattern.downtilt_deg) / pattern.v_hpbw_deg) ** 2, pattern.sla_db)
+    want = pattern.peak_gain_dbi - np.minimum(a_h + a_v, pattern.front_back_db)
+    assert np.array_equal(sector_gain_dbi(az, el, pattern), want)
+    far = np.array([900.0, -1000.0, 3600.5])  # outside the shift's range
+    assert np.array_equal(
+        sector_gain_dbi(far, 3.0, pattern),
+        sector_gain_dbi((far + 180.0) % 360.0 - 180.0, 3.0, pattern),
+    )
+
+
 def test_sector_gain_frozen_azimuth_grid():
     assert_allclose(
         sector_gain_dbi(SECTOR_AZ_GRID_DEG, 6.0, SectorPattern()),

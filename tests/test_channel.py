@@ -7,10 +7,8 @@ from numpy.testing import assert_allclose
 from hibsim.channel import (
     DEFAULT_P_LOS_TABLE,
     SPEED_OF_LIGHT_M_S,
-    LinkBudget,
     NtnParams,
     RmaParams,
-    coupling_loss_db,
     fspl_db,
     noise_power_dbm,
     ntn_link_medians,
@@ -110,30 +108,6 @@ def test_noise_power_reference_values():
     assert noise_power_dbm(1.0, 0.0) == -174.0
     with pytest.raises(ValueError, match="bandwidth"):
         noise_power_dbm(0.0, 5.0)
-
-
-def test_coupling_loss_chain():
-    # central-cell nadir budget: fspl(20 km) - 16.5 dBi beam gain
-    cl = coupling_loss_db(124.5, 0.0, 0.0, 16.5, 0.0)
-    assert_allclose(cl, 108.0)
-    assert coupling_loss_db(0.0) == 0.0
-    assert_allclose(coupling_loss_db(120.0, 3.0, 10.0, 16.5, 2.0), 114.5)
-
-
-def test_link_budget_identity():
-    lb = LinkBudget(
-        distance_m=20_000.0,
-        elevation_deg=90.0,
-        pathloss_db=124.5,
-        shadow_db=2.5,
-        clutter_db=10.0,
-        g_tx_dbi=16.5,
-        g_rx_dbi=0.0,
-    )
-    assert_allclose(
-        lb.coupling_loss_db,
-        lb.pathloss_db + lb.shadow_db + lb.clutter_db - lb.g_tx_dbi - lb.g_rx_dbi,
-    )
 
 
 def test_ntn_params_p_los_interpolation():

@@ -181,6 +181,16 @@ def test_counts_below_one_exit_1(tmp_path, monkeypatch, capsys, command, flag, v
     assert not out.exists()
 
 
+def test_mobility_rejects_drops(tmp_path, capsys):
+    # tracks come from mobility.n_inbound/n_outbound; --drops would do nothing
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["mobility", "--drops", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--drops" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("HIBSIM_OUT_DIR", str(env_dir))

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hibsim import engine
+from hibsim import engine, geometry, network
+from hibsim.channel import noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
     build_hibs_scenario,
@@ -95,8 +98,10 @@ def test_run_coupling_loss_drop_prefix_property(default_cfg):
 
 
 def test_run_coupling_loss_threads_equal(default_cfg):
-    a = run_coupling_loss(default_cfg, seed=5, n_drops=6, users_per_drop=30, threads=1)
-    b = run_coupling_loss(default_cfg, seed=5, n_drops=6, users_per_drop=30, threads=4)
+    # 19 x 200 links a drop: the ten drops fill two blocks
+    assert len(engine._drop_blocks([19 * 200] * 10)) == 2
+    a = run_coupling_loss(default_cfg, seed=5, n_drops=10, users_per_drop=200, threads=1)
+    b = run_coupling_loss(default_cfg, seed=5, n_drops=10, users_per_drop=200, threads=3)
     for ring in a.samples_by_ring:
         assert np.array_equal(a.samples_by_ring[ring], b.samples_by_ring[ring])
 
@@ -132,8 +137,10 @@ def test_run_sinr_sweep_user_counts_follow_poisson_streams(default_cfg):
 
 
 def test_run_sinr_sweep_threads_equal(default_cfg):
-    a = run_sinr_sweep(default_cfg, seed=2, n_drops=3, densities=(1.0, 5.0), threads=1)
-    b = run_sinr_sweep(default_cfg, seed=2, n_drops=3, densities=(1.0, 5.0), threads=4)
+    # a density-20 drop holds about 19 x (380 + 19) links with its phantoms,
+    # so its six drops alone span at least two blocks
+    a = run_sinr_sweep(default_cfg, seed=2, n_drops=6, densities=(1.0, 20.0), threads=1)
+    b = run_sinr_sweep(default_cfg, seed=2, n_drops=6, densities=(1.0, 20.0), threads=3)
     for density in a.densities:
         assert np.array_equal(a.dl_by_density[density], b.dl_by_density[density])
         assert np.array_equal(a.ul_by_density[density], b.ul_by_density[density])
@@ -169,11 +176,12 @@ def test_run_throughput_sweep_small(default_cfg):
 
 
 def test_run_throughput_sweep_threads_equal(default_cfg):
+    # a density-20 overlay drop (about 55 x 740 links) is a block of its own
     a = run_throughput_sweep(
-        default_cfg, seed=8, n_drops=3, densities=(1.0, 5.0), threads=1
+        default_cfg, seed=8, n_drops=3, densities=(1.0, 20.0), threads=1
     )
     b = run_throughput_sweep(
-        default_cfg, seed=8, n_drops=3, densities=(1.0, 5.0), threads=4
+        default_cfg, seed=8, n_drops=3, densities=(1.0, 20.0), threads=3
     )
     assert a.points == b.points
 
@@ -191,3 +199,184 @@ def test_run_throughput_sweep_rejects_bad_inputs(default_cfg):
         run_throughput_sweep(default_cfg, n_drops=-1)
     with pytest.raises(ValueError, match="densities"):
         run_throughput_sweep(default_cfg, densities=[])
+
+
+def test_drop_blocks_are_greedy_runs_under_the_cap():
+    cap = engine._BLOCK_LINKS
+    # a block fills up to the cap exactly; a drop over the cap runs alone
+    links = [cap // 2, cap // 2, 1, cap + 5, 0, 3, cap - 3, 1]
+    blocks = engine._drop_blocks(links)
+    assert blocks == [range(0, 2), range(2, 3), range(3, 4), range(4, 7), range(7, 8)]
+    assert engine._drop_blocks([0]) == [range(0, 1)]
+
+
+def _poisson_sizes(seed, experiment, di, density, n_drops, n_cells):
+    return [
+        int(engine.derive_rng(seed, experiment, di, d).poisson(density * n_cells))
+        for d in range(n_drops)
+    ]
+
+
+def test_run_sinr_sweep_drop_prefix_property(default_cfg):
+    # at these seeds drop (0, 0) holds a single user: alone in the one-drop
+    # run, beside other drops of both densities in the longer runs
+    seeds = [s for s in range(1, 40) if _poisson_sizes(s, engine._SINR, 0, 0.1, 1, 19) == [1]]
+    assert len(seeds) >= 8
+    for seed in seeds[:8]:
+        full = run_sinr_sweep(default_cfg, seed=seed, n_drops=6, densities=(0.1, 20.0))
+        for n_drops, densities in ((1, (0.1,)), (2, (0.1, 20.0))):
+            part = run_sinr_sweep(
+                default_cfg, seed=seed, n_drops=n_drops, densities=densities
+            )
+            for density in densities:
+                for got, want in (
+                    (part.dl_by_density[density], full.dl_by_density[density]),
+                    (part.ul_by_density[density], full.ul_by_density[density]),
+                ):
+                    assert got.size and np.array_equal(got, want[: got.size])
+
+
+def _user_rates(monkeypatch, cfg, **kwargs):
+    """DL SINR and rate of every user of a throughput sweep, in key order."""
+    seen = []
+    real = network.round_robin_throughput_bps
+
+    def spy(sinr_db, serving, n_cells, bandwidth_hz, params):
+        out = real(sinr_db, serving, n_cells, bandwidth_hz, params)
+        seen.append((sinr_db, out[1]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "round_robin_throughput_bps", spy)
+        run_throughput_sweep(cfg, threads=1, **kwargs)
+    return np.concatenate([s for s, _ in seen]), np.concatenate([r for _, r in seen])
+
+
+def test_run_throughput_sweep_drop_prefix_property(default_cfg, monkeypatch):
+    # every density-20 drop is a block of its own; at seed 3 the first
+    # density-0.1 drop holds a single user, alone in the one-drop run
+    assert _poisson_sizes(3, engine._THROUGHPUT, 1, 0.1, 1, 37) == [1]
+    densities = (20.0, 0.1)
+    runs = {}
+    for n_drops in (1, 4):
+        sinr, rates = _user_rates(
+            monkeypatch, default_cfg, seed=3, n_drops=n_drops, densities=densities
+        )
+        n_high = sum(_poisson_sizes(3, engine._THROUGHPUT, 0, 20.0, n_drops, 37))
+        runs[n_drops] = (sinr[:n_high], rates[:n_high], sinr[n_high:], rates[n_high:])
+    for short, long in zip(runs[1], runs[4]):
+        assert short.size and np.array_equal(short, long[: short.size])
+
+
+def _reference_dl_sinr_db(coupling, serving, tx_power_dbm, active, noise_dbm):
+    rx = np.where(active[:, None], 10.0 ** ((tx_power_dbm[:, None] - coupling) / 10.0), 0.0)
+    s = rx[serving, np.arange(serving.size)]
+    return 10.0 * np.log10(s / (rx.sum(axis=0) - s + 10.0 ** (noise_dbm / 10.0)))
+
+
+def _reference_sinr_drop(scenario, rng, n_users):
+    """One drop of the SINR sweep on its own, through the per-drop
+    `drop_budgets` path with one generator (full-load uplink)."""
+    cfg = scenario.cfg
+    n_cells = scenario.n_cells
+    users = geometry.drop_users(
+        n_users, rng, scenario.service_radius_m, height_m=cfg.ue.height_m
+    )
+    coupling = engine.drop_budgets(scenario, users, rng).coupling_db
+    serving = np.argmin(coupling, axis=0)
+    active = np.bincount(serving, minlength=n_cells) > 0
+    noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
+    dl = _reference_dl_sinr_db(coupling, serving, scenario.tx_power_dbm, active, noise_dl)
+    centers = scenario.beam_centers
+    n_b = centers.shape[0]
+    r = 0.5 * cfg.hibs.footprint_diameter_m * np.sqrt(rng.uniform(size=n_b))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n_b)
+    phantoms = centers.copy()
+    phantoms[:, 0] += r * np.cos(theta)
+    phantoms[:, 1] += r * np.sin(theta)
+    phantoms[:, 2] = cfg.ue.height_m
+    rx = 10.0 ** (
+        (cfg.ue.tx_power_dbm - engine.drop_budgets(scenario, phantoms, rng).coupling_db)
+        / 10.0
+    )
+    i_mw = rx.sum(axis=1)
+    i_mw[:n_b] -= rx[np.arange(n_b), np.arange(n_b)]
+    noise_ul = 10.0 ** (
+        np.array(
+            [noise_power_dbm(cfg.carrier.bandwidth_hz, nf) for nf in scenario.rx_noise_figure_db]
+        )
+        / 10.0
+    )
+    s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(n_users)]
+    ul = s_dbm - 10.0 * np.log10(i_mw[serving] + noise_ul[serving])
+    return dl, ul
+
+
+def test_run_sinr_sweep_matches_per_drop_reference(default_cfg):
+    densities = (0.1, 2.0, 20.0)
+    n_drops = 8
+    res = run_sinr_sweep(default_cfg, seed=11, n_drops=n_drops, densities=densities)
+    scenario = build_hibs_scenario(default_cfg)
+    links = []
+    for di, density in enumerate(densities):
+        sizes = _poisson_sizes(11, engine._SINR, di, density, n_drops, 19)
+        links += [19 * (n + 19) if n else 0 for n in sizes]
+        lo = 0
+        for d, n in enumerate(sizes):
+            rng = engine.derive_rng(11, engine._SINR, di, d)
+            rng.poisson(density * 19)
+            got_dl = res.dl_by_density[density][lo : lo + n]
+            got_ul = res.ul_by_density[density][lo : lo + n]
+            lo += n
+            if n == 0:
+                continue
+            dl, ul = _reference_sinr_drop(scenario, rng, n)
+            if n == 1:  # numpy sums one column pairwise: last bits may differ
+                assert_allclose(got_dl, dl, rtol=1e-12)
+                assert_allclose(got_ul, ul, rtol=1e-12)
+            else:
+                assert np.array_equal(got_dl, dl)
+                assert np.array_equal(got_ul, ul)
+    # several drops share a block, and there is more than one block
+    blocks = engine._drop_blocks(links)
+    assert 1 < len(blocks) < len(links)
+
+
+def test_run_throughput_sweep_matches_per_drop_reference(default_cfg):
+    cfg = default_cfg
+    densities = (2.0, 20.0)  # no single-user drops at 74 users a drop on average
+    n_drops = 3
+    res = run_throughput_sweep(cfg, seed=12, n_drops=n_drops, densities=densities)
+    scenario = build_combined_scenario(cfg)
+    n_serv = scenario.n_cells
+    tx_all = np.concatenate([scenario.tx_power_dbm, scenario.interferer_tx_power_dbm])
+    noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
+    bw = cfg.carrier.bandwidth_hz
+    hibs = scenario.is_hibs
+    for di, (density, point) in enumerate(zip(densities, res.points)):
+        cells, users, served = [], [], []
+        for d in range(n_drops):
+            rng = engine.derive_rng(12, engine._THROUGHPUT, di, d)
+            n = int(rng.poisson(density * n_serv))
+            assert n > 1
+            xyz = geometry.drop_users(n, rng, scenario.service_radius_m, height_m=1.5)
+            coupling = engine.drop_budgets(scenario, xyz, rng).coupling_db
+            serving = np.argmin(coupling[:n_serv], axis=0)
+            active = np.concatenate(
+                [np.bincount(serving, minlength=n_serv) > 0, np.ones(18, dtype=bool)]
+            )
+            dl = _reference_dl_sinr_db(coupling, serving, tx_all, active, noise_dl)
+            cell_bps, user_bps, _ = network.round_robin_throughput_bps(
+                dl, serving, n_serv, bw, cfg.rate
+            )
+            cells.append(cell_bps)
+            users.append(user_bps)
+            served.append(serving)
+        cell_bps = np.stack(cells)
+        user_bps = np.concatenate(users)
+        user_hibs = hibs[np.concatenate(served)]
+        assert point.hibs_cell_bps == float(cell_bps[:, hibs].mean())
+        assert point.tn_cell_bps == float(cell_bps[:, ~hibs].mean())
+        assert point.hibs_user_bps == float(user_bps[user_hibs].mean())
+        assert point.tn_user_bps == float(user_bps[~user_hibs].mean())
+        assert point.n_hibs_users == int(user_hibs.sum())

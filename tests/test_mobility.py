@@ -18,6 +18,7 @@ from hibsim.mobility import (
     TN_TO_HIBS,
     HandoverEvent,
     MobilityResult,
+    _best_two,
     _consecutive_needed,
     _first_sustained,
     _track_rx_power_dbm,
@@ -59,6 +60,22 @@ def test_first_sustained_no_run():
     assert _first_sustained(np.zeros(10, dtype=bool), 2) == -1
     assert _first_sustained(np.array([True, False] * 5), 2) == -1
     assert _first_sustained(np.empty(0, dtype=bool), 2) == -1
+
+
+def test_best_two_gives_the_strongest_other_cell():
+    # per sample and serving cell: the strongest other cell and its level,
+    # ties to the lowest index, as masking the serving cell and taking
+    # argmax over the row would give
+    rx = np.round(np.random.default_rng(8).normal(size=(400, 7)), 0)  # many ties
+    best, best_cell, second, second_cell = _best_two(rx)
+    for serving in range(7):
+        others = rx.copy()
+        others[:, serving] = -np.inf
+        is_best = best_cell == serving
+        assert np.array_equal(np.where(is_best, second, best), others.max(axis=1))
+        assert np.array_equal(
+            np.where(is_best, second_cell, best_cell), np.argmax(others, axis=1)
+        )
 
 
 def test_run_mobility_rejects_nonpositive_duration(default_cfg):

@@ -20,7 +20,6 @@ from hibsim.network import (
     dl_sinr_db,
     round_robin_throughput_bps,
     spectral_efficiency_bpshz,
-    ul_sinr_db,
 )
 
 BEAMWIDTH_DEG = 2.0 * math.degrees(math.atan(0.25))
@@ -227,6 +226,36 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
     assert core_rng.random() == rng.random()  # same number of draws
 
 
+def test_coupling_loss_matrix_drop_streams_match_drops_alone():
+    # two drops side by side, each drawing from its own generator, give the
+    # same bits as each drop on its own, single-receiver drop included
+    cells = _hibs_cells()
+    users = geometry.drop_users(41, np.random.default_rng(2), 35_682.0)
+    args = (2.0e9, 0.0, NtnParams(), RmaParams())
+    both = coupling_loss_matrix(
+        cells, users, *args, [(np.random.default_rng(5), 40), (np.random.default_rng(6), 1)]
+    )
+    first = coupling_loss_matrix(cells, users[:40], *args, np.random.default_rng(5))
+    lone = coupling_loss_matrix(cells, users[40:], *args, np.random.default_rng(6))
+    for name in ("coupling_db", "pathloss_db", "shadow_db", "clutter_db", "g_tx_dbi", "los"):
+        got = getattr(both, name)
+        assert np.array_equal(got[:, :40], getattr(first, name))
+        assert np.array_equal(got[:, 40:], getattr(lone, name))
+    with pytest.raises(ValueError, match="add up"):
+        coupling_loss_matrix(cells, users, *args, [(np.random.default_rng(5), 40)])
+
+
+def test_platform_geometry_same_bits_for_one_receiver():
+    cells = _hibs_cells()
+    users = geometry.drop_users(64, np.random.default_rng(4), 35_682.0)
+    bores = [c.boresight for c in cells]
+    many = network.platform_geometry(cells[0].tx_position, bores, users)
+    for j in range(users.shape[0]):
+        one = network.platform_geometry(cells[0].tx_position, bores, users[j : j + 1])
+        for a, b in zip(many, one):
+            assert np.array_equal(a[..., j : j + 1], b.reshape(a[..., j : j + 1].shape))
+
+
 def test_coupling_loss_center_user_deterministic_budget():
     # nadir user: elevation 90 -> LOS certain, no shadow requested -> 108 dB chain
     cells = _hibs_cells()
@@ -263,6 +292,23 @@ def test_dl_sinr_lone_active_cell_is_snr():
     assert_allclose(sinr, 49.0 - 108.0 - noise_dbm)
 
 
+def test_dl_sinr_same_bits_alone_or_side_by_side():
+    # users of many drops share one matrix, each column with its own active
+    # set; a column's SINR must not depend on how many columns there are
+    rng = np.random.default_rng(9)
+    coupling = rng.uniform(100.0, 150.0, size=(19, 200))
+    serving = np.argmin(coupling, axis=0)
+    active = rng.random((19, 200)) < 0.5
+    active[serving, np.arange(200)] = True
+    tx = np.full(19, 49.0)
+    together = dl_sinr_db(coupling, serving, tx, active, -92.0)
+    alone = [
+        dl_sinr_db(coupling[:, j : j + 1], serving[j : j + 1], tx, active[:, j], -92.0)[0]
+        for j in range(200)
+    ]
+    assert np.array_equal(together, alone)
+
+
 def test_dl_sinr_requires_active_serving():
     coupling = np.array([[100.0], [110.0]])
     with pytest.raises(ValueError, match="active"):
@@ -284,23 +330,6 @@ def test_dl_sinr_interference_lowers_sinr():
     # with 10 dB coupling separation, SINR is interference-dominated near 10 dB
     assert np.all(both < 49.0 - 100.0 - noise_dbm)
     assert_allclose(both, [10.0, 10.0], atol=0.5)
-
-
-def test_ul_sinr_lone_user_snr():
-    # 23 dBm - 108 dB coupling against a -95.99 dBm BS noise floor
-    noise = noise_power_dbm(20e6, 5.0)
-    sinr = ul_sinr_db(108.0, np.empty(0), 23.0, noise)
-    assert_allclose(sinr, 10.99, atol=0.01)
-
-
-def test_ul_sinr_with_interferers():
-    noise = noise_power_dbm(20e6, 5.0)
-    alone = ul_sinr_db(108.0, np.empty(0), 23.0, noise)
-    crowded = ul_sinr_db(108.0, np.array([110.0, 120.0]), 23.0, noise)
-    assert crowded < alone
-    # interferer at equal coupling drives SINR to ~0 dB
-    equal = ul_sinr_db(108.0, np.array([108.0]), 23.0, noise)
-    assert_allclose(equal, 0.0, atol=0.35)
 
 
 def test_rate_params_validation():
