@@ -186,19 +186,26 @@ def sector_gain_dbi(az_off_deg, depression_deg, pattern: SectorPattern):
     """
     az = np.asarray(az_off_deg, dtype=float)
     el = np.asarray(depression_deg, dtype=float)
-    az = az + 180.0
-    if az.size and az.min() >= -360.0 and az.max() < 720.0:
+    # one buffer of the links' shape carries the azimuth through to the gain
+    g = np.empty(np.broadcast_shapes(az.shape, el.shape))
+    np.add(az, 180.0, out=g)
+    if g.size and g.min() >= -360.0 and g.max() < 720.0:
         # one shift by 360 gives the same bits as % on this range (fmod is
         # exact there), at a fraction of the cost of the float remainder
-        below, above = az < 0.0, az >= 360.0
-        az += 360.0 * below
-        az -= 360.0 * above
+        below, above = g < 0.0, g >= 360.0
+        np.add(g, 360.0, out=g, where=below)
+        np.subtract(g, 360.0, out=g, where=above)
     else:
-        az %= 360.0
-    az -= 180.0
-    a_h = np.minimum(12.0 * (az / pattern.h_hpbw_deg) ** 2, pattern.front_back_db)
+        np.remainder(g, 360.0, out=g)
+    g -= 180.0
+    g /= pattern.h_hpbw_deg
+    np.square(g, out=g)
+    g *= 12.0
+    np.minimum(g, pattern.front_back_db, out=g)  # horizontal attenuation
     a_v = np.minimum(
         12.0 * ((el - pattern.downtilt_deg) / pattern.v_hpbw_deg) ** 2, pattern.sla_db
     )
-    att = np.minimum(a_h + a_v, pattern.front_back_db)
-    return pattern.peak_gain_dbi - att
+    g += a_v
+    np.minimum(g, pattern.front_back_db, out=g)  # combined attenuation
+    np.subtract(pattern.peak_gain_dbi, g, out=g)
+    return g[()]  # scalar in, scalar out

@@ -17,6 +17,10 @@ import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
+# The platform channel covers elevations from here up to zenith; a config
+# that places receivers lower is rejected before any run.
+MIN_ELEVATION_DEG = 10.0
+
 # Elevation-binned LOS probability for a rural platform-to-ground path,
 # TR 38.811 table 6.6.1-1 flavor: (elevation_deg, p_los).
 DEFAULT_P_LOS_TABLE = (
@@ -123,7 +127,7 @@ def ntn_link_medians(
     extrapolate.
     """
     elev = np.asarray(elevation_deg, dtype=float)
-    if np.any(elev < 10.0 - 1e-9) or np.any(elev > 90.0 + 1e-9):
+    if np.any(elev < MIN_ELEVATION_DEG - 1e-9) or np.any(elev > 90.0 + 1e-9):
         raise ValueError("elevation must lie in [10, 90] degrees")
     pl = fspl_db(distance_m, frequency_hz)
     return LinkMedians(
@@ -141,16 +145,27 @@ def resolve_links(medians: LinkMedians, uniform, normal):
     """Links from their medians and draws: (pathloss, shadow, clutter, los).
 
     `uniform` holds the LOS draws (ignored where `always_los`), `normal` the
-    unit shadowing draws, or None for no shadowing. The clutter column is
-    zero on LOS links.
+    unit shadowing draws, or None for no shadowing. The pathloss is a fresh
+    array of the links' shape, so a caller may sum the other terms into it.
+    Shadow and clutter come as arrays, or as the float 0.0 where they are
+    zero on every link (no shadowing; no clutter model, or all links LOS);
+    the clutter is zero on LOS links.
     """
-    los = medians.always_los | (uniform < medians.p_los)
-    pl = np.where(los, medians.pl_los_db, medians.pl_nlos_db)
-    clutter = np.where(los, 0.0, medians.clutter_db)
-    if normal is None:
-        shadow = np.zeros(los.shape)
+    if medians.always_los:
+        shape = np.broadcast_shapes(np.shape(uniform), np.shape(medians.p_los))
+        los = np.ones(shape, dtype=bool)
     else:
-        shadow = np.where(los, medians.sigma_los_db, medians.sigma_nlos_db) * normal
+        los = uniform < medians.p_los
+    pl = np.where(los, medians.pl_los_db, medians.pl_nlos_db)
+    if medians.always_los or not np.any(medians.clutter_db):
+        clutter = 0.0
+    else:
+        clutter = np.where(los, 0.0, medians.clutter_db)
+    if normal is None:
+        shadow = 0.0
+    else:
+        shadow = np.where(los, medians.sigma_los_db, medians.sigma_nlos_db)
+        shadow *= normal
     return pl, shadow, clutter, los
 
 
@@ -175,13 +190,14 @@ class RmaParams:
             raise ValueError("need 0 < min_d2d < max_d2d")
 
 
-def _rma_pl1_db(d3d_m, f_ghz, h_m):
-    """RMa LOS sub-breakpoint curve; `h_m` is the average building height."""
+def _rma_pl1_db(d3d_m, log_d3d, f_ghz, h_m):
+    """RMa LOS sub-breakpoint curve; `log_d3d` is log10(d3d_m), `h_m` the
+    average building height."""
     a = min(0.03 * h_m**1.72, 10.0)
     b = min(0.044 * h_m**1.72, 14.77)
     return (
         20.0 * np.log10(40.0 * math.pi * d3d_m * f_ghz / 3.0)
-        + a * np.log10(d3d_m)
+        + a * log_d3d
         - b
         + 0.002 * math.log10(h_m) * d3d_m
     )
@@ -201,6 +217,8 @@ def rma_median_pathloss(
     and flagged.
     """
     d2d = np.asarray(d2d_m, dtype=float)
+    shape = d2d.shape
+    d2d = np.atleast_1d(d2d)
     clamped = (d2d < params.min_d2d_m) | (d2d > params.max_d2d_m)
     d2d = np.clip(d2d, params.min_d2d_m, params.max_d2d_m)
     dz = h_bs_m - h_ut_m
@@ -210,26 +228,36 @@ def rma_median_pathloss(
 
     d_bp = 2.0 * math.pi * h_bs_m * h_ut_m * frequency_hz / SPEED_OF_LIGHT_M_S
     d3d_bp = math.hypot(d_bp, dz)
+    log_d3d = np.log10(d3d)
+    # each side of the breakpoint is evaluated on its own links only
     pre_bp = d2d <= d_bp
-    pl_los = np.where(
-        pre_bp,
-        _rma_pl1_db(d3d, f_ghz, h),
-        _rma_pl1_db(d3d_bp, f_ghz, h) + 40.0 * np.log10(d3d / d3d_bp),
-    )
+    post_bp = ~pre_bp
+    pl_los = np.empty_like(d3d)
+    pl_los[pre_bp] = _rma_pl1_db(d3d[pre_bp], log_d3d[pre_bp], f_ghz, h)
+    far = np.log10(d3d[post_bp] / d3d_bp)
+    far *= 40.0
+    far += _rma_pl1_db(d3d_bp, np.log10(d3d_bp), f_ghz, h)
+    pl_los[post_bp] = far
 
-    pl_nlos = (
+    # the NLOS formula, its terms added left to right in place
+    pl_nlos = log_d3d - 3.0
+    pl_nlos *= 43.42 - 3.1 * math.log10(h_bs_m)
+    pl_nlos += (
         161.04
         - 7.1 * math.log10(params.street_width_m)
         + 7.5 * math.log10(h)
         - (24.37 - 3.7 * (h / h_bs_m) ** 2) * math.log10(h_bs_m)
-        + (43.42 - 3.1 * math.log10(h_bs_m)) * (np.log10(d3d) - 3.0)
-        + 20.0 * math.log10(f_ghz)
-        - (3.2 * math.log10(11.75 * h_ut_m) ** 2 - 4.97)
     )
-    pl_nlos = np.maximum(pl_los, pl_nlos)
+    pl_nlos += 20.0 * math.log10(f_ghz)
+    pl_nlos -= 3.2 * math.log10(11.75 * h_ut_m) ** 2 - 4.97
+    np.maximum(pl_los, pl_nlos, out=pl_nlos)
 
-    p_los = np.where(d2d <= 10.0, 1.0, np.exp(-(d2d - 10.0) / 1000.0))
-    return pl_los, pl_nlos, pre_bp, p_los, clamped
+    p_los = d2d - 10.0
+    p_los /= -1000.0
+    np.exp(p_los, out=p_los)
+    p_los[d2d <= 10.0] = 1.0
+    # scalar in, scalars out
+    return tuple(x.reshape(shape)[()] for x in (pl_los, pl_nlos, pre_bp, p_los, clamped))
 
 
 def rma_link_medians(

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .channel import NtnParams, RmaParams
+from .channel import MIN_ELEVATION_DEG, NtnParams, RmaParams
+from .geometry import ring_radius_for_isd, service_disk_radius_m
 from .network import RateParams
 
 
@@ -107,7 +108,6 @@ class MobilityConfig:
     """
 
     speed_mps: float = 30.0 / 3.6
-    time_step_s: float = 0.1
     measurement_period_s: float = 0.2
     a3_offset_db: float = 3.0
     time_to_trigger_s: float = 0.64
@@ -257,15 +257,6 @@ def load_config(path: str) -> ScenarioConfig:
     return config_from_dict(data)
 
 
-def dumps_config(cfg: ScenarioConfig) -> str:
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
-
-
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_config(cfg))
-
-
 def _require(ok: bool, key: str, msg: str):
     if not ok:
         raise ConfigError(f"{key}: {msg}")
@@ -314,11 +305,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     )
     m = cfg.mobility
     _require(m.speed_mps > 0, "mobility.speed_mps", "must be positive")
-    _require(m.time_step_s > 0, "mobility.time_step_s", "must be positive")
     _require(
-        m.time_step_s <= m.measurement_period_s,
-        "mobility.measurement_period_s",
-        "must be >= time_step_s",
+        m.measurement_period_s > 0, "mobility.measurement_period_s", "must be positive"
     )
     _require(
         m.measurement_period_s <= m.time_to_trigger_s,
@@ -354,6 +342,43 @@ def validate_config(cfg: ScenarioConfig) -> None:
         cfg.band_check.region in HIBS_DL_BANDS_MHZ,
         "band_check.region",
         f"must be one of {sorted(HIBS_DL_BANDS_MHZ)}",
+    )
+    _check_platform_elevation(cfg)
+
+
+def _receiver_extents_m(cfg: ScenarioConfig) -> dict[str, float]:
+    """Farthest horizontal distance from the platform's nadir at which the
+    commands place receivers, by what places them."""
+    h, t, m = cfg.hibs, cfg.terrestrial, cfg.mobility
+    ring_m = ring_radius_for_isd(t.isd_m, t.n_sites)
+    extents = {
+        "the platform service disk": service_disk_radius_m(h.service_area_km2),
+        "the overlay drop disk": ring_m + 0.5 * t.isd_m,
+        "the inbound mobility spawn band": ring_m * m.tn_spawn_far,
+        "the outbound mobility spawn disk": m.hibs_spawn_radius_m,
+        # a track parks at its first sample past the stop radius
+        "the outbound mobility stop": ring_m
+        + m.outbound_stop_margin_m
+        + m.speed_mps * m.measurement_period_s,
+    }
+    if cfg.scheduler.ul_interference == "full_load":
+        # one phantom uplink user uniform in each beam footprint; the
+        # outermost beam centers sit n_rings footprint diameters out
+        extents["the uplink phantoms"] = (h.n_rings + 0.5) * h.footprint_diameter_m
+    return extents
+
+
+def _check_platform_elevation(cfg: ScenarioConfig) -> None:
+    height_m = cfg.hibs.altitude_m - cfg.ue.height_m
+    where, reach_m = max(_receiver_extents_m(cfg).items(), key=lambda kv: kv[1])
+    elev = math.degrees(math.atan2(height_m, reach_m))
+    # same tolerance as the channel model's runtime check
+    _require(
+        elev >= MIN_ELEVATION_DEG - 1e-9,
+        "hibs.altitude_m",
+        f"the platform sits {elev:.2f} deg above the horizon at {reach_m / 1e3:.1f} km "
+        f"from nadir ({where}), below the {MIN_ELEVATION_DEG:g} deg the platform "
+        "channel model covers",
     )
 
 

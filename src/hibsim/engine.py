@@ -207,8 +207,8 @@ def _block_budgets(scenario: Scenario, drops: list):
 
     `drops` holds one (generator, user count) pair per drop; each drop draws
     its user positions, then its links, from its own generator. Returns the
-    budgets (None when the block has no users) and each user's index into
-    `drops`.
+    coupling-loss matrix (None when the block has no users) and each user's
+    index into `drops`.
     """
     sizes = [n for _, n in drops]
     drop = np.repeat(np.arange(len(drops)), sizes)
@@ -283,9 +283,9 @@ def run_coupling_loss(
     drops = [(derive_rng(seed, _COUPLING, d), users_per_drop) for d in range(n_drops)]
 
     def one_block(block):
-        budgets, _ = _block_budgets(scenario, block)
-        serving = network.associate(budgets.coupling_db)
-        cl = budgets.coupling_db[serving, np.arange(serving.size)]
+        coupling, _ = _block_budgets(scenario, block)
+        serving = network.associate(coupling)
+        cl = coupling[serving, np.arange(serving.size)]
         return cl, scenario.ring[serving]
 
     links = [scenario.n_cells * users_per_drop] * n_drops
@@ -378,10 +378,10 @@ def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
         phantoms[k, :, 0] = centers[:, 0] + r * np.cos(theta)
         phantoms[k, :, 1] = centers[:, 1] + r * np.sin(theta)
     phantoms[:, :, 2] = cfg.ue.height_m
-    budgets = drop_budgets(
+    coupling = drop_budgets(
         scenario, phantoms.reshape(-1, 3), [(rng, n_b) for rng in rngs]
     )
-    rx = 10.0 ** ((cfg.ue.tx_power_dbm - budgets.coupling_db) / 10.0)
+    rx = 10.0 ** ((cfg.ue.tx_power_dbm - coupling) / 10.0)
     rx = rx.reshape(rx.shape[0], len(rngs), n_b)  # (cells, drops, beams)
     total = rx.sum(axis=2)  # one drop's n_b phantoms at a time
     own = np.zeros_like(total)
@@ -418,10 +418,9 @@ def run_sinr_sweep(
 
     def one_block(block):
         block = [(rng, n) for rng, n in block if n]  # empty drops yield nothing
-        budgets, drop = _block_budgets(scenario, block)
-        if budgets is None:
+        coupling, drop = _block_budgets(scenario, block)
+        if coupling is None:
             return np.empty(0), np.empty(0)
-        coupling = budgets.coupling_db
         serving = network.associate(coupling)
         active = _active_by_drop(serving, drop, len(block), n_cells)
         dl = network.dl_sinr_db(
@@ -525,10 +524,10 @@ def run_throughput_sweep(
 
     def one_block(block):
         n_d = len(block)
-        budgets, drop = _block_budgets(scenario, block)
-        if budgets is None:
+        coupling, drop = _block_budgets(scenario, block)
+        if coupling is None:
             return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
-        serving = network.associate(budgets.coupling_db[:n_serv])
+        serving = network.associate(coupling[:n_serv])
         # non-serving beams never empty out: they are on-air by construction
         active = np.concatenate(
             [
@@ -536,9 +535,7 @@ def run_throughput_sweep(
                 np.ones((n_phantom, drop.size), dtype=bool),
             ]
         )
-        dl = network.dl_sinr_db(
-            budgets.coupling_db, serving, tx_all_dbm, active, noise_dl_dbm
-        )
+        dl = network.dl_sinr_db(coupling, serving, tx_all_dbm, active, noise_dl_dbm)
         # round robin per (drop, cell): each drop's cells are cells of their own
         cell_bps, user_bps, _ = network.round_robin_throughput_bps(
             dl, drop * n_serv + serving, n_d * n_serv, bw, cfg.rate

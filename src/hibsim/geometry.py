@@ -35,44 +35,6 @@ class Position:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-def _as_xyz(p) -> np.ndarray:
-    if isinstance(p, Position):
-        return p.as_array()
-    return np.asarray(p, dtype=float)
-
-
-def slant_distance(a, b) -> float | np.ndarray:
-    """Euclidean separation between two points (or arrays of points), m."""
-    pa, pb = _as_xyz(a), _as_xyz(b)
-    return np.linalg.norm(pb - pa, axis=-1)
-
-
-def elevation_angle_deg(ground, platform) -> float | np.ndarray:
-    """Elevation of `platform` as seen from `ground`, degrees in (0, 90].
-
-    Requires the platform strictly above the ground point; 90 deg when the
-    platform is at zenith.
-    """
-    pg, pp = _as_xyz(ground), _as_xyz(platform)
-    dz = pp[..., 2] - pg[..., 2]
-    if np.any(dz <= 0.0):
-        raise ValueError("platform must be strictly above the ground point")
-    horiz = np.hypot(pp[..., 0] - pg[..., 0], pp[..., 1] - pg[..., 1])
-    return np.degrees(np.arctan2(dz, horiz))
-
-
-def off_axis_angle_deg(v_boresight, v_link) -> float | np.ndarray:
-    """Angle between a boresight vector and a link direction, degrees [0, 180]."""
-    a = np.asarray(v_boresight, dtype=float)
-    b = np.asarray(v_link, dtype=float)
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ValueError("zero-length vector has no direction")
-    cosang = np.sum(a * b, axis=-1) / (na * nb)
-    return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-
 @dataclass(frozen=True)
 class HibsLayout:
     """Platform position plus the hex grid of beam centers on the ground.

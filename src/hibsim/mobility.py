@@ -84,6 +84,28 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
     return int(hits[0]) + k - 1 if hits.size else -1
 
 
+def _rx_rows(
+    budget: network.TransmitterBudget,
+    threshold: np.ndarray,
+    unit,
+    tx_power_dbm: np.ndarray,
+    g_rx_dbi: float,
+) -> np.ndarray:
+    """Received power tx - (pl + clutter) - shadow + g_tx + g_rx of one
+    transmitter's cells along a track, summed in that order into the
+    pathloss array."""
+    rx, shadow, clutter, _ = channel.resolve_links(budget.medians, threshold, unit)
+    # the zero terms come as the float 0.0; adding them changes no bit
+    if np.ndim(clutter):
+        rx += clutter
+    np.subtract(tx_power_dbm[:, None], rx, out=rx)
+    if np.ndim(shadow):
+        rx -= shadow
+    rx += budget.g_tx_dbi
+    rx += g_rx_dbi
+    return rx
+
+
 def _track_rx_power_dbm(
     scenario: Scenario,
     pos_xyz: np.ndarray,
@@ -96,19 +118,14 @@ def _track_rx_power_dbm(
     Draw order per cell: one LOS threshold (none when the cell is always
     LOS), then (shadowed only) T AR(1) innovations; cells in id order — a
     fixed (seed, user) pair reproduces the track exactly, and the LOS pattern
-    is identical across the two decision signals.
+    is identical across the two decision signals. All draws are made first;
+    the budgets then come one transmitter at a time, each dropped once its
+    rows are filled.
     """
     cfg = scenario.cfg
-    txs = network.transmitter_budgets(
-        scenario.cells,
-        pos_xyz,
-        cfg.carrier.frequency_hz,
-        cfg.channel.ntn,
-        cfg.channel.rma,
-        cfg.ue.height_m,
-    )
+    cells = scenario.cells
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
-    always_los = network.always_los_cells(txs, n_c)
+    always_los = network.always_los_cells(cells, cfg.channel.ntn)
     threshold = np.zeros((n_c, 1))
     innov = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
     for i in range(n_c):
@@ -116,38 +133,44 @@ def _track_rx_power_dbm(
             threshold[i] = rng.random()
         if innov is not None:
             rng.standard_normal(out=innov[i])
-    unit = None
     if innov is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
         innov[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
-        unit = lfilter([1.0], [1.0, -rho], innov, axis=1)
-    rx = np.empty((n_c, n_t))
-    for tx in txs:
-        r = tx.rows
-        pl, shadow, clutter, _ = channel.resolve_links(
-            tx.medians, threshold[r], None if unit is None else unit[r]
-        )
-        # adding an all-zero term changes no bit, so skip it
-        loss = pl + clutter if clutter.any() else pl
-        rx_r = scenario.tx_power_dbm[r, None] - loss
-        if unit is not None:
-            rx_r -= shadow
-        rx_r += tx.g_tx_dbi
-        rx_r += cfg.ue.antenna_gain_dbi
-        rx[r] = rx_r
-    return rx.T
+    rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
+    for r in network.transmitter_rows(cells):
+        # unit AR(1) shadowing, filtered for this transmitter's cells only
+        unit = None if innov is None else lfilter([1.0], [1.0, -rho], innov[r], axis=1)
+        rx[:, r] = _rx_rows(
+            network.transmitter_budget(
+                cells,
+                r,
+                pos_xyz,
+                cfg.carrier.frequency_hz,
+                cfg.channel.ntn,
+                cfg.channel.rma,
+                cfg.ue.height_m,
+            ),
+            threshold[r],
+            unit,
+            scenario.tx_power_dbm[r],
+            cfg.ue.antenna_gain_dbi,
+        ).T
+    return rx
 
 
 def _best_two(rx: np.ndarray):
     """Per sample of a (T, n_cells) track: (best, best cell, runner-up,
-    runner-up cell), ties to the lowest cell index as argmax breaks them."""
+    runner-up cell), ties to the lowest cell index as argmax breaks them.
+    The best cells are masked in place for the second scan, then restored."""
     t = np.arange(rx.shape[0])
     best_cell = np.argmax(rx, axis=1)
-    rest = rx.copy()
-    rest[t, best_cell] = -np.inf
-    second_cell = np.argmax(rest, axis=1)
-    return rx[t, best_cell], best_cell, rest[t, second_cell], second_cell
+    best = rx[t, best_cell]
+    rx[t, best_cell] = -np.inf
+    second_cell = np.argmax(rx, axis=1)
+    second = rx[t, second_cell]
+    rx[t, best_cell] = best
+    return best, best_cell, second, second_cell
 
 
 def run_mobility(

@@ -90,18 +90,6 @@ def build_tn_cells(
     return cells
 
 
-@dataclass
-class DropBudgets:
-    """Per-(cell, user) link pieces for one drop; all arrays (n_cells, n_users)."""
-
-    coupling_db: np.ndarray
-    pathloss_db: np.ndarray
-    shadow_db: np.ndarray
-    clutter_db: np.ndarray
-    g_tx_dbi: np.ndarray
-    los: np.ndarray
-
-
 def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
     """(slant_m, elevation_deg, off_axis_deg) from one platform to receivers;
     off-axis angles have one row per beam boresight (unit vectors)."""
@@ -132,61 +120,78 @@ def site_geometry(position: np.ndarray, azimuths_deg: np.ndarray, rx_xyz: np.nda
 class TransmitterBudget(NamedTuple):
     """Deterministic half of the link budget from one transmitter."""
 
-    rows: np.ndarray  # its cells, as row indices into the cell list
     medians: channel.LinkMedians  # fields over the receivers
-    g_tx_dbi: np.ndarray  # (n rows, n receivers)
+    g_tx_dbi: np.ndarray  # (its cells, receivers)
 
 
-def transmitter_budgets(
-    cells: list[Cell],
-    rx_xyz: np.ndarray,
-    frequency_hz: float,
-    ntn_params: NtnParams,
-    rma_params: RmaParams,
-    ue_height_m: float = 1.5,
-) -> list[TransmitterBudget]:
-    """Deterministic half of the link budget, once per transmitter.
+def transmitter_rows(cells: list[Cell]) -> list[np.ndarray]:
+    """Cells grouped into transmitters, as row indices into the cell list.
 
-    Cells sharing a kind, a phase center and a pattern form one transmitter
-    (the beams of a platform, the sectors of a site): its geometry and
-    pathloss medians are computed once, and the gains of all its cells in
-    one call.
+    Cells sharing a kind, a phase center and a pattern form one transmitter:
+    the beams of a platform, the sectors of a site.
     """
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         key = (cell.kind, cell.tx_position.tobytes(), cell.pattern)
         groups.setdefault(key, []).append(i)
-    budgets = []
-    for indices in groups.values():
-        tx = cells[indices[0]]
-        if tx.kind is CellKind.HIBS_BEAM:
-            slant, elev, off_axis = platform_geometry(
-                tx.tx_position, [cells[i].boresight for i in indices], rx_xyz
-            )
-            medians = channel.ntn_link_medians(elev, slant, frequency_hz, ntn_params)
-            g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
-        else:
-            d2d, az_off, depression = site_geometry(
-                tx.tx_position, np.array([cells[i].azimuth_deg for i in indices]), rx_xyz
-            )
-            medians = channel.rma_link_medians(
-                d2d,
-                frequency_hz,
-                h_bs_m=tx.tx_position[2],
-                h_ut_m=ue_height_m,
-                params=rma_params,
-            )
-            g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
-        budgets.append(TransmitterBudget(np.array(indices), medians, g_tx))
-    return budgets
+    return [np.array(rows) for rows in groups.values()]
 
 
-def always_los_cells(budgets: list[TransmitterBudget], n_cells: int) -> np.ndarray:
-    """(n_cells,) bool: cells whose links are LOS without a draw."""
-    always = np.zeros(n_cells, dtype=bool)
-    for tx in budgets:
-        always[tx.rows] = tx.medians.always_los
-    return always
+def transmitter_budget(
+    cells: list[Cell],
+    rows: np.ndarray,
+    rx_xyz: np.ndarray,
+    frequency_hz: float,
+    ntn_params: NtnParams,
+    rma_params: RmaParams,
+    ue_height_m: float = 1.5,
+) -> TransmitterBudget:
+    """Deterministic half of the link budget from one transmitter (the cells
+    at `rows`, one group of `transmitter_rows`): its geometry and pathloss
+    medians once, and the gains of all its cells in one call."""
+    tx = cells[rows[0]]
+    if tx.kind is CellKind.HIBS_BEAM:
+        slant, elev, off_axis = platform_geometry(
+            tx.tx_position, [cells[i].boresight for i in rows], rx_xyz
+        )
+        medians = channel.ntn_link_medians(elev, slant, frequency_hz, ntn_params)
+        g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
+    else:
+        d2d, az_off, depression = site_geometry(
+            tx.tx_position, np.array([cells[i].azimuth_deg for i in rows]), rx_xyz
+        )
+        medians = channel.rma_link_medians(
+            d2d,
+            frequency_hz,
+            h_bs_m=tx.tx_position[2],
+            h_ut_m=ue_height_m,
+            params=rma_params,
+        )
+        g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
+    return TransmitterBudget(medians, g_tx)
+
+
+def always_los_cells(cells: list[Cell], ntn_params: NtnParams) -> np.ndarray:
+    """(n_cells,) bool: cells whose links are LOS without a draw (the
+    platform's beams under `los_only`)."""
+    return np.array(
+        [ntn_params.los_only and c.kind is CellKind.HIBS_BEAM for c in cells], dtype=bool
+    )
+
+
+def _coupling_rows(
+    budget: TransmitterBudget, uniform: np.ndarray, normal, g_rx_dbi: float
+) -> np.ndarray:
+    """Coupling loss pl + shadow + clutter - g_tx - g_rx of one transmitter's
+    links, summed in that order into the pathloss array."""
+    coupling, shadow, clutter, _ = channel.resolve_links(budget.medians, uniform, normal)
+    # the zero terms come as the float 0.0; adding them changes no bit
+    for term in (shadow, clutter):
+        if np.ndim(term):
+            coupling += term
+    coupling -= budget.g_tx_dbi
+    coupling -= g_rx_dbi
+    return coupling
 
 
 def coupling_loss_matrix(
@@ -199,26 +204,25 @@ def coupling_loss_matrix(
     streams,
     shadowing: bool = True,
     ue_height_m: float = 1.5,
-) -> DropBudgets:
-    """Full coupling-loss matrix, LOS and shadowing i.i.d. per link.
+) -> np.ndarray:
+    """(n_cells, n_users) coupling loss, LOS and shadowing i.i.d. per link.
 
     `streams` is one generator for all the users, or one (generator, user
     count) pair per drop when the users of several drops lie end to end.
     Each drop draws from its own generator, cells in list order, each its
     own slice: n uniforms for the LOS states (none when the cell is always
     LOS), then n normals for shadowing. A fixed seed reproduces a drop's
-    columns bit for bit, whichever drops share the call.
+    columns bit for bit, whichever drops share the call. All draws are made
+    first; the budgets then come one transmitter at a time, each dropped
+    once its rows are filled.
     """
     n_users = users_xyz.shape[0]
     if isinstance(streams, np.random.Generator):
         streams = [(streams, n_users)]
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
-    txs = transmitter_budgets(
-        cells, users_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
-    )
     shape = (len(cells), n_users)
-    always_los = always_los_cells(txs, len(cells))
+    always_los = always_los_cells(cells, ntn_params)
     uniform = np.zeros(shape)
     normal = np.empty(shape) if shadowing else None
     lo = 0
@@ -230,23 +234,17 @@ def coupling_loss_matrix(
             if shadowing:
                 rng.standard_normal(out=normal[i, lo:hi])
         lo = hi
-    pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
-    los = np.empty(shape, dtype=bool)
-    for tx in txs:
-        r = tx.rows
-        pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
-            tx.medians, uniform[r], None if normal is None else normal[r]
+    coupling = np.empty(shape)
+    for r in transmitter_rows(cells):
+        coupling[r] = _coupling_rows(
+            transmitter_budget(
+                cells, r, users_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
+            ),
+            uniform[r],
+            None if normal is None else normal[r],
+            g_rx_dbi,
         )
-        gt[r] = tx.g_tx_dbi
-    coupling = pl + sh + cl - gt - g_rx_dbi
-    return DropBudgets(
-        coupling_db=coupling,
-        pathloss_db=pl,
-        shadow_db=sh,
-        clutter_db=cl,
-        g_tx_dbi=gt,
-        los=los,
-    )
+    return coupling
 
 
 def associate(coupling_db: np.ndarray) -> np.ndarray:

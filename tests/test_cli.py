@@ -147,6 +147,27 @@ def test_bad_densities_exit_1(tmp_path, capsys):
     assert "--densities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"]
+)
+def test_low_platform_exits_1_before_any_run(tmp_path, monkeypatch, capsys, command):
+    # at 5 km the platform sits 8 deg above the 35.7 km service-disk edge,
+    # below the channel model's 10 deg: rejected with the key, nothing run
+    def no_scenario(cfg):
+        raise AssertionError("scenario built for a rejected config")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    cfg = tmp_path / "low.yaml"
+    cfg.write_text("hibs:\n  altitude_m: 5000\n")
+    out = tmp_path / "run"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "hibs.altitude_m" in err and "service disk" in err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("drop failed")

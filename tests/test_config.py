@@ -1,13 +1,14 @@
+import math
+
 import pytest
+import yaml
 
 from hibsim.config import (
     ConfigError,
     ScenarioConfig,
     config_from_dict,
     config_to_dict,
-    dumps_config,
     load_config,
-    save_config,
     validate_band,
     validate_config,
 )
@@ -87,10 +88,8 @@ def test_roundtrip_customized():
 
 def test_yaml_file_roundtrip(tmp_path, default_cfg):
     path = tmp_path / "scenario.yaml"
-    save_config(default_cfg, str(path))
+    path.write_text(yaml.safe_dump(config_to_dict(default_cfg), sort_keys=False))
     assert load_config(str(path)) == default_cfg
-    # dumps output is plain YAML that parses back to the same dict
-    assert "frequency_hz" in dumps_config(default_cfg)
 
 
 def test_empty_yaml_file_gives_defaults(tmp_path, default_cfg):
@@ -137,7 +136,7 @@ def test_rejects_unknown_key():
             "mobility.tn_spawn_far",
         ),
         (
-            {"mobility": {"time_step_s": 0.5, "measurement_period_s": 0.2}},
+            {"mobility": {"measurement_period_s": 0.0}},
             "mobility.measurement_period_s",
         ),
         (
@@ -150,6 +149,57 @@ def test_rejects_unknown_key():
 def test_validation_errors_name_the_key(data, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         config_from_dict(data)
+
+
+def test_mobility_time_step_key_is_gone():
+    # the measurement period is the only clock of a track
+    with pytest.raises(ConfigError, match="unknown config key 'scenario.mobility.time_step_s'"):
+        config_from_dict({"mobility": {"time_step_s": 0.1}})
+
+
+# 8 rings of 4 km beams: the outermost footprints reach 34 km, farther than
+# any drop disk or track; at 5 km altitude that is 8.4 deg
+WIDE_BEAM_GRID = {
+    "altitude_m": 5_000.0,
+    "service_area_km2": 100.0,
+    "n_rings": 8,
+    "footprint_diameter_m": 4_000.0,
+}
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"hibs": {"altitude_m": 5_000.0}}, "platform service disk"),
+        ({"hibs": WIDE_BEAM_GRID}, "uplink phantoms"),
+        ({"terrestrial": {"isd_m": 60_000.0}}, "inbound mobility spawn band"),
+        ({"mobility": {"outbound_stop_margin_m": 120_000.0}}, "outbound mobility stop"),
+        ({"mobility": {"hibs_spawn_radius_m": 150_000.0}}, "outbound mobility spawn disk"),
+    ],
+)
+def test_platform_elevation_floor_names_the_altitude(data, where):
+    # the farthest receiver any command places must see the platform at
+    # 10 deg or more, the low end of the platform channel model
+    with pytest.raises(ConfigError, match=r"hibs\.altitude_m: .*" + where):
+        config_from_dict(data)
+
+
+def test_platform_elevation_floor_skips_absent_phantoms():
+    # without full-load phantoms the farthest receiver is the inbound spawn
+    # band at 22.6 km, which sees the platform at 12.5 deg
+    cfg = config_from_dict(
+        {"hibs": WIDE_BEAM_GRID, "scheduler": {"ul_interference": "none"}}
+    )
+    assert cfg.hibs.n_rings == 8
+
+
+def test_platform_elevation_floor_edge():
+    # farthest receiver: the default 35.68 km service disk; 10 deg there needs
+    # altitude 1.5 m + 35682.48 m * tan(10 deg) = 6293.3 m
+    edge = 1.5 + 35_682.482323055425 * math.tan(math.radians(10.0))
+    config_from_dict({"hibs": {"altitude_m": edge + 0.01}})
+    with pytest.raises(ConfigError, match=r"hibs\.altitude_m"):
+        config_from_dict({"hibs": {"altitude_m": edge - 0.01}})
 
 
 def test_ue_height_must_be_below_site_height():

@@ -10,14 +10,21 @@ from hibsim.geometry import (
     build_hibs_layout,
     build_tn_ring_layout,
     drop_users,
-    elevation_angle_deg,
-    off_axis_angle_deg,
     ring_radius_for_isd,
     service_disk_radius_m,
-    slant_distance,
 )
+from hibsim.network import platform_geometry
 
-PLATFORM = Position(0.0, 0.0, 20_000.0)
+PLATFORM = np.array([0.0, 0.0, 20_000.0])
+NADIR = np.array([0.0, 0.0, -1.0])
+
+
+def _from_platform(ground_xyz, boresight=NADIR, platform=PLATFORM):
+    """(slant_m, elevation_deg, off_axis_deg) of ground points, one each."""
+    slant, elev, off_axis = platform_geometry(
+        platform, [np.asarray(boresight, dtype=float)], np.atleast_2d(ground_xyz)
+    )
+    return slant, elev, off_axis[0]
 
 
 def test_position_rejects_bad_coordinates():
@@ -34,72 +41,44 @@ def test_position_as_array():
 
 
 def test_slant_distance_nadir_is_platform_height():
-    assert slant_distance(Position(0.0, 0.0, 0.0), PLATFORM) == 20_000.0
-
-
-def test_slant_distance_identity_is_zero():
-    p = Position(123.0, -45.0, 6.0)
-    assert slant_distance(p, p) == 0.0
+    assert _from_platform([0.0, 0.0, 0.0])[0][0] == 20_000.0
 
 
 def test_slant_distance_oblique_value():
     # hypot(34641, 20000 - 1.5) hand-computed
-    d = slant_distance(Position(34_641.0, 0.0, 1.5), PLATFORM)
+    d = _from_platform([34_641.0, 0.0, 1.5])[0]
     assert_allclose(d, 39_999.236033329435, rtol=1e-12)
 
 
-def test_slant_distance_symmetric_and_bounded_by_dz():
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-30e3, 30e3, size=(50, 3))
-    b = rng.uniform(-30e3, 30e3, size=(50, 3))
-    a[:, 2] = np.abs(a[:, 2]) / 1e3
-    b[:, 2] = np.abs(b[:, 2]) / 1e3
-    d_ab = slant_distance(a, b)
-    assert_allclose(d_ab, slant_distance(b, a))
-    assert np.all(d_ab >= np.abs(a[:, 2] - b[:, 2]) - 1e-9)
-
-
 def test_elevation_angle_zenith():
-    assert elevation_angle_deg(Position(0.0, 0.0, 0.0), PLATFORM) == 90.0
+    assert _from_platform([0.0, 0.0, 0.0])[1][0] == 90.0
 
 
 def test_elevation_angle_45deg():
-    assert_allclose(
-        elevation_angle_deg(Position(20_000.0, 0.0, 0.0), PLATFORM), 45.0
-    )
+    assert_allclose(_from_platform([20_000.0, 0.0, 0.0])[1], 45.0)
 
 
 def test_elevation_angle_15deg():
     # atan(20000 / 74640) — the operational floor of the platform geometry
-    elev = elevation_angle_deg(Position(74_640.0, 0.0, 0.0), PLATFORM)
+    elev = _from_platform([74_640.0, 0.0, 0.0])[1]
     assert_allclose(elev, 15.0, atol=1e-3)
-
-
-def test_elevation_angle_rejects_platform_below():
-    with pytest.raises(ValueError, match="strictly above"):
-        elevation_angle_deg(Position(0.0, 0.0, 100.0), Position(1.0, 0.0, 100.0))
 
 
 def test_elevation_strictly_decreasing_in_horizontal_distance():
     horiz = np.linspace(0.0, 80_000.0, 200)
-    elev = [elevation_angle_deg(Position(h, 0.0, 0.0), PLATFORM) for h in horiz]
-    assert np.all(np.diff(elev) < 0.0)
+    ground = np.stack([horiz, np.zeros(200), np.zeros(200)], axis=1)
+    assert np.all(np.diff(_from_platform(ground)[1]) < 0.0)
 
 
 def test_off_axis_angle_basic():
-    assert_allclose(off_axis_angle_deg([0.0, 0.0, 1.0], [0.0, 0.0, 2.0]), 0.0)
-    assert_allclose(off_axis_angle_deg([1.0, 0.0, 0.0], [0.0, 3.0, 0.0]), 90.0)
+    origin = np.zeros(3)
+    assert_allclose(_from_platform([0.0, 0.0, 2.0], [0.0, 0.0, 1.0], origin)[2], 0.0)
+    assert_allclose(_from_platform([0.0, 3.0, 0.0], [1.0, 0.0, 0.0], origin)[2], 90.0)
 
 
 def test_off_axis_angle_nadir_boresight_45deg_user():
     # user on the ground 20 km out, seen from the platform against a nadir boresight
-    link = np.array([20_000.0, 0.0, -20_000.0])
-    assert_allclose(off_axis_angle_deg([0.0, 0.0, -1.0], link), 45.0)
-
-
-def test_off_axis_angle_rejects_zero_vector():
-    with pytest.raises(ValueError, match="zero-length"):
-        off_axis_angle_deg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    assert_allclose(_from_platform([20_000.0, 0.0, 0.0])[2], 45.0)
 
 
 def test_service_disk_radius():
@@ -169,9 +148,7 @@ def test_hibs_layout_beam_center_elevation_floor():
     # every beam center sees the platform far above the 15 deg operational floor
     layout = build_hibs_layout()
     platform = layout.platform_position.as_array()
-    elev = [
-        elevation_angle_deg(c, platform) for c in layout.beam_centers
-    ]
+    elev = _from_platform(layout.beam_centers, platform=platform)[1]
     assert min(elev) >= 15.0
 
 

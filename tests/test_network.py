@@ -93,8 +93,8 @@ def test_associate_center_user_gets_platform_beam(default_cfg):
     users = np.array([[0.0, 0.0, 1.5]])
     for seed in (1, 2, 3):
         rng = engine.derive_rng(seed, 7)
-        budgets = engine.drop_budgets(scenario, users, rng)
-        serving = associate(budgets.coupling_db[: scenario.n_cells])
+        coupling = engine.drop_budgets(scenario, users, rng)
+        serving = associate(coupling[: scenario.n_cells])
         assert scenario.cells[serving[0]].kind is CellKind.HIBS_BEAM
 
 
@@ -112,10 +112,25 @@ def test_associate_user_next_to_site_gets_facing_sector():
     )
     for seed in (1, 2, 3):
         rng = engine.derive_rng(seed, 8)
-        budgets = engine.drop_budgets(scenario, users, rng)
-        serving = int(associate(budgets.coupling_db[: scenario.n_cells])[0])
+        coupling = engine.drop_budgets(scenario, users, rng)
+        serving = int(associate(coupling[: scenario.n_cells])[0])
         assert serving == 1
         assert scenario.cells[1].azimuth_deg == 60.0
+
+
+def _links_by_transmitter(cells, users, frequency_hz, ntn, rma, uniform, normal):
+    """(pathloss, shadow, clutter, g_tx, los) matrices over all cells, each
+    transmitter's rows from its budget and the given draws."""
+    shape = (len(cells), users.shape[0])
+    pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
+    los = np.empty(shape, dtype=bool)
+    for r in network.transmitter_rows(cells):
+        budget = network.transmitter_budget(cells, r, users, frequency_hz, ntn, rma)
+        pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
+            budget.medians, uniform[r], None if normal is None else normal[r]
+        )
+        gt[r] = budget.g_tx_dbi
+    return pl, sh, cl, gt, los
 
 
 def test_coupling_loss_matrix_shapes_and_determinism():
@@ -127,13 +142,23 @@ def test_coupling_loss_matrix_shapes_and_determinism():
     b = coupling_loss_matrix(
         cells, users, 2.0e9, 0.0, NtnParams(), RmaParams(), np.random.default_rng(5)
     )
-    assert a.coupling_db.shape == (19, 40)
-    assert np.array_equal(a.coupling_db, b.coupling_db)
-    assert np.array_equal(a.los, b.los)
-    assert_allclose(
-        a.coupling_db,
-        a.pathloss_db + a.shadow_db + a.clutter_db - a.g_tx_dbi - 0.0,
-    )
+    assert a.shape == (19, 40)
+    assert np.array_equal(a, b)
+    # the same generator's draws, in the documented order: per cell, the LOS
+    # uniforms, then the shadowing normals
+    rng = np.random.default_rng(5)
+    uniform, normal = np.empty((19, 40)), np.empty((19, 40))
+    for i in range(19):
+        uniform[i], normal[i] = rng.random(40), rng.standard_normal(40)
+    links = [
+        _links_by_transmitter(
+            cells, users, 2.0e9, NtnParams(), RmaParams(), uniform, normal
+        )
+        for _ in range(2)
+    ]
+    assert np.array_equal(links[0][4], links[1][4])
+    pl, sh, cl, gt, _ = links[0]
+    assert_allclose(a, pl + sh + cl - gt - 0.0)
 
 
 def reference_aperture_gain_dbi(theta_deg, pattern):
@@ -151,10 +176,14 @@ def reference_aperture_gain_dbi(theta_deg, pattern):
 def reference_cell_budget(cell, users, cfg, rng):
     """One cell's (pathloss, shadow, clutter, g_tx, los) row, computed for
     that cell alone: geometry, medians and draws (n LOS uniforms unless the
-    cell is always LOS, then n shadowing normals)."""
+    cell is always LOS, then n shadowing normals). The draws come last, as
+    (uniform, normal), zero where none were drawn."""
     n = users.shape[0]
     f = cfg.carrier.frequency_hz
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
+    always_los = ntn.los_only and cell.kind is CellKind.HIBS_BEAM
+    uniform = np.zeros(n) if always_los else rng.random(n)
+    normal = rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
     if cell.kind is CellKind.HIBS_BEAM:
         delta = users - cell.tx_position
         slant = np.linalg.norm(delta, axis=1)
@@ -163,7 +192,7 @@ def reference_cell_budget(cell, users, cfg, rng):
             np.arccos(np.clip(delta @ cell.boresight / slant, -1.0, 1.0))
         )
         pl = channel.fspl_db(slant, f)
-        los = np.ones(n, dtype=bool) if ntn.los_only else rng.random(n) < ntn.p_los(elev)
+        los = np.ones(n, dtype=bool) if always_los else uniform < ntn.p_los(elev)
         clutter = np.where(los, 0.0, ntn.clutter_db(elev))
         sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
         g_tx = reference_aperture_gain_dbi(off_axis, cell.pattern)
@@ -176,7 +205,7 @@ def reference_cell_budget(cell, users, cfg, rng):
         pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
             d2d, f, cell.tx_position[2], cfg.ue.height_m, rma
         )
-        los = rng.random(n) < p_los
+        los = uniform < p_los
         pl = np.where(los, pl_los, pl_nlos)
         clutter = np.zeros(n)
         sigma = np.where(
@@ -185,8 +214,8 @@ def reference_cell_budget(cell, users, cfg, rng):
             rma.sigma_nlos_db,
         )
         g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
-    shadow = sigma * rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
-    return pl, shadow, clutter, g_tx, los
+    shadow = sigma * normal if cfg.channel.shadowing else np.zeros(n)
+    return pl, shadow, clutter, g_tx, los, uniform, normal
 
 
 @pytest.mark.parametrize(
@@ -210,37 +239,41 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
         150, np.random.default_rng(31), scenario.service_radius_m, height_m=1.5
     )
     core_rng, rng = engine.derive_rng(7, 1, 2), engine.derive_rng(7, 1, 2)
-    budgets = engine.drop_budgets(scenario, users, core_rng)
+    coupling = engine.drop_budgets(scenario, users, core_rng)
     rows = [reference_cell_budget(c, users, cfg, rng) for c in cells]
-    pl, sh, cl, gt, los = (np.stack(col) for col in zip(*rows))
-    coupling = pl + sh + cl - gt - cfg.ue.antenna_gain_dbi
-    for got, want in (
-        (budgets.coupling_db, coupling),
-        (budgets.pathloss_db, pl),
-        (budgets.shadow_db, sh),
-        (budgets.clutter_db, cl),
-        (budgets.g_tx_dbi, gt),
-        (budgets.los, los),
-    ):
-        assert np.array_equal(got, want)
+    pl, sh, cl, gt, los, uniform, normal = (np.stack(col) for col in zip(*rows))
+    assert np.array_equal(coupling, pl + sh + cl - gt - cfg.ue.antenna_gain_dbi)
     assert core_rng.random() == rng.random()  # same number of draws
+    # the pieces: each transmitter's budget, resolved with the reference draws
+    got = _links_by_transmitter(
+        cells,
+        users,
+        cfg.carrier.frequency_hz,
+        cfg.channel.ntn,
+        cfg.channel.rma,
+        uniform,
+        normal if cfg.channel.shadowing else None,
+    )
+    for g, want in zip(got, (pl, sh, cl, gt, los)):
+        assert np.array_equal(g, want)
 
 
 def test_coupling_loss_matrix_drop_streams_match_drops_alone():
     # two drops side by side, each drawing from its own generator, give the
-    # same bits as each drop on its own, single-receiver drop included
+    # same bits and draw counts as each drop on its own, single-receiver drop
+    # included
     cells = _hibs_cells()
     users = geometry.drop_users(41, np.random.default_rng(2), 35_682.0)
     args = (2.0e9, 0.0, NtnParams(), RmaParams())
-    both = coupling_loss_matrix(
-        cells, users, *args, [(np.random.default_rng(5), 40), (np.random.default_rng(6), 1)]
-    )
-    first = coupling_loss_matrix(cells, users[:40], *args, np.random.default_rng(5))
-    lone = coupling_loss_matrix(cells, users[40:], *args, np.random.default_rng(6))
-    for name in ("coupling_db", "pathloss_db", "shadow_db", "clutter_db", "g_tx_dbi", "los"):
-        got = getattr(both, name)
-        assert np.array_equal(got[:, :40], getattr(first, name))
-        assert np.array_equal(got[:, 40:], getattr(lone, name))
+    rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    both = coupling_loss_matrix(cells, users, *args, [(rngs[0], 40), (rngs[1], 1)])
+    alone = [np.random.default_rng(5), np.random.default_rng(6)]
+    first = coupling_loss_matrix(cells, users[:40], *args, alone[0])
+    lone = coupling_loss_matrix(cells, users[40:], *args, alone[1])
+    assert np.array_equal(both[:, :40], first)
+    assert np.array_equal(both[:, 40:], lone)
+    for a, b in zip(rngs, alone):
+        assert a.random() == b.random()  # same number of draws
     with pytest.raises(ValueError, match="add up"):
         coupling_loss_matrix(cells, users, *args, [(np.random.default_rng(5), 40)])
 
@@ -260,7 +293,7 @@ def test_coupling_loss_center_user_deterministic_budget():
     # nadir user: elevation 90 -> LOS certain, no shadow requested -> 108 dB chain
     cells = _hibs_cells()
     users = np.array([[0.0, 0.0, 1.5]])
-    budgets = coupling_loss_matrix(
+    coupling = coupling_loss_matrix(
         cells,
         users,
         2.0e9,
@@ -270,9 +303,15 @@ def test_coupling_loss_center_user_deterministic_budget():
         np.random.default_rng(0),
         shadowing=False,
     )
-    assert_allclose(budgets.coupling_db[0, 0], 108.0, atol=0.2)
-    assert budgets.los.all()
-    assert np.all(budgets.clutter_db == 0.0)
+    assert_allclose(coupling[0, 0], 108.0, atol=0.2)
+    budget = network.transmitter_budget(
+        cells, np.arange(19), users, 2.0e9, NtnParams(), RmaParams()
+    )
+    uniform = np.random.default_rng(0).random((19, 1))
+    _, shadow, clutter, los = channel.resolve_links(budget.medians, uniform, None)
+    assert los.all()
+    assert np.all(clutter == 0.0)
+    assert np.all(shadow == 0.0)
 
 
 def test_active_cells():
