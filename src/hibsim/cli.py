@@ -8,6 +8,7 @@ default output directory comes from $HIBSIM_OUT_DIR, falling back to
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -22,8 +23,8 @@ def _parse_densities(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"--densities: cannot parse {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("--densities: need a comma list of positive numbers")
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ConfigError("--densities: need a comma list of positive finite numbers")
     return values
 
 

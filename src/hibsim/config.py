@@ -174,7 +174,13 @@ def _coerce_scalar(value, ftype, path: str):
         raise ConfigError(f"{path}: expected true/false, got {value!r}")
     if ftype is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigError(f"{path}: must be finite, got {number!r}")
+            return number
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if ftype is int:
         if isinstance(value, int) and not isinstance(value, bool):
@@ -198,6 +204,8 @@ def _coerce_p_los_table(value, path: str):
         pairs = sorted((float(e), float(p)) for e, p in pairs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if not all(math.isfinite(v) for pair in pairs for v in pair):
+        raise ConfigError(f"{path}: elevations and probabilities must be finite")
     return tuple(pairs)
 
 
@@ -295,9 +303,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(u.height_m > 0, "ue.height_m", "must be positive")
     _require(u.height_m < t.site_height_m, "ue.height_m", "must be below the site height")
     _require(u.noise_figure_db >= 0, "ue.noise_figure_db", "must be >= 0")
-    _require(
-        math.isfinite(cfg.rate.sinr_min_db), "rate.sinr_min_db", "must be finite"
-    )
     _require(
         cfg.scheduler.ul_interference in UL_INTERFERENCE_MODES,
         "scheduler.ul_interference",

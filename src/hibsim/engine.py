@@ -11,9 +11,9 @@ append samples.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,17 +104,21 @@ def _tn_pattern(cfg: ScenarioConfig) -> antenna.SectorPattern:
     )
 
 
+def _build_platform(cfg: ScenarioConfig):
+    """(layout, beams) of the configured platform."""
+    h = cfg.hibs
+    layout = geometry.build_hibs_layout(
+        h.footprint_diameter_m, h.n_rings, h.altitude_m, h.service_area_km2
+    )
+    beams = network.build_hibs_cells(
+        layout, _hibs_pattern(cfg), h.tx_power_dbm, h.noise_figure_db
+    )
+    return layout, beams
+
+
 def build_hibs_scenario(cfg: ScenarioConfig) -> Scenario:
     """Multi-beam platform alone (19 beams at defaults)."""
-    layout = geometry.build_hibs_layout(
-        cfg.hibs.footprint_diameter_m,
-        cfg.hibs.n_rings,
-        cfg.hibs.altitude_m,
-        cfg.hibs.service_area_km2,
-    )
-    cells = network.build_hibs_cells(
-        layout, _hibs_pattern(cfg), cfg.hibs.tx_power_dbm, cfg.hibs.noise_figure_db
-    )
+    layout, cells = _build_platform(cfg)
     return _finish_scenario(cells, cfg, layout.service_radius_m, layout.beam_centers)
 
 
@@ -128,15 +132,7 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     region — the site ring plus one nominal cell radius of outskirts — not
     over the platform-only service disk.
     """
-    layout = geometry.build_hibs_layout(
-        cfg.hibs.footprint_diameter_m,
-        cfg.hibs.n_rings,
-        cfg.hibs.altitude_m,
-        cfg.hibs.service_area_km2,
-    )
-    beams = network.build_hibs_cells(
-        layout, _hibs_pattern(cfg), cfg.hibs.tx_power_dbm, cfg.hibs.noise_figure_db
-    )
+    layout, beams = _build_platform(cfg)
     cells = beams[:1]
     tn_layout = geometry.build_tn_ring_layout(
         cfg.terrestrial.isd_m,
@@ -239,7 +235,7 @@ def _map_ordered(worker, keys, threads: int) -> list:
     if threads <= 1:
         return [worker(k) for k in keys]
     out = [None] * len(keys)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         futures = {ex.submit(worker, k): i for i, k in enumerate(keys)}
         for fut, i in futures.items():
             out[i] = fut.result()
@@ -314,8 +310,8 @@ class SinrSweepResult:
 
 def _check_densities(densities) -> tuple[float, ...]:
     densities = tuple(float(d) for d in densities)
-    if not densities or any(d <= 0 for d in densities):
-        raise ValueError("densities must be a non-empty list of positive values")
+    if not densities or not all(0 < d < math.inf for d in densities):
+        raise ValueError("densities must be a non-empty list of positive finite values")
     return densities
 
 

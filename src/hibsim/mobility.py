@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, network
+from . import engine, network
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 from .network import CellKind
@@ -84,28 +84,6 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
     return int(hits[0]) + k - 1 if hits.size else -1
 
 
-def _rx_rows(
-    budget: network.TransmitterBudget,
-    threshold: np.ndarray,
-    unit,
-    tx_power_dbm: np.ndarray,
-    g_rx_dbi: float,
-) -> np.ndarray:
-    """Received power tx - (pl + clutter) - shadow + g_tx + g_rx of one
-    transmitter's cells along a track, summed in that order into the
-    pathloss array."""
-    rx, shadow, clutter, _ = channel.resolve_links(budget.medians, threshold, unit)
-    # the zero terms come as the float 0.0; adding them changes no bit
-    if np.ndim(clutter):
-        rx += clutter
-    np.subtract(tx_power_dbm[:, None], rx, out=rx)
-    if np.ndim(shadow):
-        rx -= shadow
-    rx += budget.g_tx_dbi
-    rx += g_rx_dbi
-    return rx
-
-
 def _track_rx_power_dbm(
     scenario: Scenario,
     pos_xyz: np.ndarray,
@@ -113,49 +91,41 @@ def _track_rx_power_dbm(
     rho: float,
     shadowed: bool,
 ) -> np.ndarray:
-    """Received DL power (T, n_cells) along one track.
+    """Received DL power tx - coupling, (T, n_cells), along one track.
 
-    Draw order per cell: one LOS threshold (none when the cell is always
-    LOS), then (shadowed only) T AR(1) innovations; cells in id order — a
-    fixed (seed, user) pair reproduces the track exactly, and the LOS pattern
-    is identical across the two decision signals. All draws are made first;
-    the budgets then come one transmitter at a time, each dropped once its
-    rows are filled.
+    The draws follow `network._draw_links`: per cell in id order, one LOS
+    threshold (none when the cell is always LOS), then (shadowed only) T
+    AR(1) innovations — a fixed (seed, user) pair reproduces the track
+    exactly, and the LOS pattern is identical across the two decision
+    signals. The coupling comes one transmitter at a time, as for drops.
     """
     cfg = scenario.cfg
     cells = scenario.cells
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
-    always_los = network.always_los_cells(cells, cfg.channel.ntn)
     threshold = np.zeros((n_c, 1))
-    innov = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
-    for i in range(n_c):
-        if not always_los[i]:
-            threshold[i] = rng.random()
-        if innov is not None:
-            rng.standard_normal(out=innov[i])
-    if innov is not None:
+    unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
+    network._draw_links(rng, cells, cfg.channel.ntn, threshold, unit)
+    if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
-        innov[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+        # unit AR(1) shadowing, filtered in place one cell at a time
+        unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+        for row in unit:
+            row[:] = lfilter([1.0], [1.0, -rho], row)
     rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
-    for r in network.transmitter_rows(cells):
-        # unit AR(1) shadowing, filtered for this transmitter's cells only
-        unit = None if innov is None else lfilter([1.0], [1.0, -rho], innov[r], axis=1)
-        rx[:, r] = _rx_rows(
-            network.transmitter_budget(
-                cells,
-                r,
-                pos_xyz,
-                cfg.carrier.frequency_hz,
-                cfg.channel.ntn,
-                cfg.channel.rma,
-                cfg.ue.height_m,
-            ),
-            threshold[r],
-            unit,
-            scenario.tx_power_dbm[r],
-            cfg.ue.antenna_gain_dbi,
-        ).T
+    for rows, coupling in network._link_coupling(
+        cells,
+        pos_xyz,
+        threshold,
+        unit,
+        cfg.carrier.frequency_hz,
+        cfg.ue.antenna_gain_dbi,
+        cfg.channel.ntn,
+        cfg.channel.rma,
+        cfg.ue.height_m,
+    ):
+        np.subtract(scenario.tx_power_dbm[rows, None], coupling, out=coupling)
+        rx[:, rows] = coupling.T
     return rx
 
 
@@ -262,13 +232,7 @@ def run_mobility(
             start = t_idx + 1
         return events
 
-    if threads <= 1:
-        per_user = [one_user(u) for u in range(n_users)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_user = list(ex.map(one_user, range(n_users)))
+    per_user = engine._map_ordered(one_user, range(n_users), threads)
     events = [e for lst in per_user for e in lst]
     return MobilityResult(
         events=events,

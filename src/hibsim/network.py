@@ -171,27 +171,58 @@ def transmitter_budget(
     return TransmitterBudget(medians, g_tx)
 
 
-def always_los_cells(cells: list[Cell], ntn_params: NtnParams) -> np.ndarray:
-    """(n_cells,) bool: cells whose links are LOS without a draw (the
-    platform's beams under `los_only`)."""
-    return np.array(
-        [ntn_params.los_only and c.kind is CellKind.HIBS_BEAM for c in cells], dtype=bool
-    )
+def _draw_links(
+    rng: np.random.Generator,
+    cells: list[Cell],
+    ntn_params: NtnParams,
+    uniform: np.ndarray,
+    normal,
+) -> None:
+    """The per-cell draw order of drops and tracks: cells in id order, each
+    filling its row of `uniform` with LOS uniforms, unless it is always LOS
+    (the platform's beams under `los_only`), then its row of `normal` with
+    shadow normals (none when `normal` is None). A row holds one drop's
+    users, or one track's LOS threshold and its samples' innovations."""
+    for i, cell in enumerate(cells):
+        if not (ntn_params.los_only and cell.kind is CellKind.HIBS_BEAM):
+            rng.random(out=uniform[i])
+        if normal is not None:
+            rng.standard_normal(out=normal[i])
 
 
-def _coupling_rows(
-    budget: TransmitterBudget, uniform: np.ndarray, normal, g_rx_dbi: float
-) -> np.ndarray:
-    """Coupling loss pl + shadow + clutter - g_tx - g_rx of one transmitter's
-    links, summed in that order into the pathloss array."""
-    coupling, shadow, clutter, _ = channel.resolve_links(budget.medians, uniform, normal)
-    # the zero terms come as the float 0.0; adding them changes no bit
-    for term in (shadow, clutter):
-        if np.ndim(term):
-            coupling += term
-    coupling -= budget.g_tx_dbi
-    coupling -= g_rx_dbi
-    return coupling
+def _link_coupling(
+    cells: list[Cell],
+    rx_xyz: np.ndarray,
+    uniform: np.ndarray,
+    normal,
+    frequency_hz: float,
+    g_rx_dbi: float,
+    ntn_params: NtnParams,
+    rma_params: RmaParams,
+    ue_height_m: float,
+):
+    """(rows, coupling) per transmitter of `transmitter_rows`, one at a time.
+
+    Each transmitter's budget is resolved with its rows of the draws into
+    the coupling loss pl + shadow + clutter - g_tx - g_rx, summed in that
+    order into the pathloss array; the budget is dropped before the next
+    one is computed.
+    """
+    for rows in transmitter_rows(cells):
+        budget = transmitter_budget(
+            cells, rows, rx_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
+        )
+        coupling, shadow, clutter, _ = channel.resolve_links(
+            budget.medians, uniform[rows], None if normal is None else normal[rows]
+        )
+        # the zero terms come as the float 0.0; adding them changes no bit
+        for term in (shadow, clutter):
+            if np.ndim(term):
+                coupling += term
+        coupling -= budget.g_tx_dbi
+        coupling -= g_rx_dbi
+        del budget, shadow, clutter
+        yield rows, coupling
 
 
 def coupling_loss_matrix(
@@ -209,12 +240,10 @@ def coupling_loss_matrix(
 
     `streams` is one generator for all the users, or one (generator, user
     count) pair per drop when the users of several drops lie end to end.
-    Each drop draws from its own generator, cells in list order, each its
-    own slice: n uniforms for the LOS states (none when the cell is always
-    LOS), then n normals for shadowing. A fixed seed reproduces a drop's
-    columns bit for bit, whichever drops share the call. All draws are made
-    first; the budgets then come one transmitter at a time, each dropped
-    once its rows are filled.
+    Each drop makes its `_draw_links` draws from its own generator into its
+    columns, so a fixed seed reproduces a drop's columns bit for bit,
+    whichever drops share the call. All draws are made first; the budgets
+    then come one transmitter at a time.
     """
     n_users = users_xyz.shape[0]
     if isinstance(streams, np.random.Generator):
@@ -222,28 +251,27 @@ def coupling_loss_matrix(
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
     shape = (len(cells), n_users)
-    always_los = always_los_cells(cells, ntn_params)
     uniform = np.zeros(shape)
     normal = np.empty(shape) if shadowing else None
     lo = 0
     for rng, n in streams:
-        hi = lo + n
-        for i in range(len(cells)):
-            if not always_los[i]:
-                rng.random(out=uniform[i, lo:hi])
-            if shadowing:
-                rng.standard_normal(out=normal[i, lo:hi])
-        lo = hi
+        cols = slice(lo, lo + n)
+        shadow = None if normal is None else normal[:, cols]
+        _draw_links(rng, cells, ntn_params, uniform[:, cols], shadow)
+        lo += n
     coupling = np.empty(shape)
-    for r in transmitter_rows(cells):
-        coupling[r] = _coupling_rows(
-            transmitter_budget(
-                cells, r, users_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
-            ),
-            uniform[r],
-            None if normal is None else normal[r],
-            g_rx_dbi,
-        )
+    for rows, link in _link_coupling(
+        cells,
+        users_xyz,
+        uniform,
+        normal,
+        frequency_hz,
+        g_rx_dbi,
+        ntn_params,
+        rma_params,
+        ue_height_m,
+    ):
+        coupling[rows] = link
     return coupling
 
 

@@ -25,6 +25,9 @@ def test_parse_densities():
         _parse_densities("")
     with pytest.raises(ConfigError, match="--densities"):
         _parse_densities("1,-2")
+    for text in ("nan", "inf", "1,nan", "2,-inf", "1e400"):
+        with pytest.raises(ConfigError, match="--densities"):
+            _parse_densities(text)
 
 
 def test_coupling_loss_command(tmp_path, capsys):
@@ -165,6 +168,24 @@ def test_low_platform_exits_1_before_any_run(tmp_path, monkeypatch, capsys, comm
     assert code == 1
     err = capsys.readouterr().err
     assert "hibs.altitude_m" in err and "service disk" in err
+    assert not out.exists()
+
+
+def test_non_finite_config_exits_1_before_any_run(tmp_path, monkeypatch, capsys):
+    # the config step must catch a NaN: the sweep would otherwise write NaN
+    # rows and fail only at the end (exit 2) without naming the key
+    def no_scenario(cfg):
+        raise AssertionError("scenario built for a rejected config")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    cfg = tmp_path / "nan.yaml"
+    cfg.write_text("ue:\n  tx_power_dbm: .nan\n")
+    out = tmp_path / "run"
+    code = main(
+        ["sinr-sweep", *SMALL, "--densities", "1", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 1
+    assert "ue.tx_power_dbm" in capsys.readouterr().err
     assert not out.exists()
 
 

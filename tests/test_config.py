@@ -144,6 +144,16 @@ def test_rejects_unknown_key():
             "mobility.time_to_trigger_s",
         ),
         ({"band_check": {"region": "R4"}}, "band_check.region"),
+        ({"ue": {"tx_power_dbm": math.nan}}, "ue.tx_power_dbm"),
+        ({"hibs": {"tx_power_dbm": math.nan}}, "hibs.tx_power_dbm"),
+        ({"hibs": {"peak_gain_dbi": math.nan}}, "hibs.peak_gain_dbi"),
+        ({"carrier": {"frequency_hz": math.inf}}, "carrier.frequency_hz"),
+        ({"ue": {"antenna_gain_dbi": 10**400}}, "ue.antenna_gain_dbi"),
+        ({"rate": {"sinr_min_db": -math.inf}}, "rate.sinr_min_db"),
+        (
+            {"channel": {"ntn": {"p_los_table": {math.nan: 0.5, 90.0: 1.0}}}},
+            "channel.ntn.p_los_table",
+        ),
     ],
 )
 def test_validation_errors_name_the_key(data, key):

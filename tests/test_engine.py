@@ -160,6 +160,9 @@ def test_run_sinr_sweep_rejects_bad_inputs(default_cfg):
         run_sinr_sweep(default_cfg, densities=())
     with pytest.raises(ValueError, match="densities"):
         run_sinr_sweep(default_cfg, densities=(1.0, -2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="densities"):
+            run_sinr_sweep(default_cfg, densities=(1.0, bad))
 
 
 def test_run_throughput_sweep_small(default_cfg):
@@ -200,6 +203,8 @@ def test_run_throughput_sweep_rejects_bad_inputs(default_cfg):
         run_throughput_sweep(default_cfg, n_drops=-1)
     with pytest.raises(ValueError, match="densities"):
         run_throughput_sweep(default_cfg, densities=[])
+    with pytest.raises(ValueError, match="densities"):
+        run_throughput_sweep(default_cfg, densities=[math.nan])
 
 
 def test_drop_blocks_are_greedy_runs_under_the_cap():

@@ -201,7 +201,8 @@ def test_inbound_tracks_park_at_center():
 
 def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
     """Received power (T, n_cells) computed one cell at a time: geometry,
-    medians, one LOS threshold (unless always LOS), then T AR(1) innovations."""
+    medians, one LOS threshold (unless always LOS), then T AR(1) innovations;
+    tx - (pl + shadow + clutter - g_tx - g_rx), the drops' coupling order."""
     cfg = scenario.cfg
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
     n_t = pos_xyz.shape[0]
@@ -218,7 +219,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             )
             los = np.ones(n_t, dtype=bool) if ntn.los_only else rng.random() < ntn.p_los(elev)
             pl = channel.fspl_db(slant, cfg.carrier.frequency_hz)
-            pl = pl + np.where(los, 0.0, ntn.clutter_db(elev))
+            clutter = np.where(los, 0.0, ntn.clutter_db(elev))
             sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
             g_tx = antenna.aperture_gain_dbi(off_axis, cell.pattern)
         else:
@@ -232,6 +233,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             )
             los = rng.random() < p_los
             pl = np.where(los, pl_los, pl_nlos)
+            clutter = 0.0
             sigma = np.where(
                 los,
                 np.where(pre_bp, rma.sigma_los_near_db, rma.sigma_los_far_db),
@@ -243,7 +245,8 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             innov = rng.standard_normal(n_t)
             innov[1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
             shadow = sigma * lfilter([1.0], [1.0, -rho], innov)
-        rx[:, i] = cell.tx_power_dbm - pl - shadow + g_tx + cfg.ue.antenna_gain_dbi
+        coupling = pl + shadow + clutter - g_tx - cfg.ue.antenna_gain_dbi
+        rx[:, i] = cell.tx_power_dbm - coupling
     return rx
 
 
@@ -301,12 +304,28 @@ def test_track_rx_power_live_memory(shadowed, bound):
     assert peak <= bound * rx.nbytes, peak / rx.nbytes
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # only the shadowed decision signal filters; plain runs skip its import
+def test_import_leaves_scipy_signal_unloaded(tmp_path):
+    # only the shadowed decision signal filters; the import and small runs of
+    # all four commands (mobility on its default long-term signal) load no
+    # scipy module at all
     src = os.path.dirname(os.path.dirname(hibsim.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, hibsim, hibsim.output; print('scipy.signal' in sys.modules)"
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text("mobility:\n  n_inbound: 1\n  n_outbound: 1\n  sim_duration_s: 60.0\n")
+    probe = f"""
+import sys, hibsim, hibsim.output
+from hibsim.cli import main
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+for argv in (
+    ["coupling-loss", "--drops", "1", "--users-per-drop", "5"],
+    ["sinr-sweep", "--drops", "1", "--densities", "1"],
+    ["throughput-sweep", "--drops", "1", "--densities", "1"],
+    ["mobility", "--config", {str(cfg)!r}],
+):
+    assert main([*argv, "--out", {str(tmp_path / "out")!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
