@@ -69,7 +69,6 @@ class TerrestrialConfig:
     sla_db: float = 30.0
     downtilt_deg: float = 3.0
     tx_power_dbm: float = 49.0
-    noise_figure_db: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -206,6 +205,10 @@ def _coerce_p_los_table(value, path: str):
         raise ConfigError(f"{path}: {exc}") from None
     if not all(math.isfinite(v) for pair in pairs for v in pair):
         raise ConfigError(f"{path}: elevations and probabilities must be finite")
+    # np.interp holds the end values outside the table, so a table must
+    # cover every elevation a platform link can take
+    if not pairs or pairs[0][0] > MIN_ELEVATION_DEG or pairs[-1][0] < 90.0:
+        raise ConfigError(f"{path}: must span [{MIN_ELEVATION_DEG:g}, 90] deg elevation")
     return tuple(pairs)
 
 
@@ -295,13 +298,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
     t = cfg.terrestrial
     _require(t.n_sites >= 2, "terrestrial.n_sites", "must be >= 2")
     _require(t.isd_m > 0, "terrestrial.isd_m", "must be positive")
-    _require(t.site_height_m > 0, "terrestrial.site_height_m", "must be positive")
+    # antenna heights: the RMa applicability ranges of TR 38.901 table 7.4.1-1
+    _require(
+        10.0 <= t.site_height_m <= 150.0,
+        "terrestrial.site_height_m",
+        "must lie in [10, 150] m, the range the RMa model covers",
+    )
     _require(t.h_hpbw_deg > 0, "terrestrial.h_hpbw_deg", "must be positive")
     _require(t.v_hpbw_deg > 0, "terrestrial.v_hpbw_deg", "must be positive")
-    _require(t.noise_figure_db >= 0, "terrestrial.noise_figure_db", "must be >= 0")
     u = cfg.ue
-    _require(u.height_m > 0, "ue.height_m", "must be positive")
     _require(u.height_m < t.site_height_m, "ue.height_m", "must be below the site height")
+    _require(
+        1.0 <= u.height_m <= 10.0,
+        "ue.height_m",
+        "must lie in [1, 10] m, the range the RMa model covers",
+    )
     _require(u.noise_figure_db >= 0, "ue.noise_figure_db", "must be >= 0")
     _require(
         cfg.scheduler.ul_interference in UL_INTERFERENCE_MODES,
@@ -349,15 +360,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
         f"must be one of {sorted(HIBS_DL_BANDS_MHZ)}",
     )
     _check_platform_elevation(cfg)
+    _check_rma_reach(cfg)
 
 
-def _receiver_extents_m(cfg: ScenarioConfig) -> dict[str, float]:
-    """Farthest horizontal distance from the platform's nadir at which the
+def _overlay_extents_m(cfg: ScenarioConfig) -> dict[str, float]:
+    """Farthest horizontal distance from the area center at which the overlay
     commands place receivers, by what places them."""
-    h, t, m = cfg.hibs, cfg.terrestrial, cfg.mobility
+    t, m = cfg.terrestrial, cfg.mobility
     ring_m = ring_radius_for_isd(t.isd_m, t.n_sites)
-    extents = {
-        "the platform service disk": service_disk_radius_m(h.service_area_km2),
+    return {
         "the overlay drop disk": ring_m + 0.5 * t.isd_m,
         "the inbound mobility spawn band": ring_m * m.tn_spawn_far,
         "the outbound mobility spawn disk": m.hibs_spawn_radius_m,
@@ -365,6 +376,16 @@ def _receiver_extents_m(cfg: ScenarioConfig) -> dict[str, float]:
         "the outbound mobility stop": ring_m
         + m.outbound_stop_margin_m
         + m.speed_mps * m.measurement_period_s,
+    }
+
+
+def _receiver_extents_m(cfg: ScenarioConfig) -> dict[str, float]:
+    """Farthest horizontal distance from the platform's nadir at which the
+    commands place receivers, by what places them."""
+    h = cfg.hibs
+    extents = {
+        "the platform service disk": service_disk_radius_m(h.service_area_km2),
+        **_overlay_extents_m(cfg),
     }
     if cfg.scheduler.ul_interference == "full_load":
         # one phantom uplink user uniform in each beam footprint; the
@@ -384,6 +405,30 @@ def _check_platform_elevation(cfg: ScenarioConfig) -> None:
         f"the platform sits {elev:.2f} deg above the horizon at {reach_m / 1e3:.1f} km "
         f"from nadir ({where}), below the {MIN_ELEVATION_DEG:g} deg the platform "
         "channel model covers",
+    )
+
+
+def _check_rma_reach(cfg: ScenarioConfig) -> None:
+    """Every overlay receiver must have a macro site within the RMa window.
+
+    The receivers fill a disk of radius R about the center, inside or around
+    the ring of n sites. The receiver farthest from its nearest site is
+    either the center, or a point at R midway between two sites.
+    """
+    t = cfg.terrestrial
+    ring_m = ring_radius_for_isd(t.isd_m, t.n_sites)
+    r_m = max(_overlay_extents_m(cfg).values())
+    midway_m = math.sqrt(
+        r_m**2 + ring_m**2 - 2.0 * r_m * ring_m * math.cos(math.pi / t.n_sites)
+    )
+    reach_m = max(ring_m, midway_m)
+    max_d2d_m = cfg.channel.rma.max_d2d_m
+    _require(
+        reach_m <= max_d2d_m,
+        "terrestrial.isd_m",
+        f"puts overlay receivers {reach_m / 1e3:.1f} km from their nearest site, "
+        f"beyond the {max_d2d_m / 1e3:g} km (channel.rma.max_d2d_m) the RMa "
+        "model covers",
     )
 
 

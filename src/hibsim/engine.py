@@ -12,7 +12,6 @@ append samples.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +45,6 @@ class Scenario:
     service_radius_m: float
     beam_centers: np.ndarray = field(repr=False)  # (n serving beams, 3) on ground
     tx_power_dbm: np.ndarray = field(repr=False)  # (n_cells,)
-    rx_noise_figure_db: np.ndarray = field(repr=False)  # (n_cells,)
     ring: np.ndarray = field(repr=False)  # (n_cells,) hibs ring or -1
     is_hibs: np.ndarray = field(repr=False)  # (n_cells,) bool
     dl_interferers: tuple = ()
@@ -73,7 +71,6 @@ def _finish_scenario(
         service_radius_m=service_radius_m,
         beam_centers=beam_centers,
         tx_power_dbm=np.array([c.tx_power_dbm for c in cells]),
-        rx_noise_figure_db=np.array([c.rx_noise_figure_db for c in cells]),
         ring=np.array([c.ring if c.ring is not None else -1 for c in cells]),
         is_hibs=np.array([c.kind is CellKind.HIBS_BEAM for c in cells]),
         dl_interferers=dl_interferers,
@@ -110,9 +107,7 @@ def _build_platform(cfg: ScenarioConfig):
     layout = geometry.build_hibs_layout(
         h.footprint_diameter_m, h.n_rings, h.altitude_m, h.service_area_km2
     )
-    beams = network.build_hibs_cells(
-        layout, _hibs_pattern(cfg), h.tx_power_dbm, h.noise_figure_db
-    )
+    beams = network.build_hibs_cells(layout, _hibs_pattern(cfg), h.tx_power_dbm)
     return layout, beams
 
 
@@ -141,18 +136,9 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
         cfg.terrestrial.sector_rotation_deg,
     )
     cells += network.build_tn_cells(
-        tn_layout,
-        _tn_pattern(cfg),
-        cfg.terrestrial.tx_power_dbm,
-        cfg.terrestrial.noise_figure_db,
-        first_cell_id=len(cells),
+        tn_layout, _tn_pattern(cfg), cfg.terrestrial.tx_power_dbm
     )
-    interferers = ()
-    if cfg.scheduler.overlay_cochannel_beams:
-        interferers = tuple(
-            dataclasses.replace(b, cell_id=len(cells) + i)
-            for i, b in enumerate(beams[1:])
-        )
+    interferers = tuple(beams[1:]) if cfg.scheduler.overlay_cochannel_beams else ()
     drop_radius_m = tn_layout.ring_radius_m + 0.5 * cfg.terrestrial.isd_m
     return _finish_scenario(
         cells, cfg, drop_radius_m, layout.beam_centers[:1], interferers
@@ -160,8 +146,8 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
 
 
 def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, streams):
-    """Coupling-loss matrix over serving cells then dl_interferers (row order
-    fixed by cell id so RNG consumption is reproducible). `streams` is one
+    """Coupling-loss matrix over serving cells then dl_interferers (a cell's
+    row is its id, and fixes the order in which it draws). `streams` is one
     generator, or one (generator, user count) pair per drop of a block."""
     cfg = scenario.cfg
     return network.coupling_loss_matrix(
@@ -331,7 +317,7 @@ def _ul_sinr_coscheduled(
     serving: np.ndarray,
     active: np.ndarray,
     ue_tx_power_dbm: float,
-    noise_mw: np.ndarray,
+    noise_mw: float,
 ) -> np.ndarray:
     """One uplink SINR sample per user of one drop under round-robin TDM.
 
@@ -351,7 +337,7 @@ def _ul_sinr_coscheduled(
         sub = rx_lin[np.ix_(act, sched)]  # rows: rx station, cols: tx user
         s = np.diag(sub)
         interference = sub.sum(axis=1) - s
-        sinr = 10.0 * np.log10(s / (interference + noise_mw[act]))
+        sinr = 10.0 * np.log10(s / (interference + noise_mw))
         fresh = k < counts[act]  # first full round-robin cycle only
         out[sched[fresh]] = sinr[fresh]
     return out
@@ -400,14 +386,9 @@ def run_sinr_sweep(
     scenario = build_hibs_scenario(cfg)
     n_cells = scenario.n_cells
     noise_dl_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
+    # every beam receives on the platform's one noise figure
     noise_ul_mw = 10.0 ** (
-        np.array(
-            [
-                noise_power_dbm(cfg.carrier.bandwidth_hz, nf)
-                for nf in scenario.rx_noise_figure_db
-            ]
-        )
-        / 10.0
+        noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.hibs.noise_figure_db) / 10.0
     )
 
     ul_mode = cfg.scheduler.ul_interference
@@ -442,7 +423,7 @@ def run_sinr_sweep(
             else:  # "none": pure uplink SNR
                 i_mw = np.zeros((len(block), n_cells))
             s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(serving.size)]
-            denom = i_mw[drop, serving] + noise_ul_mw[serving]
+            denom = i_mw[drop, serving] + noise_ul_mw
             ul = s_dbm - 10.0 * np.log10(denom)
         return dl, ul
 

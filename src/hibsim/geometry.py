@@ -47,7 +47,6 @@ class HibsLayout:
     platform_position: Position
     beam_centers: np.ndarray = field(repr=False)  # (n_beams, 3), z = 0
     ring_index: np.ndarray = field(repr=False)  # (n_beams,) int
-    footprint_diameter_m: float
     service_radius_m: float
 
     @property
@@ -99,7 +98,6 @@ def build_hibs_layout(
         platform_position=Position(0.0, 0.0, altitude_m),
         beam_centers=beam_centers,
         ring_index=np.asarray(rings, dtype=int),
-        footprint_diameter_m=footprint_diameter_m,
         service_radius_m=service_disk_radius_m(service_area_km2),
     )
 
@@ -115,7 +113,6 @@ class TerrestrialLayout:
     site_positions: np.ndarray = field(repr=False)  # (n_sites, 3)
     sector_azimuth_deg: np.ndarray = field(repr=False)  # (3 * n_sites,)
     sector_site: np.ndarray = field(repr=False)  # (3 * n_sites,) int
-    isd_m: float
     ring_radius_m: float
 
     @property
@@ -161,7 +158,6 @@ def build_tn_ring_layout(
         site_positions=sites,
         sector_azimuth_deg=az.ravel(),
         sector_site=np.repeat(np.arange(n_sites), 3),
-        isd_m=isd_m,
         ring_radius_m=radius,
     )
 
@@ -170,21 +166,18 @@ def drop_users(
     count: int,
     rng: np.random.Generator,
     radius_m: float,
-    inner_radius_m: float = 0.0,
     height_m: float = 1.5,
 ) -> np.ndarray:
-    """Uniform user positions on a disk (or annulus), returned as (count, 3).
+    """Uniform user positions on a disk, returned as (count, 3).
 
-    Uniform in area: r = sqrt(U(inner^2, outer^2)). A zero-area region is
-    rejected rather than silently returning duplicates.
+    Uniform in area: r = sqrt(U(0, radius^2)). A zero-area disk is rejected
+    rather than silently returning duplicates.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if inner_radius_m < 0.0 or radius_m <= inner_radius_m:
-        raise ValueError(
-            f"empty drop region: inner={inner_radius_m} outer={radius_m}"
-        )
-    r = np.sqrt(rng.uniform(inner_radius_m**2, radius_m**2, size=count))
+    if radius_m <= 0.0:
+        raise ValueError(f"empty drop region: radius={radius_m}")
+    r = np.sqrt(rng.uniform(0.0, radius_m**2, size=count))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
     out = np.empty((count, 3))
     out[:, 0] = r * np.cos(theta)

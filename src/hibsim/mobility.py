@@ -217,15 +217,11 @@ def run_mobility(
                 direction = (
                     TN_TO_HIBS if kinds[new] is CellKind.HIBS_BEAM else HIBS_TO_TN
                 )
+                # cell ids are rows of scenario.cells
+                x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])
                 events.append(
                     HandoverEvent(
-                        time_s=float(times[t_idx]),
-                        user_id=u,
-                        from_cell_id=scenario.cells[serving].cell_id,
-                        to_cell_id=scenario.cells[new].cell_id,
-                        x_m=float(pos[t_idx, 0]),
-                        y_m=float(pos[t_idx, 1]),
-                        direction=direction,
+                        float(times[t_idx]), u, serving, new, x_m, y_m, direction
                     )
                 )
             serving = new

@@ -25,13 +25,11 @@ class CellKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Cell:
-    """One downlink transmit port and its uplink receive chain."""
+    """One downlink transmit port; its id is its row in the cell list."""
 
-    cell_id: int
     kind: CellKind
     tx_position: np.ndarray = field(repr=False)  # (3,) antenna phase center
     tx_power_dbm: float
-    rx_noise_figure_db: float
     pattern: AperturePattern | SectorPattern
     boresight: np.ndarray | None = field(default=None, repr=False)  # hibs beams
     azimuth_deg: float | None = None  # tn sectors
@@ -42,7 +40,6 @@ def build_hibs_cells(
     layout: geometry.HibsLayout,
     pattern: AperturePattern,
     tx_power_dbm: float,
-    rx_noise_figure_db: float,
 ) -> list[Cell]:
     """One beam per layout cell, boresight steered from the platform to the
     beam center on the ground."""
@@ -53,11 +50,9 @@ def build_hibs_cells(
         bore = bore / np.linalg.norm(bore)
         cells.append(
             Cell(
-                cell_id=i,
                 kind=CellKind.HIBS_BEAM,
                 tx_position=platform,
                 tx_power_dbm=tx_power_dbm,
-                rx_noise_figure_db=rx_noise_figure_db,
                 pattern=pattern,
                 boresight=bore,
                 ring=int(layout.ring_index[i]),
@@ -70,19 +65,15 @@ def build_tn_cells(
     layout: geometry.TerrestrialLayout,
     pattern: SectorPattern,
     tx_power_dbm: float,
-    rx_noise_figure_db: float,
-    first_cell_id: int = 0,
 ) -> list[Cell]:
     cells = []
     for k in range(layout.n_sectors):
         site = layout.site_positions[layout.sector_site[k]]
         cells.append(
             Cell(
-                cell_id=first_cell_id + k,
                 kind=CellKind.TN_SECTOR,
                 tx_position=site.copy(),
                 tx_power_dbm=tx_power_dbm,
-                rx_noise_figure_db=rx_noise_figure_db,
                 pattern=pattern,
                 azimuth_deg=float(layout.sector_azimuth_deg[k]),
             )

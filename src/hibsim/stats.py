@@ -17,7 +17,6 @@ class CdfSeries:
 
     values: np.ndarray = field(repr=False)  # ascending
     probs: np.ndarray = field(repr=False)  # i/(N+1), strictly increasing
-    label: str = ""
 
     @property
     def n(self) -> int:
@@ -37,7 +36,7 @@ class CdfSeries:
         return self.quantile(0.5)
 
 
-def make_cdf(samples, label: str = "") -> CdfSeries:
+def make_cdf(samples) -> CdfSeries:
     """Empirical CDF of a non-empty, all-finite sample set."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
@@ -46,7 +45,7 @@ def make_cdf(samples, label: str = "") -> CdfSeries:
         raise ValueError("samples must be finite")
     values = np.sort(arr)
     probs = np.arange(1, arr.size + 1) / (arr.size + 1.0)
-    return CdfSeries(values=values, probs=probs, label=label)
+    return CdfSeries(values=values, probs=probs)
 
 
 def median(samples) -> float:

@@ -189,6 +189,33 @@ def test_non_finite_config_exits_1_before_any_run(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        # the overlay ran to exit 0 with these; now each names its key
+        ("terrestrial:\n  noise_figure_db: 5.0\n", "scenario.terrestrial.noise_figure_db"),
+        ("terrestrial:\n  isd_m: 30000\n", "terrestrial.isd_m"),
+        ("terrestrial:\n  site_height_m: 200\n", "terrestrial.site_height_m"),
+        ("ue:\n  height_m: 0.5\n", "ue.height_m"),
+        ("channel:\n  ntn:\n    p_los_table: {40: 0.8, 90: 1.0}\n", "p_los_table"),
+    ],
+)
+def test_out_of_window_config_exits_1_before_any_run(
+    tmp_path, monkeypatch, capsys, text, fragment
+):
+    def no_scenario(cfg):
+        raise AssertionError("scenario built for a rejected config")
+
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    code = main(["throughput-sweep", *SMALL, "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("drop failed")

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 import yaml
 
+from hibsim import engine, mobility
+from hibsim.cli import main as cli_main
 from hibsim.config import (
     ConfigError,
     ScenarioConfig,
@@ -12,6 +15,7 @@ from hibsim.config import (
     validate_band,
     validate_config,
 )
+from hibsim.geometry import ring_radius_for_isd
 
 
 def test_default_values(default_cfg):
@@ -154,6 +158,21 @@ def test_rejects_unknown_key():
             {"channel": {"ntn": {"p_los_table": {math.nan: 0.5, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
         ),
+        # outside the RMa antenna-height ranges of TR 38.901 table 7.4.1-1
+        ({"terrestrial": {"site_height_m": 9.0}}, "terrestrial.site_height_m"),
+        ({"terrestrial": {"site_height_m": 151.0}}, "terrestrial.site_height_m"),
+        ({"ue": {"height_m": 0.5}}, "ue.height_m"),
+        ({"ue": {"height_m": 10.5}}, "ue.height_m"),
+        # np.interp would hold p_los at the table's end values past them
+        (
+            {"channel": {"ntn": {"p_los_table": {40.0: 0.8, 90.0: 1.0}}}},
+            "channel.ntn.p_los_table",
+        ),
+        (
+            {"channel": {"ntn": {"p_los_table": {10.0: 0.25, 80.0: 0.99}}}},
+            "channel.ntn.p_los_table",
+        ),
+        ({"channel": {"ntn": {"p_los_table": {}}}}, "channel.ntn.p_los_table"),
     ],
 )
 def test_validation_errors_name_the_key(data, key):
@@ -215,6 +234,31 @@ def test_platform_elevation_floor_edge():
 def test_ue_height_must_be_below_site_height():
     with pytest.raises(ConfigError, match="below the site height"):
         config_from_dict({"ue": {"height_m": 31.0}})
+
+
+@pytest.mark.parametrize("isd_m, reach_km", [(12_000.0, "23.2"), (30_000.0, "58.0")])
+def test_rma_window_names_the_isd(isd_m, reach_km):
+    # the receiver farthest from its nearest site is the center, one ring
+    # radius from every site: 23.2 km at 12 km isd, past RMa's 21 km
+    with pytest.raises(ConfigError, match=rf"terrestrial\.isd_m: .* {reach_km} km"):
+        config_from_dict({"terrestrial": {"isd_m": isd_m}})
+
+
+def test_rma_window_edge():
+    # defaults: the farthest overlay receiver, the inbound spawn band at 1.3
+    # ring radii, is 7.3 km from its nearest site; the center is 17.4 km
+    # from all of them. The ring radius alone decides, so a max_d2d_m just
+    # below it rejects the defaults
+    ring_m = ring_radius_for_isd(9_000.0, 12)
+    config_from_dict({"channel": {"rma": {"max_d2d_m": ring_m + 0.01}}})
+    with pytest.raises(ConfigError, match=r"terrestrial\.isd_m: .* 17\.4 km"):
+        config_from_dict({"channel": {"rma": {"max_d2d_m": ring_m - 0.01}}})
+    # with 4 sites (ring 9 km) the edge of the 15.4 km drop disk midway
+    # between two sites lies 11.0 km from both, farther than the center
+    cfg = {"terrestrial": {"n_sites": 4, "isd_m": 9_000.0 * math.sqrt(2.0)}}
+    config_from_dict({**cfg, "channel": {"rma": {"max_d2d_m": 11_100.0}}})
+    with pytest.raises(ConfigError, match=r"terrestrial\.isd_m: .* 11\.0 km"):
+        config_from_dict({**cfg, "channel": {"rma": {"max_d2d_m": 10_900.0}}})
 
 
 @pytest.mark.parametrize(
@@ -292,3 +336,152 @@ def test_validate_band_bad_inputs():
         validate_band(2.14e9, "R9", "DL")
     with pytest.raises(ValueError, match="direction"):
         validate_band(2.14e9, "R1", "sideways")
+
+
+def _nested(settings: dict) -> dict:
+    """Config mapping from dotted keys."""
+    out: dict = {}
+    for key, value in settings.items():
+        *parents, leaf = key.split(".")
+        node = out
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    return out
+
+
+def _leaf_keys(tree: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for name, value in tree.items():
+        if isinstance(value, dict) and name != "p_los_table":
+            keys += _leaf_keys(value, f"{prefix}{name}.")
+        else:
+            keys.append(prefix + name)
+    return keys
+
+
+# Tiny runs: four full-length tracks (the outbound tracks reach their stop
+# only late in sim_duration_s), two drops at one density.
+TINY_TRACKS = {"mobility.n_inbound": 2, "mobility.n_outbound": 2}
+SHADOWED = {"mobility.decision_signal": "shadowed"}
+
+
+def _result(command: str, settings: dict):
+    cfg = config_from_dict(_nested({**TINY_TRACKS, **settings}))
+    if command == "coupling-loss":
+        res = engine.run_coupling_loss(cfg, n_drops=2, users_per_drop=20)
+        return {ring: s.tolist() for ring, s in res.samples_by_ring.items()}
+    if command == "sinr-sweep":
+        res = engine.run_sinr_sweep(cfg, n_drops=2, densities=(1.0,))
+        samples = (*res.dl_by_density.values(), *res.ul_by_density.values())
+        return [s.tolist() for s in samples]
+    if command == "throughput-sweep":
+        res = engine.run_throughput_sweep(cfg, n_drops=2, densities=(2.0,))
+        return [dataclasses.astuple(p) for p in res.points]
+    res = mobility.run_mobility(cfg)
+    return [dataclasses.astuple(e) for e in res.events]
+
+
+# key: (perturbed value, command whose results it changes, and the settings
+# that take the run into the corner where the key bites)
+LIVE_KEYS = {
+    "carrier.frequency_hz": (2.1e9, "coupling-loss"),
+    "carrier.bandwidth_hz": (10e6, "sinr-sweep"),
+    "hibs.altitude_m": (18e3, "coupling-loss"),
+    "hibs.footprint_diameter_m": (9e3, "coupling-loss"),
+    "hibs.n_rings": (1, "coupling-loss"),
+    "hibs.service_area_km2": (3e3, "coupling-loss"),
+    "hibs.peak_gain_dbi": (15.0, "coupling-loss"),
+    "hibs.pattern_floor_db": (20.0, "sinr-sweep"),
+    "hibs.pattern_sidelobes": ("bessel", "sinr-sweep"),
+    "hibs.tx_power_dbm": (46.0, "sinr-sweep"),
+    "hibs.noise_figure_db": (7.0, "sinr-sweep"),
+    "terrestrial.n_sites": (10, "throughput-sweep"),
+    "terrestrial.isd_m": (8e3, "throughput-sweep"),
+    "terrestrial.site_height_m": (35.0, "throughput-sweep"),
+    "terrestrial.sector_rotation_deg": (30.0, "throughput-sweep"),
+    "terrestrial.peak_gain_dbi": (15.0, "throughput-sweep"),
+    "terrestrial.h_hpbw_deg": (70.0, "throughput-sweep"),
+    "terrestrial.v_hpbw_deg": (8.0, "throughput-sweep"),
+    "terrestrial.front_back_db": (25.0, "throughput-sweep"),
+    # dead while >= front_back_db; below it, it caps the vertical
+    # attenuation, which at the default 3 deg tilt passes 20 dB only within
+    # about 100 m of a mast, but at a 15 deg tilt on every far link
+    "terrestrial.sla_db": (
+        20.0,
+        "throughput-sweep",
+        {"terrestrial.downtilt_deg": 15.0},
+    ),
+    "terrestrial.downtilt_deg": (6.0, "throughput-sweep"),
+    "terrestrial.tx_power_dbm": (46.0, "throughput-sweep"),
+    "ue.height_m": (2.0, "coupling-loss"),
+    "ue.tx_power_dbm": (20.0, "sinr-sweep"),
+    "ue.antenna_gain_dbi": (2.0, "coupling-loss"),
+    "ue.noise_figure_db": (7.0, "sinr-sweep"),
+    "channel.shadowing": (False, "coupling-loss"),
+    "channel.ntn.p_los_table": ({10.0: 0.5, 90.0: 1.0}, "coupling-loss"),
+    # serving platform links are nearly all LOS: NLOS shows in interference
+    "channel.ntn.clutter_low_db": (25.0, "sinr-sweep"),
+    "channel.ntn.clutter_high_db": (15.0, "sinr-sweep"),
+    "channel.ntn.sigma_los_db": (3.0, "coupling-loss"),
+    "channel.ntn.sigma_nlos_db": (6.0, "sinr-sweep"),
+    "channel.ntn.los_only": (True, "coupling-loss"),
+    "channel.rma.street_width_m": (30.0, "throughput-sweep"),
+    "channel.rma.building_height_m": (10.0, "throughput-sweep"),
+    "channel.rma.sigma_los_near_db": (3.0, "throughput-sweep"),
+    "channel.rma.sigma_los_far_db": (5.0, "throughput-sweep"),
+    "channel.rma.sigma_nlos_db": (6.0, "throughput-sweep"),
+    # the default 10 m clamps only links right at a mast
+    "channel.rma.min_d2d_m": (2_000.0, "throughput-sweep"),
+    "channel.rma.max_d2d_m": (30_000.0, "throughput-sweep"),
+    "rate.alpha": (0.5, "throughput-sweep"),
+    "rate.sinr_min_db": (0.0, "throughput-sweep"),
+    "rate.se_max_bpshz": (3.0, "throughput-sweep"),
+    "scheduler.ul_interference": ("none", "sinr-sweep"),
+    "scheduler.overlay_cochannel_beams": (False, "throughput-sweep"),
+    "mobility.speed_mps": (10.0, "mobility"),
+    "mobility.measurement_period_s": (0.4, "mobility"),
+    "mobility.a3_offset_db": (5.0, "mobility"),
+    "mobility.time_to_trigger_s": (1.0, "mobility"),
+    "mobility.sim_duration_s": (600.0, "mobility"),
+    "mobility.decision_signal": ("shadowed", "mobility"),
+    "mobility.shadow_decorrelation_m": (100.0, "mobility", SHADOWED),
+    "mobility.tn_spawn_near": (1.1, "mobility"),
+    "mobility.tn_spawn_far": (1.2, "mobility"),
+    "mobility.hibs_spawn_radius_m": (3_000.0, "mobility"),
+    # the long-term signal hands over well inside the stop; a longer track
+    # draws more shadow innovations per cell, so the shadowed signal changes
+    "mobility.outbound_stop_margin_m": (3_000.0, "mobility", SHADOWED),
+    "mobility.n_inbound": (3, "mobility"),
+    "mobility.n_outbound": (0, "mobility"),
+}
+BAND_CHECK = {"band_check.enabled": False, "band_check.region": "R2"}
+
+
+def _cli_warnings(tmp_path, capsys, settings: dict) -> str:
+    path = tmp_path / "band.yaml"
+    path.write_text(yaml.safe_dump(_nested(settings)))
+    argv = ["coupling-loss", "--drops", "1", "--users-per-drop", "1"]
+    assert cli_main([*argv, "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    return capsys.readouterr().err
+
+
+def test_every_config_key_changes_a_result(tmp_path, capsys):
+    # a key that changes no result is dead code a user can set to no effect
+    leaves = _leaf_keys(config_to_dict(ScenarioConfig()))
+    assert sorted(leaves) == sorted([*LIVE_KEYS, *BAND_CHECK])
+    baselines = {}
+    dead = []
+    for key, (value, command, *corner) in LIVE_KEYS.items():
+        corner = corner[0] if corner else {}
+        base = (command, tuple(corner.items()))
+        if base not in baselines:
+            baselines[base] = _result(command, corner)
+        if _result(command, {**corner, key: value}) == baselines[base]:
+            dead.append(key)
+    assert dead == []
+    # the band check changes no result, only the warnings the CLI prints
+    default = _cli_warnings(tmp_path, capsys, {})
+    assert "warning:" in default
+    for key, value in BAND_CHECK.items():
+        assert _cli_warnings(tmp_path, capsys, {key: value}) != default, key

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -47,7 +48,6 @@ def test_build_hibs_scenario(default_cfg):
     assert_allclose(s.service_radius_m, 35682.482323055425)
     assert s.beam_centers.shape == (19, 3)
     assert_allclose(s.tx_power_dbm, 49.0)
-    assert_allclose(s.rx_noise_figure_db, 5.0)
 
 
 def test_build_combined_scenario(default_cfg):
@@ -58,7 +58,7 @@ def test_build_combined_scenario(default_cfg):
     assert np.array_equal(s.ring, [0] + [-1] * 36)
     # full beam grid stays on the air as non-serving interferers
     assert len(s.dl_interferers) == 18
-    assert [c.cell_id for c in s.dl_interferers] == list(range(37, 55))
+    assert [c.ring for c in s.dl_interferers] == [1] * 6 + [2] * 12
     assert all(c.kind is CellKind.HIBS_BEAM for c in s.dl_interferers)
     # drop region: site ring plus half an ISD of outskirts
     assert_allclose(s.service_radius_m, RING_RADIUS_M + 4_500.0)
@@ -66,8 +66,6 @@ def test_build_combined_scenario(default_cfg):
 
 
 def test_build_combined_scenario_without_overlay_beams(default_cfg):
-    import dataclasses
-
     cfg = dataclasses.replace(
         default_cfg,
         scheduler=dataclasses.replace(
@@ -280,9 +278,24 @@ def _reference_dl_sinr_db(coupling, serving, tx_power_dbm, active, noise_dbm):
     return 10.0 * np.log10(s / (rx.sum(axis=0) - s + 10.0 ** (noise_dbm / 10.0)))
 
 
+def _reference_coscheduled_ul(coupling, serving, ue_tx_power_dbm, noise_mw):
+    """Each user's uplink SINR in its first round-robin slot: slot j carries
+    the j-th user, cyclically, of every active cell."""
+    rx = 10.0 ** ((ue_tx_power_dbm - coupling) / 10.0)
+    cells = np.unique(serving)
+    users_of = {c: np.flatnonzero(serving == c) for c in cells}
+    ul = np.empty(serving.size)
+    for c in cells:
+        for j, u in enumerate(users_of[c]):
+            in_slot = rx[c, [users_of[o][j % users_of[o].size] for o in cells]]
+            s = rx[c, u]
+            ul[u] = 10.0 * np.log10(s / (in_slot.sum() - s + noise_mw))
+    return ul
+
+
 def _reference_sinr_drop(scenario, rng, n_users):
     """One drop of the SINR sweep on its own, through the per-drop
-    `drop_budgets` path with one generator (full-load uplink)."""
+    `drop_budgets` path with one generator."""
     cfg = scenario.cfg
     n_cells = scenario.n_cells
     users = geometry.drop_users(
@@ -293,39 +306,50 @@ def _reference_sinr_drop(scenario, rng, n_users):
     active = np.bincount(serving, minlength=n_cells) > 0
     noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     dl = _reference_dl_sinr_db(coupling, serving, scenario.tx_power_dbm, active, noise_dl)
-    centers = scenario.beam_centers
-    n_b = centers.shape[0]
-    r = 0.5 * cfg.hibs.footprint_diameter_m * np.sqrt(rng.uniform(size=n_b))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=n_b)
-    phantoms = centers.copy()
-    phantoms[:, 0] += r * np.cos(theta)
-    phantoms[:, 1] += r * np.sin(theta)
-    phantoms[:, 2] = cfg.ue.height_m
-    rx = 10.0 ** (
-        (cfg.ue.tx_power_dbm - engine.drop_budgets(scenario, phantoms, rng)) / 10.0
-    )
-    i_mw = rx.sum(axis=1)
-    i_mw[:n_b] -= rx[np.arange(n_b), np.arange(n_b)]
+    # one noise figure for every beam: the platform's
     noise_ul = 10.0 ** (
-        np.array(
-            [noise_power_dbm(cfg.carrier.bandwidth_hz, nf) for nf in scenario.rx_noise_figure_db]
-        )
-        / 10.0
+        noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.hibs.noise_figure_db) / 10.0
     )
+    ul_mode = cfg.scheduler.ul_interference
+    if ul_mode == "coscheduled":
+        return dl, _reference_coscheduled_ul(
+            coupling, serving, cfg.ue.tx_power_dbm, noise_ul
+        )
+    i_mw = np.zeros(n_cells)
+    if ul_mode == "full_load":
+        centers = scenario.beam_centers
+        n_b = centers.shape[0]
+        r = 0.5 * cfg.hibs.footprint_diameter_m * np.sqrt(rng.uniform(size=n_b))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n_b)
+        phantoms = centers.copy()
+        phantoms[:, 0] += r * np.cos(theta)
+        phantoms[:, 1] += r * np.sin(theta)
+        phantoms[:, 2] = cfg.ue.height_m
+        rx = 10.0 ** (
+            (cfg.ue.tx_power_dbm - engine.drop_budgets(scenario, phantoms, rng)) / 10.0
+        )
+        i_mw = rx.sum(axis=1)
+        i_mw[:n_b] -= rx[np.arange(n_b), np.arange(n_b)]
     s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(n_users)]
-    ul = s_dbm - 10.0 * np.log10(i_mw[serving] + noise_ul[serving])
+    ul = s_dbm - 10.0 * np.log10(i_mw[serving] + noise_ul)
     return dl, ul
 
 
-def test_run_sinr_sweep_matches_per_drop_reference(default_cfg):
+@pytest.mark.parametrize("ul_mode", ["full_load", "coscheduled", "none"])
+def test_run_sinr_sweep_matches_per_drop_reference(default_cfg, ul_mode):
+    cfg = dataclasses.replace(
+        default_cfg,
+        scheduler=dataclasses.replace(default_cfg.scheduler, ul_interference=ul_mode),
+    )
     densities = (0.1, 2.0, 20.0)
     n_drops = 8
-    res = run_sinr_sweep(default_cfg, seed=11, n_drops=n_drops, densities=densities)
-    scenario = build_hibs_scenario(default_cfg)
+    res = run_sinr_sweep(cfg, seed=11, n_drops=n_drops, densities=densities)
+    scenario = build_hibs_scenario(cfg)
+    phantoms = 19 if ul_mode == "full_load" else 0
     links = []
     for di, density in enumerate(densities):
         sizes = _poisson_sizes(11, engine._SINR, di, density, n_drops, 19)
-        links += [19 * (n + 19) if n else 0 for n in sizes]
+        links += [19 * (n + phantoms) if n else 0 for n in sizes]
         lo = 0
         for d, n in enumerate(sizes):
             rng = engine.derive_rng(11, engine._SINR, di, d)

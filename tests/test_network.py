@@ -27,7 +27,7 @@ BEAMWIDTH_DEG = 2.0 * math.degrees(math.atan(0.25))
 
 def _hibs_cells():
     layout = geometry.build_hibs_layout()
-    return build_hibs_cells(layout, make_aperture_pattern(BEAMWIDTH_DEG), 49.0, 5.0)
+    return build_hibs_cells(layout, make_aperture_pattern(BEAMWIDTH_DEG), 49.0)
 
 
 def test_build_hibs_cells_structure():
@@ -36,7 +36,6 @@ def test_build_hibs_cells_structure():
     assert all(c.kind is CellKind.HIBS_BEAM for c in cells)
     assert all(np.array_equal(c.tx_position, cells[0].tx_position) for c in cells)
     assert_allclose([np.linalg.norm(c.boresight) for c in cells], 1.0)
-    assert [c.cell_id for c in cells] == list(range(19))
     assert [c.ring for c in cells] == [0] + [1] * 6 + [2] * 12
     # center beam points straight down
     assert_allclose(cells[0].boresight, [0.0, 0.0, -1.0])
@@ -44,10 +43,9 @@ def test_build_hibs_cells_structure():
 
 def test_build_tn_cells_structure():
     layout = geometry.build_tn_ring_layout(sector_rotation_deg=60.0)
-    cells = build_tn_cells(layout, SectorPattern(), 49.0, 5.0, first_cell_id=1)
+    cells = build_tn_cells(layout, SectorPattern(), 49.0)
     assert len(cells) == 36
     assert all(c.kind is CellKind.TN_SECTOR for c in cells)
-    assert [c.cell_id for c in cells] == list(range(1, 37))
     assert_allclose([c.azimuth_deg for c in cells[:3]], [60.0, 180.0, 300.0])
     assert_allclose(cells[0].tx_position[2], 30.0)
 
@@ -65,7 +63,7 @@ def test_hibs_link_geometry_nadir():
 
 def test_tn_link_geometry():
     layout = geometry.build_tn_ring_layout()
-    cells = build_tn_cells(layout, SectorPattern(), 49.0, 5.0)
+    cells = build_tn_cells(layout, SectorPattern(), 49.0)
     site = cells[0].tx_position  # azimuth 0 sector
     user = np.array([[site[0] + 1_000.0, site[1], 1.5]])
     d2d, az_off, depression = network.site_geometry(

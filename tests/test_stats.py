@@ -28,8 +28,7 @@ def test_constant_samples():
 def test_sorted_values_and_strictly_increasing_probs():
     rng = np.random.default_rng(3)
     samples = rng.normal(size=257)
-    cdf = make_cdf(samples, label="x")
-    assert cdf.label == "x"
+    cdf = make_cdf(samples)
     assert cdf.n == 257
     assert np.all(np.diff(cdf.values) >= 0.0)
     assert np.all(np.diff(cdf.probs) > 0.0)
