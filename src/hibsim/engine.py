@@ -5,14 +5,17 @@ density index, drop index) via SeedSequence spawn keys. The sweeps evaluate
 blocks of consecutive drops in one link-budget pass each; every drop still
 draws from its own generator, the block partition depends on the drops
 alone, and results are merged in key order — so the output is bit-identical
-no matter how many worker threads execute the blocks, and more drops only
-append samples.
+no matter how many worker processes execute the blocks, and more drops only
+append samples. The workers are module-level functions that take the
+scenario and one block as arguments, so they carry no state inherited from
+the parent and run the same under any start method.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,17 +218,42 @@ def _active_by_drop(serving: np.ndarray, drop: np.ndarray, n_drops: int, n_cells
     )
 
 
+# Start method of the worker pool where the platform offers it: fork starts
+# fastest, and the workers rely on nothing inherited, so any method gives the
+# same bytes.
+_START_METHOD = "fork"
+
+
+def _pool_size(threads: int, n_keys: int) -> int:
+    """Workers for n_keys units of work: no more than asked for, than there
+    is work, or than CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, n_keys, cpus))
+
+
 def _map_ordered(worker, keys, threads: int) -> list:
     """Run worker over keys, returning results in key order regardless of
-    completion order (the determinism contract across --threads)."""
-    if threads <= 1:
+    completion order (the determinism contract across --threads).
+
+    One worker runs in-process. More run as worker processes, started here
+    and never at import; `worker` must then pickle, so it is a module-level
+    function or a functools.partial of one over picklable arguments.
+    """
+    keys = list(keys)
+    workers = _pool_size(threads, len(keys))
+    if workers <= 1:
         return [worker(k) for k in keys]
-    out = [None] * len(keys)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = {ex.submit(worker, k): i for i, k in enumerate(keys)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
+    import multiprocessing  # the pool modules load only when a pool runs
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = _START_METHOD if _START_METHOD in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
+        # a few chunks per worker: a chunk pickles the shared arguments once
+        chunk = max(1, len(keys) // (4 * workers))
+        return list(pool.map(worker, keys, chunksize=chunk))
 
 
 def _map_blocks(worker, drops: list, links: list[int], threads: int) -> list:
@@ -239,6 +267,13 @@ def _by_density(pieces: list[np.ndarray], drops: list, n_drops: int) -> list[np.
     per density (each density owns n_drops consecutive drops)."""
     counts = [sum(n for _, n in drops[i : i + n_drops]) for i in range(0, len(drops), n_drops)]
     return np.split(np.concatenate(pieces), np.cumsum(counts)[:-1])
+
+
+def _coupling_block(scenario: Scenario, block: list):
+    """Serving-beam coupling loss and beam ring of each user of a block."""
+    coupling, _ = _block_budgets(scenario, block)
+    serving = network.associate(coupling)
+    return coupling[serving, np.arange(serving.size)], scenario.ring[serving]
 
 
 @dataclass
@@ -264,14 +299,10 @@ def run_coupling_loss(
     scenario = build_hibs_scenario(cfg)
     drops = [(derive_rng(seed, _COUPLING, d), users_per_drop) for d in range(n_drops)]
 
-    def one_block(block):
-        coupling, _ = _block_budgets(scenario, block)
-        serving = network.associate(coupling)
-        cl = coupling[serving, np.arange(serving.size)]
-        return cl, scenario.ring[serving]
-
     links = [scenario.n_cells * users_per_drop] * n_drops
-    results = _map_blocks(one_block, drops, links, threads)
+    results = _map_blocks(
+        functools.partial(_coupling_block, scenario), drops, links, threads
+    )
     cl = np.concatenate([c for c, _ in results])
     ring = np.concatenate([r for _, r in results])
     by_ring = {r: cl[ring == r] for r in sorted(set(scenario.ring.tolist()))}
@@ -372,6 +403,45 @@ def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
     return (total - own).T
 
 
+def _sinr_block(scenario: Scenario, noise_dl_dbm: float, noise_ul_mw: float, block: list):
+    """DL and UL SINR samples of each user of a block, in drop order."""
+    cfg = scenario.cfg
+    n_cells = scenario.n_cells
+    ul_mode = cfg.scheduler.ul_interference
+    block = [(rng, n) for rng, n in block if n]  # empty drops yield nothing
+    coupling, drop = _block_budgets(scenario, block)
+    if coupling is None:
+        return np.empty(0), np.empty(0)
+    serving = network.associate(coupling)
+    active = _active_by_drop(serving, drop, len(block), n_cells)
+    dl = network.dl_sinr_db(
+        coupling, serving, scenario.tx_power_dbm, active[drop].T, noise_dl_dbm
+    )
+    if ul_mode == "coscheduled":
+        edges = np.cumsum([0] + [n for _, n in block])
+        ul = np.concatenate(
+            [
+                _ul_sinr_coscheduled(
+                    coupling[:, lo:hi],
+                    serving[lo:hi],
+                    active[d],
+                    cfg.ue.tx_power_dbm,
+                    noise_ul_mw,
+                )
+                for d, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+            ]
+        )
+    else:
+        if ul_mode == "full_load":
+            i_mw = _full_load_ul_interference_mw(scenario, [rng for rng, _ in block])
+        else:  # "none": pure uplink SNR
+            i_mw = np.zeros((len(block), n_cells))
+        s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(serving.size)]
+        denom = i_mw[drop, serving] + noise_ul_mw
+        ul = s_dbm - 10.0 * np.log10(denom)
+    return dl, ul
+
+
 def run_sinr_sweep(
     cfg: ScenarioConfig,
     seed: int = 1,
@@ -391,46 +461,12 @@ def run_sinr_sweep(
         noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.hibs.noise_figure_db) / 10.0
     )
 
-    ul_mode = cfg.scheduler.ul_interference
-
-    def one_block(block):
-        block = [(rng, n) for rng, n in block if n]  # empty drops yield nothing
-        coupling, drop = _block_budgets(scenario, block)
-        if coupling is None:
-            return np.empty(0), np.empty(0)
-        serving = network.associate(coupling)
-        active = _active_by_drop(serving, drop, len(block), n_cells)
-        dl = network.dl_sinr_db(
-            coupling, serving, scenario.tx_power_dbm, active[drop].T, noise_dl_dbm
-        )
-        if ul_mode == "coscheduled":
-            edges = np.cumsum([0] + [n for _, n in block])
-            ul = np.concatenate(
-                [
-                    _ul_sinr_coscheduled(
-                        coupling[:, lo:hi],
-                        serving[lo:hi],
-                        active[d],
-                        cfg.ue.tx_power_dbm,
-                        noise_ul_mw,
-                    )
-                    for d, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
-                ]
-            )
-        else:
-            if ul_mode == "full_load":
-                i_mw = _full_load_ul_interference_mw(scenario, [rng for rng, _ in block])
-            else:  # "none": pure uplink SNR
-                i_mw = np.zeros((len(block), n_cells))
-            s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(serving.size)]
-            denom = i_mw[drop, serving] + noise_ul_mw
-            ul = s_dbm - 10.0 * np.log10(denom)
-        return dl, ul
-
     drops = _poisson_drops(seed, _SINR, densities, n_drops, n_cells)
-    phantoms = scenario.beam_centers.shape[0] if ul_mode == "full_load" else 0
+    full_load = cfg.scheduler.ul_interference == "full_load"
+    phantoms = scenario.beam_centers.shape[0] if full_load else 0
     links = [n_cells * (n + phantoms) if n else 0 for _, n in drops]
-    results = _map_blocks(one_block, drops, links, threads)
+    worker = functools.partial(_sinr_block, scenario, noise_dl_dbm, noise_ul_mw)
+    results = _map_blocks(worker, drops, links, threads)
     dl = _by_density([r[0] for r in results], drops, n_drops)
     ul = _by_density([r[1] for r in results], drops, n_drops)
     return SinrSweepResult(
@@ -472,6 +508,31 @@ class ThroughputSweepResult:
         return max(p.tn_se_bpshz for p in self.points)
 
 
+def _throughput_block(scenario: Scenario, noise_dl_dbm: float, block: list):
+    """(drops, serving cells) round-robin cell throughput of a block, and each
+    user's throughput and serving cell, in drop order."""
+    cfg = scenario.cfg
+    n_d, n_serv = len(block), scenario.n_cells
+    coupling, drop = _block_budgets(scenario, block)
+    if coupling is None:
+        return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
+    serving = network.associate(coupling[:n_serv])
+    # non-serving beams never empty out: they are on-air by construction
+    active = np.concatenate(
+        [
+            _active_by_drop(serving, drop, n_d, n_serv)[drop].T,
+            np.ones((len(scenario.dl_interferers), drop.size), dtype=bool),
+        ]
+    )
+    tx_all_dbm = np.concatenate([scenario.tx_power_dbm, scenario.interferer_tx_power_dbm])
+    dl = network.dl_sinr_db(coupling, serving, tx_all_dbm, active, noise_dl_dbm)
+    # round robin per (drop, cell): each drop's cells are cells of their own
+    cell_bps, user_bps, _ = network.round_robin_throughput_bps(
+        dl, drop * n_serv + serving, n_d * n_serv, cfg.carrier.bandwidth_hz, cfg.rate
+    )
+    return cell_bps.reshape(n_d, n_serv), user_bps, serving
+
+
 def run_throughput_sweep(
     cfg: ScenarioConfig,
     seed: int = 1,
@@ -494,34 +555,10 @@ def run_throughput_sweep(
     bw = cfg.carrier.bandwidth_hz
     hibs_mask = scenario.is_hibs
     n_serv = scenario.n_cells
-    n_phantom = len(scenario.dl_interferers)
-    tx_all_dbm = np.concatenate(
-        [scenario.tx_power_dbm, scenario.interferer_tx_power_dbm]
-    )
-
-    def one_block(block):
-        n_d = len(block)
-        coupling, drop = _block_budgets(scenario, block)
-        if coupling is None:
-            return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
-        serving = network.associate(coupling[:n_serv])
-        # non-serving beams never empty out: they are on-air by construction
-        active = np.concatenate(
-            [
-                _active_by_drop(serving, drop, n_d, n_serv)[drop].T,
-                np.ones((n_phantom, drop.size), dtype=bool),
-            ]
-        )
-        dl = network.dl_sinr_db(coupling, serving, tx_all_dbm, active, noise_dl_dbm)
-        # round robin per (drop, cell): each drop's cells are cells of their own
-        cell_bps, user_bps, _ = network.round_robin_throughput_bps(
-            dl, drop * n_serv + serving, n_d * n_serv, bw, cfg.rate
-        )
-        return cell_bps.reshape(n_d, n_serv), user_bps, serving
-
     drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, n_serv)
-    rows = n_serv + n_phantom
-    results = _map_blocks(one_block, drops, [rows * n for _, n in drops], threads)
+    rows = n_serv + len(scenario.dl_interferers)
+    worker = functools.partial(_throughput_block, scenario, noise_dl_dbm)
+    results = _map_blocks(worker, drops, [rows * n for _, n in drops], threads)
     cell_bps_all = np.concatenate([r[0] for r in results])  # (drops, n_cells)
     user_bps_all = _by_density([r[1] for r in results], drops, n_drops)
     serving_all = _by_density([r[2] for r in results], drops, n_drops)

@@ -21,8 +21,10 @@ filter is meant to survive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +145,74 @@ def _best_two(rx: np.ndarray):
     return best, best_cell, second, second_cell
 
 
+class _Campaign(NamedTuple):
+    """Run constants every track of one campaign shares."""
+
+    seed: int
+    offset_db: float
+    ring_m: float  # distance of the terrestrial sites from the center
+    shadowed: bool
+    rho: float  # AR(1) shadowing correlation between measurements
+    n_meas: int
+    k_need: int  # measurements the A3 condition must hold for
+
+
+def _track_events(scenario: Scenario, run: _Campaign, track: tuple[int, int]):
+    """Cross-layer handovers along one track, keyed (direction, index):
+    direction 0 is the index-th inbound track, 1 the index-th outbound."""
+    m = scenario.cfg.mobility
+    outbound, index = track
+    u = index + m.n_inbound if outbound else index
+    rng = derive_rng(run.seed, _MOBILITY, u)
+    times = np.arange(run.n_meas) * m.measurement_period_s
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    if not outbound:
+        r0 = run.ring_m * rng.uniform(m.tn_spawn_near, m.tn_spawn_far)
+        heading = phi + math.pi  # straight at (and through) the center
+    else:
+        r0 = m.hibs_spawn_radius_m * math.sqrt(rng.uniform())
+        heading = phi  # radially outward
+    pos = np.empty((run.n_meas, 3))
+    pos[:, 0] = r0 * math.cos(phi) + m.speed_mps * times * math.cos(heading)
+    pos[:, 1] = r0 * math.sin(phi) + m.speed_mps * times * math.sin(heading)
+    pos[:, 2] = scenario.cfg.ue.height_m
+    r_t = np.hypot(pos[:, 0], pos[:, 1])
+    arrived = np.flatnonzero(
+        r_t > run.ring_m + m.outbound_stop_margin_m
+        if outbound
+        else r_t < CENTER_PARK_RADIUS_M
+    )
+    if arrived.size:
+        pos = pos[: arrived[0] + 1]
+    rx = _track_rx_power_dbm(scenario, pos, rng, run.rho, run.shadowed)
+
+    # the strongest cell other than the serving one is the runner-up
+    # where the serving cell is best, else the best
+    best, best_cell, second, second_cell = _best_two(rx)
+    is_hibs = scenario.is_hibs  # cell ids are rows of scenario.cells
+    events: list[HandoverEvent] = []
+    serving = int(best_cell[0])
+    start = 1
+    while start < pos.shape[0]:
+        is_best = best_cell[start:] == serving
+        rival = np.where(is_best, second[start:], best[start:])
+        cond = rival > rx[start:, serving] + run.offset_db
+        rel = _first_sustained(cond, run.k_need)
+        if rel < 0:
+            break
+        t_idx = start + rel
+        new = int(second_cell[t_idx] if is_best[rel] else best_cell[t_idx])
+        if is_hibs[new] != is_hibs[serving]:
+            direction = TN_TO_HIBS if is_hibs[new] else HIBS_TO_TN
+            x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])
+            events.append(
+                HandoverEvent(float(times[t_idx]), u, serving, new, x_m, y_m, direction)
+            )
+        serving = new
+        start = t_idx + 1
+    return events
+
+
 def run_mobility(
     cfg: ScenarioConfig,
     seed: int = 1,
@@ -161,78 +231,27 @@ def run_mobility(
     if m.sim_duration_s <= 0.0:
         raise ValueError("sim_duration_s must be positive")
     scenario = build_combined_scenario(cfg)
-    kinds = [c.kind for c in scenario.cells]
     ring_m = next(
         math.hypot(c.tx_position[0], c.tx_position[1])
         for c in scenario.cells
         if c.kind is CellKind.TN_SECTOR
     )
-    shadowed = m.decision_signal == "shadowed"
     period = m.measurement_period_s
-    n_meas = int(math.floor(m.sim_duration_s / period)) + 1
-    k_need = _consecutive_needed(m.time_to_trigger_s, period)
-    rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
-    n_users = m.n_inbound + m.n_outbound
-    times = np.arange(n_meas) * period
-
-    def one_user(u: int) -> list[HandoverEvent]:
-        rng = derive_rng(seed, _MOBILITY, u)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if u < m.n_inbound:
-            r0 = ring_m * rng.uniform(m.tn_spawn_near, m.tn_spawn_far)
-            heading = phi + math.pi  # straight at (and through) the center
-        else:
-            r0 = m.hibs_spawn_radius_m * math.sqrt(rng.uniform())
-            heading = phi  # radially outward
-        pos = np.empty((n_meas, 3))
-        pos[:, 0] = r0 * math.cos(phi) + m.speed_mps * times * math.cos(heading)
-        pos[:, 1] = r0 * math.sin(phi) + m.speed_mps * times * math.sin(heading)
-        pos[:, 2] = cfg.ue.height_m
-        r_t = np.hypot(pos[:, 0], pos[:, 1])
-        arrived = np.flatnonzero(
-            r_t < CENTER_PARK_RADIUS_M
-            if u < m.n_inbound
-            else r_t > ring_m + m.outbound_stop_margin_m
-        )
-        if arrived.size:
-            pos = pos[: arrived[0] + 1]
-        rx = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
-
-        # the strongest cell other than the serving one is the runner-up
-        # where the serving cell is best, else the best
-        best, best_cell, second, second_cell = _best_two(rx)
-        events: list[HandoverEvent] = []
-        serving = int(best_cell[0])
-        start = 1
-        while start < pos.shape[0]:
-            is_best = best_cell[start:] == serving
-            rival = np.where(is_best, second[start:], best[start:])
-            cond = rival > rx[start:, serving] + offset
-            rel = _first_sustained(cond, k_need)
-            if rel < 0:
-                break
-            t_idx = start + rel
-            new = int(second_cell[t_idx] if is_best[rel] else best_cell[t_idx])
-            if kinds[new] is not kinds[serving]:
-                direction = (
-                    TN_TO_HIBS if kinds[new] is CellKind.HIBS_BEAM else HIBS_TO_TN
-                )
-                # cell ids are rows of scenario.cells
-                x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])
-                events.append(
-                    HandoverEvent(
-                        float(times[t_idx]), u, serving, new, x_m, y_m, direction
-                    )
-                )
-            serving = new
-            start = t_idx + 1
-        return events
-
-    per_user = engine._map_ordered(one_user, range(n_users), threads)
-    events = [e for lst in per_user for e in lst]
+    run = _Campaign(
+        seed=seed,
+        offset_db=offset,
+        ring_m=ring_m,
+        shadowed=m.decision_signal == "shadowed",
+        rho=math.exp(-m.speed_mps * period / m.shadow_decorrelation_m),
+        n_meas=int(math.floor(m.sim_duration_s / period)) + 1,
+        k_need=_consecutive_needed(m.time_to_trigger_s, period),
+    )
+    tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
+    worker = functools.partial(_track_events, scenario, run)
+    per_track = engine._map_ordered(worker, tracks, threads)
     return MobilityResult(
-        events=events,
-        n_users=n_users,
+        events=[e for lst in per_track for e in lst],
+        n_users=len(tracks),
         a3_offset_db=offset,
         sim_duration_s=m.sim_duration_s,
         seed=seed,

@@ -183,16 +183,18 @@ def test_thread_determinism(capsys, tmp_path):
     mob_cfg.write_text(
         "mobility:\n  n_inbound: 3\n  n_outbound: 3\n  sim_duration_s: 600.0\n"
     )
+    # every command splits into at least two blocks or tracks, so threads
+    # 2 and 3 run worker processes
     commands = [
-        ["coupling-loss", "--drops", "3", "--users-per-drop", "50"],
-        ["sinr-sweep", "--drops", "2", "--densities", "0.5,2"],
-        ["throughput-sweep", "--drops", "2", "--densities", "1,5"],
+        ["coupling-loss", "--drops", "8", "--users-per-drop", "250"],
+        ["sinr-sweep", "--drops", "6", "--densities", "0.5,20"],
+        ["throughput-sweep", "--drops", "2", "--densities", "1,20"],
         ["mobility", "--config", str(mob_cfg)],
     ]
     mismatches = []
     for i, argv in enumerate(commands):
         dirs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "3"):
             out = tmp_path / f"cmd{i}_t{threads}"
             code = cli_main(
                 [*argv, "--seed", "5", "--threads", threads, "--out", str(out)]
@@ -200,17 +202,18 @@ def test_thread_determinism(capsys, tmp_path):
             assert code == 0
             dirs.append(out)
         names = sorted(os.listdir(dirs[0]))
-        assert names == sorted(os.listdir(dirs[1]))
-        for name in names:
-            if not filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False):
-                mismatches.append(f"{argv[0]}/{name}")
+        for other in dirs[1:]:
+            assert names == sorted(os.listdir(other))
+            for name in names:
+                if not filecmp.cmp(dirs[0] / name, other / name, shallow=False):
+                    mismatches.append(f"{argv[0]}/{other.name}/{name}")
     capsys.readouterr()  # swallow the CLI path listings
     ok = not mismatches
     _report(
         capsys,
         "thread determinism",
         ok,
-        "all four commands byte-identical across --threads 1 vs 4"
+        "all four commands byte-identical across --threads 1, 2 and 3"
         if ok
         else "differs: " + ", ".join(mismatches),
     )

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from hibsim import engine
+from hibsim import engine, network
 from hibsim.cli import _parse_densities, main
 from hibsim.config import ConfigError
 
@@ -282,8 +284,9 @@ def test_out_flag_beats_env(tmp_path, monkeypatch, capsys):
 
 
 def test_threads_do_not_change_output_bytes(tmp_path, capsys):
+    # six drops a density make two blocks, so --threads 2 and 3 use a pool
     outs = {}
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "3"):
         out = tmp_path / f"t{threads}"
         assert (
             main(
@@ -292,9 +295,9 @@ def test_threads_do_not_change_output_bytes(tmp_path, capsys):
                     "--seed",
                     "3",
                     "--drops",
-                    "2",
+                    "6",
                     "--densities",
-                    "0.5,2",
+                    "0.5,20",
                     "--threads",
                     threads,
                     "--out",
@@ -303,7 +306,65 @@ def test_threads_do_not_change_output_bytes(tmp_path, capsys):
             )
             == 0
         )
-        with open(out / "sinr.csv", "rb") as fh:
-            outs[threads] = fh.read()
+        outs[threads] = {}
+        for name in ("sinr.csv", "summary.json"):
+            with open(out / name, "rb") as fh:
+                outs[threads][name] = fh.read()
     capsys.readouterr()
-    assert outs["1"] == outs["4"]
+    assert outs["1"] == outs["2"] == outs["3"]
+
+
+needs_two_workers = pytest.mark.skipif(
+    engine._pool_size(2, 2) < 2, reason="one CPU: worker pools run in-process"
+)
+# two blocks of drops, so --threads 2 runs two worker processes
+POOLED = ["sinr-sweep", "--seed", "2", "--drops", "6", "--densities", "1,20", "--threads", "2"]
+
+
+@needs_two_workers
+def test_worker_error_exits_2_with_nothing_written(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    budgets = network.coupling_loss_matrix
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("budget failed in a worker")
+        return budgets(*args, **kwargs)
+
+    monkeypatch.setattr(network, "coupling_loss_matrix", fail_in_worker)
+    out = tmp_path / "run"
+    code = main([*POOLED, "--out", str(out)])
+    assert code == 2
+    assert "error: budget failed in a worker" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@needs_two_workers
+def test_dead_worker_exits_2(tmp_path):
+    # a worker process that dies ends the run with exit 2, never a hang
+    out = tmp_path / "run"
+    probe = f"""
+import os, sys
+from hibsim import network
+from hibsim.cli import main
+parent, budgets = os.getpid(), network.coupling_loss_matrix
+
+def die_in_worker(*args, **kwargs):
+    if os.getpid() != parent:
+        os._exit(3)
+    return budgets(*args, **kwargs)
+
+network.coupling_loss_matrix = die_in_worker
+sys.exit(main({POOLED + ["--out", str(out)]!r}))
+"""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "terminated abruptly" in proc.stderr
+    assert not out.exists()

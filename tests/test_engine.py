@@ -1,5 +1,12 @@
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
+import operator
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -432,3 +439,116 @@ def test_drop_budgets_live_memory(default_cfg):
         tracemalloc.stop()
     assert coupling.shape == (55, 600)
     assert peak <= 7.0 * coupling.nbytes, peak / coupling.nbytes
+
+
+# the pool tests below need a second CPU; with one, every run is in-process
+needs_two_workers = pytest.mark.skipif(
+    engine._pool_size(2, 2) < 2, reason="one CPU: worker pools run in-process"
+)
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records its size, starts nothing,
+    and maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, keys, chunksize=1):
+        return map(fn, keys)
+
+
+@pytest.mark.parametrize(
+    "threads, n_keys, size",
+    [
+        (1, 5, None),  # in-process
+        (3, 5, 3),
+        (3, 1, None),  # one key: in-process
+        (10_000, 6, 4),  # capped at the CPUs
+        (10_000, 3, 3),  # capped at the work
+    ],
+)
+def test_map_ordered_pool_size(monkeypatch, threads, n_keys, size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert engine._map_ordered(operator.neg, range(n_keys), threads) == [
+        -k for k in range(n_keys)
+    ]
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+def test_pool_size_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert engine._pool_size(10_000, 50) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine._pool_size(10_000, 50) == 1
+
+
+def test_worker_exception_reaches_caller(default_cfg, monkeypatch):
+    def fail(*args, **kwargs):
+        raise FloatingPointError("link budget failed")
+
+    monkeypatch.setattr(network, "coupling_loss_matrix", fail)
+    with pytest.raises(FloatingPointError, match="^link budget failed$"):
+        run_sinr_sweep(default_cfg, seed=2, n_drops=6, densities=(1.0, 20.0), threads=2)
+
+
+@needs_two_workers
+def test_worker_pool_from_a_non_main_thread(default_cfg):
+    # the pool forks from whichever thread runs the sweep; it must not hang.
+    # Each density-20 overlay drop is a block of its own.
+    kwargs = dict(seed=8, n_drops=3, densities=(1.0, 20.0))
+    got = {}
+    worker = threading.Thread(
+        target=lambda: got.update(res=run_throughput_sweep(default_cfg, threads=2, **kwargs)),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "2-worker sweep from a non-main thread hung"
+    assert got["res"].points == run_throughput_sweep(default_cfg, threads=1, **kwargs).points
+
+
+@needs_two_workers
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method",
+)
+def test_workers_need_no_fork_inherited_state(default_cfg, monkeypatch):
+    # forkserver children start from a fresh interpreter: the workers see
+    # only what they are handed. Six drops a density make two blocks.
+    monkeypatch.setattr(engine, "_START_METHOD", "forkserver")
+    kwargs = dict(seed=2, n_drops=6, densities=(1.0, 20.0))
+    a = run_sinr_sweep(default_cfg, threads=1, **kwargs)
+    b = run_sinr_sweep(default_cfg, threads=2, **kwargs)
+    for d in a.densities:
+        assert np.array_equal(a.dl_by_density[d], b.dl_by_density[d])
+        assert np.array_equal(a.ul_by_density[d], b.ul_by_density[d])
+
+
+def test_import_leaves_pool_modules_unloaded():
+    # the pool modules load only when a pool runs
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    probe = (
+        "import sys, hibsim, hibsim.cli, hibsim.output\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
