@@ -97,7 +97,7 @@ def _track_rx_power_dbm(
 
     The draws follow `network._draw_links`: per cell in id order, one LOS
     threshold (none when the cell is always LOS), then (shadowed only) T
-    AR(1) innovations — a fixed (seed, user) pair reproduces the track
+    AR(1) innovations — one track stream reproduces the track
     exactly, and the LOS pattern is identical across the two decision
     signals. The coupling comes one transmitter at a time, as for drops.
     """
@@ -159,11 +159,13 @@ class _Campaign(NamedTuple):
 
 def _track_events(scenario: Scenario, run: _Campaign, track: tuple[int, int]):
     """Cross-layer handovers along one track, keyed (direction, index):
-    direction 0 is the index-th inbound track, 1 the index-th outbound."""
+    direction 0 is the index-th inbound track, 1 the index-th outbound. The
+    key, not the track's position among all tracks, picks its stream, so
+    adding tracks of one direction leaves the other direction's alone."""
     m = scenario.cfg.mobility
     outbound, index = track
-    u = index + m.n_inbound if outbound else index
-    rng = derive_rng(run.seed, _MOBILITY, u)
+    u = index + m.n_inbound if outbound else index  # user id in the output
+    rng = derive_rng(run.seed, _MOBILITY, outbound, index)
     times = np.arange(run.n_meas) * m.measurement_period_s
     phi = rng.uniform(0.0, 2.0 * math.pi)
     if not outbound:

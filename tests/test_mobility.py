@@ -123,10 +123,11 @@ def test_run_mobility_events_lie_on_radial_tracks():
     cfg = _cfg(n_inbound=3, n_outbound=3, sim_duration_s=2_400.0)
     res = run_mobility(cfg, seed=3)
     for e in res.events:
-        # first draw of the user's stream is its track azimuth
-        phi = engine.derive_rng(3, engine._MOBILITY, e.user_id).uniform(
-            0.0, 2.0 * math.pi
-        )
+        # first draw of the track's (direction, index) stream is its azimuth
+        outbound = int(e.user_id >= 3)
+        phi = engine.derive_rng(
+            3, engine._MOBILITY, outbound, e.user_id - 3 * outbound
+        ).uniform(0.0, 2.0 * math.pi)
         cross = e.x_m * math.sin(phi) - e.y_m * math.cos(phi)
         assert abs(cross) < 1e-6
 
@@ -170,6 +171,29 @@ def test_run_mobility_threads_equal():
     a = run_mobility(cfg, seed=7, threads=1)
     b = run_mobility(cfg, seed=7, threads=4)
     assert a.events == b.events
+
+
+def _events_by_track(res, n_inbound):
+    """Events keyed (direction, index within the direction), user ids dropped."""
+    tracks = {}
+    for e in res.events:
+        outbound = int(e.user_id >= n_inbound)
+        key = (outbound, e.user_id - n_inbound * outbound)
+        tracks.setdefault(key, []).append(dataclasses.replace(e, user_id=-1))
+    return tracks
+
+
+@pytest.mark.parametrize("grown", ["n_inbound", "n_outbound"])
+def test_tracks_are_append_stable(grown):
+    # one more track of one direction leaves every existing track of both
+    # directions as it was; only the user ids after an added inbound shift
+    base = dict(n_inbound=2, n_outbound=2, sim_duration_s=2_400.0)
+    a = _events_by_track(run_mobility(_cfg(**base), seed=1), 2)
+    n_inbound = base["n_inbound"] + (grown == "n_inbound")
+    b = _events_by_track(run_mobility(_cfg(**{**base, grown: 3}), seed=1), n_inbound)
+    assert {d for d, _ in a} == {0, 1}  # both directions hand over
+    assert {k: v for k, v in b.items() if k in a} == a
+    assert set(b) - set(a) <= {(int(grown == "n_outbound"), 2)}
 
 
 def test_run_mobility_same_seed_same_events():
