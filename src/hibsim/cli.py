@@ -52,7 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         help="output directory (default $HIBSIM_OUT_DIR or ./results)",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker processes, capped at the CPUs (default 1)")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes, at most one per CPU (default 1)",
+    )
 
     # mobility runs tracks, not drops, so only the drop commands take --drops
     drops = argparse.ArgumentParser(add_help=False)

@@ -176,7 +176,7 @@ _BLOCK_LINKS = 1 << 15
 def _drop_blocks(links: list[int]) -> list[range]:
     """Greedy runs of consecutive drops, starting from drop 0, each holding
     at most _BLOCK_LINKS links (a larger drop runs alone). The partition
-    depends on the drops alone, never on the thread count."""
+    depends on the drops alone, never on the worker count."""
     blocks, start, total = [], 0, 0
     for d, n in enumerate(links):
         if d > start and total + n > _BLOCK_LINKS:
@@ -242,17 +242,17 @@ def _map_ordered(worker, keys, threads: int) -> list:
     and never at import; `worker` must then pickle, so it is a module-level
     function or a functools.partial of one over picklable arguments.
     """
-    keys = list(keys)
     workers = _pool_size(threads, len(keys))
     if workers <= 1:
         return [worker(k) for k in keys]
     import multiprocessing  # the pool modules load only when a pool runs
     from concurrent.futures import ProcessPoolExecutor
 
-    method = _START_METHOD if _START_METHOD in multiprocessing.get_all_start_methods() else None
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
-        # a few chunks per worker: a chunk pickles the shared arguments once
-        chunk = max(1, len(keys) // (4 * workers))
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(_START_METHOD if _START_METHOD in methods else None)
+    # a few chunks per worker: a chunk pickles the shared arguments once
+    chunk = max(1, len(keys) // (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
         return list(pool.map(worker, keys, chunksize=chunk))
 
 
@@ -403,7 +403,9 @@ def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
     return (total - own).T
 
 
-def _sinr_block(scenario: Scenario, noise_dl_dbm: float, noise_ul_mw: float, block: list):
+def _sinr_block(
+    scenario: Scenario, noise_dl_dbm: float, noise_ul_mw: float, block: list
+):
     """DL and UL SINR samples of each user of a block, in drop order."""
     cfg = scenario.cfg
     n_cells = scenario.n_cells

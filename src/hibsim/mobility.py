@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,19 +144,9 @@ def _best_two(rx: np.ndarray):
     return best, best_cell, second, second_cell
 
 
-class _Campaign(NamedTuple):
-    """Run constants every track of one campaign shares."""
-
-    seed: int
-    offset_db: float
-    ring_m: float  # distance of the terrestrial sites from the center
-    shadowed: bool
-    rho: float  # AR(1) shadowing correlation between measurements
-    n_meas: int
-    k_need: int  # measurements the A3 condition must hold for
-
-
-def _track_events(scenario: Scenario, run: _Campaign, track: tuple[int, int]):
+def _track_events(
+    scenario: Scenario, seed: int, offset_db: float, track: tuple[int, int]
+) -> list[HandoverEvent]:
     """Cross-layer handovers along one track, keyed (direction, index):
     direction 0 is the index-th inbound track, 1 the index-th outbound. The
     key, not the track's position among all tracks, picks its stream, so
@@ -165,32 +154,41 @@ def _track_events(scenario: Scenario, run: _Campaign, track: tuple[int, int]):
     m = scenario.cfg.mobility
     outbound, index = track
     u = index + m.n_inbound if outbound else index  # user id in the output
-    rng = derive_rng(run.seed, _MOBILITY, outbound, index)
-    times = np.arange(run.n_meas) * m.measurement_period_s
+    ring_m = next(
+        math.hypot(c.tx_position[0], c.tx_position[1])
+        for c in scenario.cells
+        if c.kind is CellKind.TN_SECTOR
+    )
+    period = m.measurement_period_s
+    times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
+    rng = derive_rng(seed, _MOBILITY, outbound, index)
     phi = rng.uniform(0.0, 2.0 * math.pi)
     if not outbound:
-        r0 = run.ring_m * rng.uniform(m.tn_spawn_near, m.tn_spawn_far)
+        r0 = ring_m * rng.uniform(m.tn_spawn_near, m.tn_spawn_far)
         heading = phi + math.pi  # straight at (and through) the center
     else:
         r0 = m.hibs_spawn_radius_m * math.sqrt(rng.uniform())
         heading = phi  # radially outward
-    pos = np.empty((run.n_meas, 3))
+    pos = np.empty((times.size, 3))
     pos[:, 0] = r0 * math.cos(phi) + m.speed_mps * times * math.cos(heading)
     pos[:, 1] = r0 * math.sin(phi) + m.speed_mps * times * math.sin(heading)
     pos[:, 2] = scenario.cfg.ue.height_m
     r_t = np.hypot(pos[:, 0], pos[:, 1])
     arrived = np.flatnonzero(
-        r_t > run.ring_m + m.outbound_stop_margin_m
+        r_t > ring_m + m.outbound_stop_margin_m
         if outbound
         else r_t < CENTER_PARK_RADIUS_M
     )
     if arrived.size:
         pos = pos[: arrived[0] + 1]
-    rx = _track_rx_power_dbm(scenario, pos, rng, run.rho, run.shadowed)
+    rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
+    shadowed = m.decision_signal == "shadowed"
+    rx = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
 
     # the strongest cell other than the serving one is the runner-up
     # where the serving cell is best, else the best
     best, best_cell, second, second_cell = _best_two(rx)
+    k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.is_hibs  # cell ids are rows of scenario.cells
     events: list[HandoverEvent] = []
     serving = int(best_cell[0])
@@ -198,8 +196,8 @@ def _track_events(scenario: Scenario, run: _Campaign, track: tuple[int, int]):
     while start < pos.shape[0]:
         is_best = best_cell[start:] == serving
         rival = np.where(is_best, second[start:], best[start:])
-        cond = rival > rx[start:, serving] + run.offset_db
-        rel = _first_sustained(cond, run.k_need)
+        cond = rival > rx[start:, serving] + offset_db
+        rel = _first_sustained(cond, k_need)
         if rel < 0:
             break
         t_idx = start + rel
@@ -233,23 +231,8 @@ def run_mobility(
     if m.sim_duration_s <= 0.0:
         raise ValueError("sim_duration_s must be positive")
     scenario = build_combined_scenario(cfg)
-    ring_m = next(
-        math.hypot(c.tx_position[0], c.tx_position[1])
-        for c in scenario.cells
-        if c.kind is CellKind.TN_SECTOR
-    )
-    period = m.measurement_period_s
-    run = _Campaign(
-        seed=seed,
-        offset_db=offset,
-        ring_m=ring_m,
-        shadowed=m.decision_signal == "shadowed",
-        rho=math.exp(-m.speed_mps * period / m.shadow_decorrelation_m),
-        n_meas=int(math.floor(m.sim_duration_s / period)) + 1,
-        k_need=_consecutive_needed(m.time_to_trigger_s, period),
-    )
     tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
-    worker = functools.partial(_track_events, scenario, run)
+    worker = functools.partial(_track_events, scenario, seed, offset)
     per_track = engine._map_ordered(worker, tracks, threads)
     return MobilityResult(
         events=[e for lst in per_track for e in lst],

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import multiprocessing
 import operator
@@ -517,6 +518,27 @@ def test_worker_pool_from_a_non_main_thread(default_cfg):
     worker.join(timeout=120)
     assert not worker.is_alive(), "2-worker sweep from a non-main thread hung"
     assert got["res"].points == run_throughput_sweep(default_cfg, threads=1, **kwargs).points
+
+
+@needs_two_workers
+def test_workers_pickle_when_wrapped_in_place(default_cfg, monkeypatch, tmp_path):
+    # a tracer may swap a worker for a functools.wraps wrapper on its module;
+    # the run must hand the pool that same object, which pickles by name
+    log = tmp_path / "pids"
+    block = engine._throughput_block
+
+    @functools.wraps(block)
+    def wrapped(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return block(*args)
+
+    kwargs = dict(seed=8, n_drops=3, densities=(1.0, 20.0))
+    a = run_throughput_sweep(default_cfg, threads=1, **kwargs)
+    monkeypatch.setattr(engine, "_throughput_block", wrapped)
+    assert run_throughput_sweep(default_cfg, threads=2, **kwargs).points == a.points
+    pids = set(log.read_text(encoding="utf-8").split())
+    assert pids and str(os.getpid()) not in pids  # ran in the workers
 
 
 @needs_two_workers
