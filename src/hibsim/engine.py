@@ -23,7 +23,6 @@ import numpy as np
 from . import antenna, geometry, network
 from .channel import noise_power_dbm
 from .config import ScenarioConfig
-from .network import Cell, CellKind
 
 # spawn-key domains, one per experiment, so identical seeds never share streams
 _COUPLING, _SINR, _THROUGHPUT, _MOBILITY = 0, 1, 2, 3
@@ -36,48 +35,29 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Cells plus the drop region and per-cell arrays the SINR math wants.
+    """Transmitters plus the drop region and the per-row arrays the SINR
+    math wants.
 
-    `cells` are the servers users may attach to; `dl_interferers` are extra
-    co-channel transmitters that never serve anyone but stay on the air
+    The cells of `transmitters` are the servers users may attach to, rows
+    0 to n_cells - 1 of the link matrices; the cells of `dl_interferers`
+    take the rows after them and never serve anyone but stay on the air
     (the overlay keeps the platform's non-center beams this way).
+    `tx_power_dbm` covers every row; `ring` and `is_hibs` cover the serving
+    cells.
     """
 
-    cells: list[Cell]
+    transmitters: tuple[network.Transmitter, ...]
     cfg: ScenarioConfig
     service_radius_m: float
     beam_centers: np.ndarray = field(repr=False)  # (n serving beams, 3) on ground
-    tx_power_dbm: np.ndarray = field(repr=False)  # (n_cells,)
+    tx_power_dbm: np.ndarray = field(repr=False)  # (every row,)
     ring: np.ndarray = field(repr=False)  # (n_cells,) hibs ring or -1
     is_hibs: np.ndarray = field(repr=False)  # (n_cells,) bool
-    dl_interferers: tuple = ()
+    dl_interferers: tuple[network.Transmitter, ...] = ()
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
-    def interferer_tx_power_dbm(self) -> np.ndarray:
-        return np.array([c.tx_power_dbm for c in self.dl_interferers])
-
-
-def _finish_scenario(
-    cells: list[Cell],
-    cfg: ScenarioConfig,
-    service_radius_m: float,
-    beam_centers: np.ndarray,
-    dl_interferers: tuple = (),
-) -> Scenario:
-    return Scenario(
-        cells=cells,
-        cfg=cfg,
-        service_radius_m=service_radius_m,
-        beam_centers=beam_centers,
-        tx_power_dbm=np.array([c.tx_power_dbm for c in cells]),
-        ring=np.array([c.ring if c.ring is not None else -1 for c in cells]),
-        is_hibs=np.array([c.kind is CellKind.HIBS_BEAM for c in cells]),
-        dl_interferers=dl_interferers,
-    )
+        return sum(len(tx.pointing) for tx in self.transmitters)
 
 
 def _hibs_pattern(cfg: ScenarioConfig) -> antenna.AperturePattern:
@@ -105,19 +85,31 @@ def _tn_pattern(cfg: ScenarioConfig) -> antenna.SectorPattern:
 
 
 def _build_platform(cfg: ScenarioConfig):
-    """(layout, beams) of the configured platform."""
+    """(layout, transmitter) of the configured platform, its beams steered
+    from the platform to the beam centers on the ground."""
     h = cfg.hibs
     layout = geometry.build_hibs_layout(
         h.footprint_diameter_m, h.n_rings, h.altitude_m, h.service_area_km2
     )
-    beams = network.build_hibs_cells(layout, _hibs_pattern(cfg), h.tx_power_dbm)
-    return layout, beams
+    steer = layout.beam_centers - layout.platform_position
+    boresights = np.array([b / np.linalg.norm(b) for b in steer])
+    platform = network.Transmitter(layout.platform_position, _hibs_pattern(cfg), boresights)
+    return layout, platform
 
 
 def build_hibs_scenario(cfg: ScenarioConfig) -> Scenario:
     """Multi-beam platform alone (19 beams at defaults)."""
-    layout, cells = _build_platform(cfg)
-    return _finish_scenario(cells, cfg, layout.service_radius_m, layout.beam_centers)
+    layout, platform = _build_platform(cfg)
+    n_beams = len(platform.pointing)
+    return Scenario(
+        transmitters=(platform,),
+        cfg=cfg,
+        service_radius_m=layout.service_radius_m,
+        beam_centers=layout.beam_centers,
+        tx_power_dbm=np.full(n_beams, cfg.hibs.tx_power_dbm),
+        ring=layout.ring_index,
+        is_hibs=np.ones(n_beams, dtype=bool),
+    )
 
 
 def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -130,39 +122,56 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     region — the site ring plus one nominal cell radius of outskirts — not
     over the platform-only service disk.
     """
-    layout, beams = _build_platform(cfg)
-    cells = beams[:1]
+    layout, platform = _build_platform(cfg)
+    t = cfg.terrestrial
     tn_layout = geometry.build_tn_ring_layout(
-        cfg.terrestrial.isd_m,
-        cfg.terrestrial.n_sites,
-        cfg.terrestrial.site_height_m,
-        cfg.terrestrial.sector_rotation_deg,
+        t.isd_m, t.n_sites, t.site_height_m, t.sector_rotation_deg
     )
-    cells += network.build_tn_cells(
-        tn_layout, _tn_pattern(cfg), cfg.terrestrial.tx_power_dbm
+    pattern = _tn_pattern(cfg)
+    azimuths = tn_layout.sector_azimuth_deg.reshape(tn_layout.n_sites, 3)
+    sites = tuple(
+        network.Transmitter(position, pattern, az)
+        for position, az in zip(tn_layout.site_positions, azimuths)
     )
-    interferers = tuple(beams[1:]) if cfg.scheduler.overlay_cochannel_beams else ()
-    drop_radius_m = tn_layout.ring_radius_m + 0.5 * cfg.terrestrial.isd_m
-    return _finish_scenario(
-        cells, cfg, drop_radius_m, layout.beam_centers[:1], interferers
+    beams = platform.pointing
+    on_air = beams[1:] if cfg.scheduler.overlay_cochannel_beams else beams[:0]
+    # a platform without non-center beams has no interferer entry at all
+    interferers = (platform._replace(pointing=on_air),) if len(on_air) else ()
+    n_sectors = azimuths.size
+    drop_radius_m = tn_layout.ring_radius_m + 0.5 * t.isd_m
+    return Scenario(
+        transmitters=(platform._replace(pointing=beams[:1]),) + sites,
+        cfg=cfg,
+        service_radius_m=drop_radius_m,
+        beam_centers=layout.beam_centers[:1],
+        tx_power_dbm=np.concatenate(
+            [
+                [cfg.hibs.tx_power_dbm],
+                np.full(n_sectors, t.tx_power_dbm),
+                np.full(len(on_air), cfg.hibs.tx_power_dbm),
+            ]
+        ),
+        ring=np.array([0] + [-1] * n_sectors),
+        is_hibs=np.array([True] + [False] * n_sectors),
+        dl_interferers=interferers,
     )
 
 
 def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, streams):
-    """Coupling-loss matrix over serving cells then dl_interferers (a cell's
-    row is its id, and fixes the order in which it draws). `streams` is one
-    generator, or one (generator, user count) pair per drop of a block."""
+    """Coupling-loss matrix over the serving cells then the dl_interferers'
+    cells (a cell's row fixes the order in which it draws). `streams` holds
+    one (generator, user count) pair per drop of a block."""
     cfg = scenario.cfg
     return network.coupling_loss_matrix(
-        scenario.cells + list(scenario.dl_interferers),
+        scenario.transmitters + scenario.dl_interferers,
         users_xyz,
         cfg.carrier.frequency_hz,
         cfg.ue.antenna_gain_dbi,
         cfg.channel.ntn,
         cfg.channel.rma,
         streams,
-        shadowing=cfg.channel.shadowing,
-        ue_height_m=cfg.ue.height_m,
+        cfg.channel.shadowing,
+        cfg.ue.height_m,
     )
 
 
@@ -520,14 +529,11 @@ def _throughput_block(scenario: Scenario, noise_dl_dbm: float, block: list):
         return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
     serving = network.associate(coupling[:n_serv])
     # non-serving beams never empty out: they are on-air by construction
-    active = np.concatenate(
-        [
-            _active_by_drop(serving, drop, n_d, n_serv)[drop].T,
-            np.ones((len(scenario.dl_interferers), drop.size), dtype=bool),
-        ]
+    active = np.ones(coupling.shape, dtype=bool)
+    active[:n_serv] = _active_by_drop(serving, drop, n_d, n_serv)[drop].T
+    dl = network.dl_sinr_db(
+        coupling, serving, scenario.tx_power_dbm, active, noise_dl_dbm
     )
-    tx_all_dbm = np.concatenate([scenario.tx_power_dbm, scenario.interferer_tx_power_dbm])
-    dl = network.dl_sinr_db(coupling, serving, tx_all_dbm, active, noise_dl_dbm)
     # round robin per (drop, cell): each drop's cells are cells of their own
     cell_bps, user_bps, _ = network.round_robin_throughput_bps(
         dl, drop * n_serv + serving, n_d * n_serv, cfg.carrier.bandwidth_hz, cfg.rate
@@ -558,7 +564,7 @@ def run_throughput_sweep(
     hibs_mask = scenario.is_hibs
     n_serv = scenario.n_cells
     drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, n_serv)
-    rows = n_serv + len(scenario.dl_interferers)
+    rows = scenario.tx_power_dbm.size
     worker = functools.partial(_throughput_block, scenario, noise_dl_dbm)
     results = _map_blocks(worker, drops, [rows * n for _, n in drops], threads)
     cell_bps_all = np.concatenate([r[0] for r in results])  # (drops, n_cells)

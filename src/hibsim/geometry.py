@@ -18,24 +18,6 @@ _HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
 @dataclass(frozen=True)
-class Position:
-    """Point in the local frame: x east, y north, z above ground (m)."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("position coordinates must be finite")
-        if self.z < 0.0:
-            raise ValueError(f"position must be at or above ground, got z={self.z}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
 class HibsLayout:
     """Platform position plus the hex grid of beam centers on the ground.
 
@@ -44,14 +26,10 @@ class HibsLayout:
     (0, 1, 2, ...) of beam i.
     """
 
-    platform_position: Position
+    platform_position: np.ndarray = field(repr=False)  # (3,)
     beam_centers: np.ndarray = field(repr=False)  # (n_beams, 3), z = 0
     ring_index: np.ndarray = field(repr=False)  # (n_beams,) int
     service_radius_m: float
-
-    @property
-    def n_beams(self) -> int:
-        return self.beam_centers.shape[0]
 
 
 def service_disk_radius_m(service_area_km2: float) -> float:
@@ -95,7 +73,7 @@ def build_hibs_layout(
     beam_centers = np.zeros((len(centers), 3))
     beam_centers[:, :2] = np.asarray(centers)
     return HibsLayout(
-        platform_position=Position(0.0, 0.0, altitude_m),
+        platform_position=np.array([0.0, 0.0, altitude_m]),
         beam_centers=beam_centers,
         ring_index=np.asarray(rings, dtype=int),
         service_radius_m=service_disk_radius_m(service_area_km2),
@@ -107,21 +85,16 @@ class TerrestrialLayout:
     """Ring of 3-sector macro sites around the service-area center.
 
     `sector_azimuth_deg[k]` is the boresight azimuth (degrees CCW from +x) of
-    sector k; `sector_site[k]` indexes into `site_positions`.
+    sector k; sectors 3i, 3i + 1 and 3i + 2 belong to site i.
     """
 
     site_positions: np.ndarray = field(repr=False)  # (n_sites, 3)
     sector_azimuth_deg: np.ndarray = field(repr=False)  # (3 * n_sites,)
-    sector_site: np.ndarray = field(repr=False)  # (3 * n_sites,) int
     ring_radius_m: float
 
     @property
     def n_sites(self) -> int:
         return self.site_positions.shape[0]
-
-    @property
-    def n_sectors(self) -> int:
-        return self.sector_azimuth_deg.shape[0]
 
 
 def ring_radius_for_isd(isd_m: float, n_sites: int) -> float:
@@ -157,7 +130,6 @@ def build_tn_ring_layout(
     return TerrestrialLayout(
         site_positions=sites,
         sector_azimuth_deg=az.ravel(),
-        sector_site=np.repeat(np.arange(n_sites), 3),
         ring_radius_m=radius,
     )
 

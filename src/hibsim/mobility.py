@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, network
+from . import engine, geometry, network
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
-from .network import CellKind
 
 TN_TO_HIBS = "tn_to_hibs"
 HIBS_TO_TN = "hibs_to_tn"
@@ -42,7 +41,9 @@ CENTER_PARK_RADIUS_M = 500.0
 
 @dataclass(frozen=True)
 class HandoverEvent:
-    """One cross-layer handover: where and when the A3 trigger fired."""
+    """One cross-layer handover: where and when the A3 trigger fired. The
+    cells are given by their link-matrix rows, the serving cell before and
+    after."""
 
     time_s: float
     user_id: int
@@ -94,18 +95,17 @@ def _track_rx_power_dbm(
 ) -> np.ndarray:
     """Received DL power tx - coupling, (T, n_cells), along one track.
 
-    The draws follow `network._draw_links`: per cell in id order, one LOS
+    The draws follow `network._draw_links`: per cell in row order, one LOS
     threshold (none when the cell is always LOS), then (shadowed only) T
     AR(1) innovations — one track stream reproduces the track
     exactly, and the LOS pattern is identical across the two decision
     signals. The coupling comes one transmitter at a time, as for drops.
     """
     cfg = scenario.cfg
-    cells = scenario.cells
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
     threshold = np.zeros((n_c, 1))
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
-    network._draw_links(rng, cells, cfg.channel.ntn, threshold, unit)
+    network._draw_links(rng, scenario.transmitters, cfg.channel.ntn, threshold, unit)
     if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
@@ -115,7 +115,7 @@ def _track_rx_power_dbm(
             row[:] = lfilter([1.0], [1.0, -rho], row)
     rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
     for rows, coupling in network._link_coupling(
-        cells,
+        scenario.transmitters,
         pos_xyz,
         threshold,
         unit,
@@ -154,11 +154,8 @@ def _track_events(
     m = scenario.cfg.mobility
     outbound, index = track
     u = index + m.n_inbound if outbound else index  # user id in the output
-    ring_m = next(
-        math.hypot(c.tx_position[0], c.tx_position[1])
-        for c in scenario.cells
-        if c.kind is CellKind.TN_SECTOR
-    )
+    tn = scenario.cfg.terrestrial
+    ring_m = geometry.ring_radius_for_isd(tn.isd_m, tn.n_sites)
     period = m.measurement_period_s
     times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
     rng = derive_rng(seed, _MOBILITY, outbound, index)
@@ -189,7 +186,7 @@ def _track_events(
     # where the serving cell is best, else the best
     best, best_cell, second, second_cell = _best_two(rx)
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
-    is_hibs = scenario.is_hibs  # cell ids are rows of scenario.cells
+    is_hibs = scenario.is_hibs  # cells are link-matrix rows
     events: list[HandoverEvent] = []
     serving = int(best_cell[0])
     start = 1

@@ -1,84 +1,41 @@
-"""Cells, user association, SINR, and the link-to-rate mapping.
+"""Transmitters, user association, SINR, and the link-to-rate mapping.
 
-A "cell" is one downlink transmit port: a platform beam or a terrestrial
-sector. Coupling losses are computed as (n_cells, n_users) matrices so the
-same matrix serves association, downlink SINR, and uplink scheduling.
+A transmitter is one platform feeding its beams, or one macro site feeding
+its sectors; each beam or sector is a cell, one downlink transmit port.
+Coupling losses are computed as (n_cells, n_users) matrices so the same
+matrix serves association, downlink SINR, and uplink scheduling. A list of
+transmitters gives each transmitter's cells the next consecutive rows, in
+listing order.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import antenna, channel, geometry
+from . import antenna, channel
 from .antenna import AperturePattern, SectorPattern
 from .channel import NtnParams, RmaParams
 
 
-class CellKind(str, enum.Enum):
-    HIBS_BEAM = "hibs"
-    TN_SECTOR = "tn"
+class Transmitter(NamedTuple):
+    """One platform or macro site and its cells, one per `pointing` entry:
+    unit beam boresights (n, 3) for a platform (an aperture pattern), sector
+    boresight azimuths in degrees (n,) for a site (a sector pattern)."""
 
-
-@dataclass(frozen=True)
-class Cell:
-    """One downlink transmit port; its id is its row in the cell list."""
-
-    kind: CellKind
-    tx_position: np.ndarray = field(repr=False)  # (3,) antenna phase center
-    tx_power_dbm: float
+    position: np.ndarray  # (3,) antenna phase center
     pattern: AperturePattern | SectorPattern
-    boresight: np.ndarray | None = field(default=None, repr=False)  # hibs beams
-    azimuth_deg: float | None = None  # tn sectors
-    ring: int | None = None  # hibs beams: 0 center, 1, 2
+    pointing: np.ndarray
 
 
-def build_hibs_cells(
-    layout: geometry.HibsLayout,
-    pattern: AperturePattern,
-    tx_power_dbm: float,
-) -> list[Cell]:
-    """One beam per layout cell, boresight steered from the platform to the
-    beam center on the ground."""
-    platform = layout.platform_position.as_array()
-    cells = []
-    for i in range(layout.n_beams):
-        bore = layout.beam_centers[i] - platform
-        bore = bore / np.linalg.norm(bore)
-        cells.append(
-            Cell(
-                kind=CellKind.HIBS_BEAM,
-                tx_position=platform,
-                tx_power_dbm=tx_power_dbm,
-                pattern=pattern,
-                boresight=bore,
-                ring=int(layout.ring_index[i]),
-            )
-        )
-    return cells
-
-
-def build_tn_cells(
-    layout: geometry.TerrestrialLayout,
-    pattern: SectorPattern,
-    tx_power_dbm: float,
-) -> list[Cell]:
-    cells = []
-    for k in range(layout.n_sectors):
-        site = layout.site_positions[layout.sector_site[k]]
-        cells.append(
-            Cell(
-                kind=CellKind.TN_SECTOR,
-                tx_position=site.copy(),
-                tx_power_dbm=tx_power_dbm,
-                pattern=pattern,
-                azimuth_deg=float(layout.sector_azimuth_deg[k]),
-            )
-        )
-    return cells
+def _cell_rows(transmitters):
+    """(rows, transmitter) pairs, rows the slice of the transmitter's cells."""
+    lo = 0
+    for tx in transmitters:
+        yield slice(lo, lo + len(tx.pointing)), tx
+        lo += len(tx.pointing)
 
 
 def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
@@ -115,46 +72,27 @@ class TransmitterBudget(NamedTuple):
     g_tx_dbi: np.ndarray  # (its cells, receivers)
 
 
-def transmitter_rows(cells: list[Cell]) -> list[np.ndarray]:
-    """Cells grouped into transmitters, as row indices into the cell list.
-
-    Cells sharing a kind, a phase center and a pattern form one transmitter:
-    the beams of a platform, the sectors of a site.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(cells):
-        key = (cell.kind, cell.tx_position.tobytes(), cell.pattern)
-        groups.setdefault(key, []).append(i)
-    return [np.array(rows) for rows in groups.values()]
-
-
 def transmitter_budget(
-    cells: list[Cell],
-    rows: np.ndarray,
+    tx: Transmitter,
     rx_xyz: np.ndarray,
     frequency_hz: float,
     ntn_params: NtnParams,
     rma_params: RmaParams,
-    ue_height_m: float = 1.5,
+    ue_height_m: float,
 ) -> TransmitterBudget:
-    """Deterministic half of the link budget from one transmitter (the cells
-    at `rows`, one group of `transmitter_rows`): its geometry and pathloss
-    medians once, and the gains of all its cells in one call."""
-    tx = cells[rows[0]]
-    if tx.kind is CellKind.HIBS_BEAM:
-        slant, elev, off_axis = platform_geometry(
-            tx.tx_position, [cells[i].boresight for i in rows], rx_xyz
-        )
+    """Deterministic half of the link budget from one transmitter: its
+    geometry and pathloss medians once, and the gains of all its cells in
+    one call."""
+    if isinstance(tx.pattern, AperturePattern):
+        slant, elev, off_axis = platform_geometry(tx.position, tx.pointing, rx_xyz)
         medians = channel.ntn_link_medians(elev, slant, frequency_hz, ntn_params)
         g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
     else:
-        d2d, az_off, depression = site_geometry(
-            tx.tx_position, np.array([cells[i].azimuth_deg for i in rows]), rx_xyz
-        )
+        d2d, az_off, depression = site_geometry(tx.position, tx.pointing, rx_xyz)
         medians = channel.rma_link_medians(
             d2d,
             frequency_hz,
-            h_bs_m=tx.tx_position[2],
+            h_bs_m=tx.position[2],
             h_ut_m=ue_height_m,
             params=rma_params,
         )
@@ -164,25 +102,27 @@ def transmitter_budget(
 
 def _draw_links(
     rng: np.random.Generator,
-    cells: list[Cell],
+    transmitters,
     ntn_params: NtnParams,
     uniform: np.ndarray,
     normal,
 ) -> None:
-    """The per-cell draw order of drops and tracks: cells in id order, each
+    """The per-cell draw order of drops and tracks: cells in row order, each
     filling its row of `uniform` with LOS uniforms, unless it is always LOS
-    (the platform's beams under `los_only`), then its row of `normal` with
+    (a platform's beams under `los_only`), then its row of `normal` with
     shadow normals (none when `normal` is None). A row holds one drop's
     users, or one track's LOS threshold and its samples' innovations."""
-    for i, cell in enumerate(cells):
-        if not (ntn_params.los_only and cell.kind is CellKind.HIBS_BEAM):
-            rng.random(out=uniform[i])
-        if normal is not None:
-            rng.standard_normal(out=normal[i])
+    for rows, tx in _cell_rows(transmitters):
+        always_los = ntn_params.los_only and isinstance(tx.pattern, AperturePattern)
+        for i in range(rows.start, rows.stop):
+            if not always_los:
+                rng.random(out=uniform[i])
+            if normal is not None:
+                rng.standard_normal(out=normal[i])
 
 
 def _link_coupling(
-    cells: list[Cell],
+    transmitters,
     rx_xyz: np.ndarray,
     uniform: np.ndarray,
     normal,
@@ -192,16 +132,16 @@ def _link_coupling(
     rma_params: RmaParams,
     ue_height_m: float,
 ):
-    """(rows, coupling) per transmitter of `transmitter_rows`, one at a time.
+    """(rows, coupling) per transmitter, one at a time.
 
     Each transmitter's budget is resolved with its rows of the draws into
     the coupling loss pl + shadow + clutter - g_tx - g_rx, summed in that
     order into the pathloss array; the budget is dropped before the next
     one is computed.
     """
-    for rows in transmitter_rows(cells):
+    for rows, tx in _cell_rows(transmitters):
         budget = transmitter_budget(
-            cells, rows, rx_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
+            tx, rx_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
         )
         coupling, shadow, clutter, _ = channel.resolve_links(
             budget.medians, uniform[rows], None if normal is None else normal[rows]
@@ -217,42 +157,39 @@ def _link_coupling(
 
 
 def coupling_loss_matrix(
-    cells: list[Cell],
+    transmitters,
     users_xyz: np.ndarray,
     frequency_hz: float,
     g_rx_dbi: float,
     ntn_params: NtnParams,
     rma_params: RmaParams,
     streams,
-    shadowing: bool = True,
-    ue_height_m: float = 1.5,
+    shadowing: bool,
+    ue_height_m: float,
 ) -> np.ndarray:
     """(n_cells, n_users) coupling loss, LOS and shadowing i.i.d. per link.
 
-    `streams` is one generator for all the users, or one (generator, user
-    count) pair per drop when the users of several drops lie end to end.
-    Each drop makes its `_draw_links` draws from its own generator into its
-    columns, so a fixed seed reproduces a drop's columns bit for bit,
-    whichever drops share the call. All draws are made first; the budgets
-    then come one transmitter at a time.
+    `streams` holds one (generator, user count) pair per drop, the users of
+    the drops lying end to end. Each drop makes its `_draw_links` draws from
+    its own generator into its columns, so a fixed seed reproduces a drop's
+    columns bit for bit, whichever drops share the call. All draws are made
+    first; the budgets then come one transmitter at a time.
     """
     n_users = users_xyz.shape[0]
-    if isinstance(streams, np.random.Generator):
-        streams = [(streams, n_users)]
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
-    shape = (len(cells), n_users)
+    shape = (sum(len(tx.pointing) for tx in transmitters), n_users)
     uniform = np.zeros(shape)
     normal = np.empty(shape) if shadowing else None
     lo = 0
     for rng, n in streams:
         cols = slice(lo, lo + n)
         shadow = None if normal is None else normal[:, cols]
-        _draw_links(rng, cells, ntn_params, uniform[:, cols], shadow)
+        _draw_links(rng, transmitters, ntn_params, uniform[:, cols], shadow)
         lo += n
     coupling = np.empty(shape)
     for rows, link in _link_coupling(
-        cells,
+        transmitters,
         users_xyz,
         uniform,
         normal,

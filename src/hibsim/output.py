@@ -18,9 +18,7 @@ from .mobility import HIBS_TO_TN, TN_TO_HIBS, MobilityResult
 from .stats import median
 
 
-def _num(x) -> str:
-    if isinstance(x, (int,)) and not isinstance(x, bool):
-        return str(x)
+def _num(x: float) -> str:
     return repr(float(x))
 
 
@@ -33,17 +31,9 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    _write_lines(
-        path,
-        header,
-        (",".join(_num(v) if not isinstance(v, str) else v for v in row) for row in rows),
-    )
-
-
 def _write_lines(path: str, header: list[str], lines) -> None:
-    """CSV from rows already formatted; per-sample files build their lines
-    from `ndarray.tolist()`, whose floats format with repr directly."""
+    """CSV from rows already formatted, floats with repr (per-sample files
+    take theirs from `ndarray.tolist()`)."""
     _write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
@@ -125,11 +115,12 @@ def emit_throughput_sweep(
     result: ThroughputSweepResult, cfg: ScenarioConfig, out_dir: str
 ) -> list[str]:
     csv_path = os.path.join(out_dir, "throughput.csv")
-    rows = []
+    lines = []
     for p in result.points:
-        rows.append((_num(p.density), "hibs", p.hibs_cell_bps, p.hibs_user_bps, p.hibs_se_bpshz))
-        rows.append((_num(p.density), "tn", p.tn_cell_bps, p.tn_user_bps, p.tn_se_bpshz))
-    _write_csv(csv_path, ["density", "kind", "cell_bps", "user_bps", "se_bpshz"], rows)
+        key = _num(p.density)
+        lines.append(f"{key},hibs,{p.hibs_cell_bps!r},{p.hibs_user_bps!r},{p.hibs_se_bpshz!r}")
+        lines.append(f"{key},tn,{p.tn_cell_bps!r},{p.tn_user_bps!r},{p.tn_se_bpshz!r}")
+    _write_lines(csv_path, ["density", "kind", "cell_bps", "user_bps", "se_bpshz"], lines)
 
     results = {
         "hibs_max_se_bpshz": result.hibs_max_se_bpshz,
@@ -159,11 +150,11 @@ def emit_mobility(
     result: MobilityResult, cfg: ScenarioConfig, out_dir: str
 ) -> list[str]:
     csv_path = os.path.join(out_dir, "handover.csv")
-    rows = [
-        (e.time_s, e.direction, e.x_m, e.y_m, math.hypot(e.x_m, e.y_m))
+    lines = [
+        f"{e.time_s!r},{e.direction},{e.x_m!r},{e.y_m!r},{math.hypot(e.x_m, e.y_m)!r}"
         for e in result.events
     ]
-    _write_csv(csv_path, ["time_s", "direction", "x_m", "y_m", "dist_from_center_m"], rows)
+    _write_lines(csv_path, ["time_s", "direction", "x_m", "y_m", "dist_from_center_m"], lines)
 
     d_in = result.distances_m(TN_TO_HIBS)
     d_out = result.distances_m(HIBS_TO_TN)

@@ -49,7 +49,7 @@ def test_ring_coupling_gap(capsys):
     )
     scenario = engine.build_hibs_scenario(cfg_ns)
     users = np.array([[0.0, 0.0, 1.5]])
-    coupling = engine.drop_budgets(scenario, users, engine.derive_rng(1, 99))
+    coupling = engine.drop_budgets(scenario, users, [(engine.derive_rng(1, 99), 1)])
     center = float(coupling[0, 0])
 
     ok = gap >= 3.5 and abs(center - 108.0) <= 0.2
@@ -66,7 +66,7 @@ def test_slant_ranges(capsys):
     layout = geometry.build_hibs_layout()
     ground = np.array([[0.0, 0.0, 0.0], [layout.service_radius_m, 0.0, 0.0]])
     slant, _, _ = network.platform_geometry(
-        layout.platform_position.as_array(), [np.array([0.0, 0.0, -1.0])], ground
+        layout.platform_position, [np.array([0.0, 0.0, -1.0])], ground
     )
     nadir, edge = slant
     ok = nadir == 20_000.0 and 40_000.0 < edge < 42_000.0

@@ -7,7 +7,7 @@ import pytest
 
 from hibsim import engine, network
 from hibsim.cli import _parse_densities, main
-from hibsim.config import ConfigError
+from hibsim.config import ConfigError, load_config
 
 SMALL = ["--seed", "2", "--drops", "2"]
 
@@ -95,6 +95,24 @@ def test_mobility_command(tmp_path):
     assert doc["results"]["a3_offset_db"] == 6.0
     assert doc["results"]["n_users"] == 4
     assert os.path.exists(out / "handover.csv")
+
+
+def test_single_beam_platform_overlay_runs(tmp_path):
+    # with no ring the platform has only its center beam, which serves, so
+    # the overlay keeps no co-channel beam on the air: no interferer entry
+    cfg = tmp_path / "one_beam.yaml"
+    cfg.write_text(
+        "hibs:\n  n_rings: 0\n"
+        "scheduler:\n  overlay_cochannel_beams: true\n"
+        "mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 300.0\n"
+    )
+    scenario = engine.build_combined_scenario(load_config(str(cfg)))
+    assert scenario.dl_interferers == ()
+    assert scenario.tx_power_dbm.shape == (37,)
+    for command in (["throughput-sweep", *SMALL, "--densities", "1,5"], ["mobility"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert _files(str(out))["config"]["hibs"]["n_rings"] == 0
 
 
 def test_band_warning_goes_to_stderr(tmp_path, capsys):

@@ -24,7 +24,7 @@ from hibsim.engine import (
     run_sinr_sweep,
     run_throughput_sweep,
 )
-from hibsim.network import CellKind
+from hibsim.antenna import AperturePattern
 
 RING_RADIUS_M = 17386.66487320323
 
@@ -61,13 +61,19 @@ def test_build_hibs_scenario(default_cfg):
 def test_build_combined_scenario(default_cfg):
     s = build_combined_scenario(default_cfg)
     assert s.n_cells == 37
-    assert s.cells[0].kind is CellKind.HIBS_BEAM
+    assert isinstance(s.transmitters[0].pattern, AperturePattern)
     assert np.array_equal(s.is_hibs, [True] + [False] * 36)
     assert np.array_equal(s.ring, [0] + [-1] * 36)
-    # full beam grid stays on the air as non-serving interferers
-    assert len(s.dl_interferers) == 18
-    assert [c.ring for c in s.dl_interferers] == [1] * 6 + [2] * 12
-    assert all(c.kind is CellKind.HIBS_BEAM for c in s.dl_interferers)
+    # full beam grid stays on the air as non-serving interferers: the
+    # platform's ring-1 and ring-2 beams, in one more platform entry
+    platform = build_hibs_scenario(default_cfg)
+    (beams,) = s.dl_interferers
+    assert np.array_equal(beams.pointing, platform.transmitters[0].pointing[1:])
+    assert np.array_equal(platform.ring[1:], [1] * 6 + [2] * 12)
+    assert isinstance(beams.pattern, AperturePattern)
+    assert np.array_equal(beams.position, s.transmitters[0].position)
+    hibs_dbm, tn_dbm = default_cfg.hibs.tx_power_dbm, default_cfg.terrestrial.tx_power_dbm
+    assert np.array_equal(s.tx_power_dbm, [hibs_dbm] + [tn_dbm] * 36 + [hibs_dbm] * 18)
     # drop region: site ring plus half an ISD of outskirts
     assert_allclose(s.service_radius_m, RING_RADIUS_M + 4_500.0)
     assert s.beam_centers.shape == (1, 3)
@@ -309,7 +315,7 @@ def _reference_sinr_drop(scenario, rng, n_users):
     users = geometry.drop_users(
         n_users, rng, scenario.service_radius_m, height_m=cfg.ue.height_m
     )
-    coupling = engine.drop_budgets(scenario, users, rng)
+    coupling = engine.drop_budgets(scenario, users, [(rng, n_users)])
     serving = np.argmin(coupling, axis=0)
     active = np.bincount(serving, minlength=n_cells) > 0
     noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
@@ -334,7 +340,7 @@ def _reference_sinr_drop(scenario, rng, n_users):
         phantoms[:, 1] += r * np.sin(theta)
         phantoms[:, 2] = cfg.ue.height_m
         rx = 10.0 ** (
-            (cfg.ue.tx_power_dbm - engine.drop_budgets(scenario, phantoms, rng)) / 10.0
+            (cfg.ue.tx_power_dbm - engine.drop_budgets(scenario, phantoms, [(rng, n_b)])) / 10.0
         )
         i_mw = rx.sum(axis=1)
         i_mw[:n_b] -= rx[np.arange(n_b), np.arange(n_b)]
@@ -386,7 +392,6 @@ def test_run_throughput_sweep_matches_per_drop_reference(default_cfg):
     res = run_throughput_sweep(cfg, seed=12, n_drops=n_drops, densities=densities)
     scenario = build_combined_scenario(cfg)
     n_serv = scenario.n_cells
-    tx_all = np.concatenate([scenario.tx_power_dbm, scenario.interferer_tx_power_dbm])
     noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     bw = cfg.carrier.bandwidth_hz
     hibs = scenario.is_hibs
@@ -397,12 +402,14 @@ def test_run_throughput_sweep_matches_per_drop_reference(default_cfg):
             n = int(rng.poisson(density * n_serv))
             assert n > 1
             xyz = geometry.drop_users(n, rng, scenario.service_radius_m, height_m=1.5)
-            coupling = engine.drop_budgets(scenario, xyz, rng)
+            coupling = engine.drop_budgets(scenario, xyz, [(rng, n)])
             serving = np.argmin(coupling[:n_serv], axis=0)
             active = np.concatenate(
                 [np.bincount(serving, minlength=n_serv) > 0, np.ones(18, dtype=bool)]
             )
-            dl = _reference_dl_sinr_db(coupling, serving, tx_all, active, noise_dl)
+            dl = _reference_dl_sinr_db(
+                coupling, serving, scenario.tx_power_dbm, active, noise_dl
+            )
             cell_bps, user_bps, _ = network.round_robin_throughput_bps(
                 dl, serving, n_serv, bw, cfg.rate
             )
@@ -424,8 +431,8 @@ def test_drop_budgets_live_memory(default_cfg):
     # co-channel beams). The LOS uniforms and shadow normals are drawn up
     # front, one of each per link, and the coupling matrix is the output:
     # 3x its bytes. The budgets then live one transmitter at a time, the
-    # largest being the platform's 19 rows of 55 (geometry, gains, resolved
-    # links), so the peak stays within 7x the output: measured 5.78x.
+    # largest being the 18 co-channel beams' rows of 55 (geometry, gains,
+    # resolved links), so the peak stays within 7x the output: measured 5.71x.
     # Building every transmitter's budget and five component matrices
     # before combining them reads 10.2x.
     scenario = engine.build_combined_scenario(default_cfg)
@@ -434,7 +441,8 @@ def test_drop_budgets_live_memory(default_cfg):
     )
     tracemalloc.start()
     try:
-        coupling = engine.drop_budgets(scenario, users, engine.derive_rng(1, 2, 0, 0))
+        streams = [(engine.derive_rng(1, 2, 0, 0), 600)]
+        coupling = engine.drop_budgets(scenario, users, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from hibsim import geometry
 from hibsim.geometry import (
-    Position,
     build_hibs_layout,
     build_tn_ring_layout,
     drop_users,
@@ -25,19 +24,6 @@ def _from_platform(ground_xyz, boresight=NADIR, platform=PLATFORM):
         platform, [np.asarray(boresight, dtype=float)], np.atleast_2d(ground_xyz)
     )
     return slant, elev, off_axis[0]
-
-
-def test_position_rejects_bad_coordinates():
-    with pytest.raises(ValueError, match="finite"):
-        Position(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        Position(0.0, math.inf, 10.0)
-    with pytest.raises(ValueError, match="above ground"):
-        Position(0.0, 0.0, -1.0)
-
-
-def test_position_as_array():
-    assert_allclose(Position(1.0, -2.0, 3.0).as_array(), [1.0, -2.0, 3.0])
 
 
 def test_slant_distance_nadir_is_platform_height():
@@ -92,12 +78,12 @@ def test_service_disk_radius():
 
 def test_hibs_layout_default_19_beams():
     layout = build_hibs_layout()
-    assert layout.n_beams == 19
+    assert layout.beam_centers.shape == (19, 3)
     assert np.count_nonzero(layout.ring_index == 0) == 1
     assert np.count_nonzero(layout.ring_index == 1) == 6
     assert np.count_nonzero(layout.ring_index == 2) == 12
     assert_allclose(layout.beam_centers[0], [0.0, 0.0, 0.0])
-    assert layout.platform_position == Position(0.0, 0.0, 20_000.0)
+    assert np.array_equal(layout.platform_position, [0.0, 0.0, 20_000.0])
 
 
 def test_hibs_layout_nearest_neighbor_spacing():
@@ -120,7 +106,7 @@ def test_hibs_layout_ring_distances():
 
 def test_hibs_layout_zero_rings():
     layout = build_hibs_layout(n_rings=0)
-    assert layout.n_beams == 1
+    assert layout.beam_centers.shape == (1, 3)
     assert_allclose(layout.beam_centers, [[0.0, 0.0, 0.0]])
 
 
@@ -147,8 +133,7 @@ def test_hibs_layout_beam_centers_inside_service_disk():
 def test_hibs_layout_beam_center_elevation_floor():
     # every beam center sees the platform far above the 15 deg operational floor
     layout = build_hibs_layout()
-    platform = layout.platform_position.as_array()
-    elev = _from_platform(layout.beam_centers, platform=platform)[1]
+    elev = _from_platform(layout.beam_centers, platform=layout.platform_position)[1]
     assert min(elev) >= 15.0
 
 
@@ -163,7 +148,7 @@ def test_ring_radius_for_isd():
 def test_tn_ring_layout_counts_and_spacing():
     layout = build_tn_ring_layout(isd_m=9_000.0, n_sites=12, site_height_m=30.0)
     assert layout.n_sites == 12
-    assert layout.n_sectors == 36
+    assert layout.sector_azimuth_deg.shape == (36,)
     assert_allclose(layout.site_positions[:, 2], 30.0)
     # adjacent sites one chord apart, within 1 m
     closed = np.vstack([layout.site_positions, layout.site_positions[:1]])
@@ -175,7 +160,6 @@ def test_tn_ring_layout_sector_azimuths():
     layout = build_tn_ring_layout(sector_rotation_deg=0.0)
     assert_allclose(layout.sector_azimuth_deg[:3], [0.0, 120.0, 240.0])
     assert_allclose(layout.sector_azimuth_deg[3:6], [30.0, 150.0, 270.0])
-    assert np.array_equal(layout.sector_site[:6], [0, 0, 0, 1, 1, 1])
     rotated = build_tn_ring_layout(sector_rotation_deg=60.0)
     assert_allclose(rotated.sector_azimuth_deg[:3], [60.0, 180.0, 300.0])
 

@@ -12,6 +12,7 @@ from scipy.signal import lfilter
 
 import hibsim
 from hibsim import antenna, channel, engine
+from hibsim.antenna import AperturePattern
 from hibsim.config import config_from_dict
 from hibsim.mobility import (
     CENTER_PARK_RADIUS_M,
@@ -25,7 +26,6 @@ from hibsim.mobility import (
     _track_rx_power_dbm,
     run_mobility,
 )
-from hibsim.network import CellKind
 
 RING_RADIUS_M = 17386.66487320323
 
@@ -224,36 +224,40 @@ def test_inbound_tracks_park_at_center():
 
 
 def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
-    """Received power (T, n_cells) computed one cell at a time: geometry,
-    medians, one LOS threshold (unless always LOS), then T AR(1) innovations;
+    """Received power (T, n_cells) computed one cell at a time, a cell being
+    one (transmitter, pointing entry) pair: geometry, medians, one LOS
+    threshold (unless always LOS), then T AR(1) innovations;
     tx - (pl + shadow + clutter - g_tx - g_rx), the drops' coupling order."""
     cfg = scenario.cfg
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
     n_t = pos_xyz.shape[0]
-    rx = np.empty((n_t, scenario.n_cells))
-    for i, cell in enumerate(scenario.cells):
-        if cell.kind is CellKind.HIBS_BEAM:
-            delta = pos_xyz - cell.tx_position
+    cells = [(tx, p) for tx in scenario.transmitters for p in tx.pointing]
+    rx = np.empty((n_t, len(cells)))
+    for i, (tx, pointing) in enumerate(cells):
+        if isinstance(tx.pattern, AperturePattern):
+            tx_power_dbm = cfg.hibs.tx_power_dbm
+            delta = pos_xyz - tx.position
             slant = np.linalg.norm(delta, axis=1)
             elev = np.degrees(
                 np.arctan2(-delta[:, 2], np.hypot(delta[:, 0], delta[:, 1]))
             )
             off_axis = np.degrees(
-                np.arccos(np.clip(delta @ cell.boresight / slant, -1.0, 1.0))
+                np.arccos(np.clip(delta @ pointing / slant, -1.0, 1.0))
             )
             los = np.ones(n_t, dtype=bool) if ntn.los_only else rng.random() < ntn.p_los(elev)
             pl = channel.fspl_db(slant, cfg.carrier.frequency_hz)
             clutter = np.where(los, 0.0, ntn.clutter_db(elev))
             sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
-            g_tx = antenna.aperture_gain_dbi(off_axis, cell.pattern)
+            g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
         else:
-            dx = pos_xyz[:, 0] - cell.tx_position[0]
-            dy = pos_xyz[:, 1] - cell.tx_position[1]
+            tx_power_dbm = cfg.terrestrial.tx_power_dbm
+            dx = pos_xyz[:, 0] - tx.position[0]
+            dy = pos_xyz[:, 1] - tx.position[1]
             d2d = np.hypot(dx, dy)
-            az_off = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
-            depression = np.degrees(np.arctan2(cell.tx_position[2] - pos_xyz[:, 2], d2d))
+            az_off = np.degrees(np.arctan2(dy, dx)) - pointing
+            depression = np.degrees(np.arctan2(tx.position[2] - pos_xyz[:, 2], d2d))
             pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
-                d2d, cfg.carrier.frequency_hz, cell.tx_position[2], cfg.ue.height_m, rma
+                d2d, cfg.carrier.frequency_hz, tx.position[2], cfg.ue.height_m, rma
             )
             los = rng.random() < p_los
             pl = np.where(los, pl_los, pl_nlos)
@@ -263,14 +267,14 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
                 np.where(pre_bp, rma.sigma_los_near_db, rma.sigma_los_far_db),
                 rma.sigma_nlos_db,
             )
-            g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
+            g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
         shadow = 0.0
         if shadowed and cfg.channel.shadowing:
             innov = rng.standard_normal(n_t)
             innov[1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
             shadow = sigma * lfilter([1.0], [1.0, -rho], innov)
         coupling = pl + shadow + clutter - g_tx - cfg.ue.antenna_gain_dbi
-        rx[:, i] = cell.tx_power_dbm - coupling
+        rx[:, i] = tx_power_dbm - coupling
     return rx
 
 

@@ -6,16 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hibsim import antenna, channel, engine, geometry, network
-from hibsim.antenna import SectorPattern, make_aperture_pattern
+from hibsim.antenna import AperturePattern, make_aperture_pattern
 from hibsim.channel import NtnParams, RmaParams, noise_power_dbm
 from hibsim.config import ScenarioConfig, config_from_dict
 from hibsim.network import (
-    CellKind,
     RateParams,
+    Transmitter,
     active_cells,
     associate,
-    build_hibs_cells,
-    build_tn_cells,
     coupling_loss_matrix,
     dl_sinr_db,
     round_robin_throughput_bps,
@@ -25,36 +23,46 @@ from hibsim.network import (
 BEAMWIDTH_DEG = 2.0 * math.degrees(math.atan(0.25))
 
 
-def _hibs_cells():
+def _platform():
+    """The default 19-beam platform, beams steered at their ground centers."""
     layout = geometry.build_hibs_layout()
-    return build_hibs_cells(layout, make_aperture_pattern(BEAMWIDTH_DEG), 49.0)
+    steer = layout.beam_centers - layout.platform_position
+    boresights = steer / np.linalg.norm(steer, axis=1, keepdims=True)
+    pattern = make_aperture_pattern(BEAMWIDTH_DEG)
+    return Transmitter(layout.platform_position, pattern, boresights)
 
 
-def test_build_hibs_cells_structure():
-    cells = _hibs_cells()
-    assert len(cells) == 19
-    assert all(c.kind is CellKind.HIBS_BEAM for c in cells)
-    assert all(np.array_equal(c.tx_position, cells[0].tx_position) for c in cells)
-    assert_allclose([np.linalg.norm(c.boresight) for c in cells], 1.0)
-    assert [c.ring for c in cells] == [0] + [1] * 6 + [2] * 12
+def test_transmitter_table():
+    platform = engine.build_hibs_scenario(ScenarioConfig()).transmitters[0]
+    assert platform.pointing.shape == (19, 3)
+    assert_allclose(np.linalg.norm(platform.pointing, axis=1), 1.0)
     # center beam points straight down
-    assert_allclose(cells[0].boresight, [0.0, 0.0, -1.0])
+    assert_allclose(platform.pointing[0], [0.0, 0.0, -1.0])
+    assert_allclose(platform.position, [0.0, 0.0, 20_000.0])
 
-
-def test_build_tn_cells_structure():
-    layout = geometry.build_tn_ring_layout(sector_rotation_deg=60.0)
-    cells = build_tn_cells(layout, SectorPattern(), 49.0)
-    assert len(cells) == 36
-    assert all(c.kind is CellKind.TN_SECTOR for c in cells)
-    assert_allclose([c.azimuth_deg for c in cells[:3]], [60.0, 180.0, 300.0])
-    assert_allclose(cells[0].tx_position[2], 30.0)
+    overlay = engine.build_combined_scenario(ScenarioConfig())
+    table = overlay.transmitters + overlay.dl_interferers
+    rows = [r for r, _ in network._cell_rows(table)]
+    listed = np.concatenate([np.arange(r.start, r.stop) for r in rows])
+    assert np.array_equal(listed, np.arange(55))  # in order, each row once
+    assert [len(tx.pointing) for tx in table] == [1] + [3] * 12 + [18]
+    assert [isinstance(tx.pattern, AperturePattern) for tx in table] == (
+        [True] + [False] * 12 + [True]
+    )
+    # the 18 interferer beams come after the center beam and the 36 sectors
+    assert rows[-1] == slice(37, 55)
+    assert np.array_equal(overlay.dl_interferers[0].pointing, platform.pointing[1:])
+    site = overlay.transmitters[1]
+    assert_allclose(site.pointing, [60.0, 180.0, 300.0])
+    assert_allclose(site.position[2], 30.0)
+    assert overlay.tx_power_dbm.shape == (55,)
 
 
 def test_hibs_link_geometry_nadir():
-    cells = _hibs_cells()
+    platform = _platform()
     users = np.array([[0.0, 0.0, 0.0], [20_000.0, 0.0, 0.0]])
     slant, elev, off_axis = network.platform_geometry(
-        cells[0].tx_position, [cells[0].boresight], users
+        platform.position, platform.pointing[:1], users
     )
     assert_allclose(slant, [20_000.0, 20_000.0 * math.sqrt(2.0)])
     assert_allclose(elev, [90.0, 45.0])
@@ -63,11 +71,10 @@ def test_hibs_link_geometry_nadir():
 
 def test_tn_link_geometry():
     layout = geometry.build_tn_ring_layout()
-    cells = build_tn_cells(layout, SectorPattern(), 49.0)
-    site = cells[0].tx_position  # azimuth 0 sector
+    site = layout.site_positions[0]  # azimuth 0 sector
     user = np.array([[site[0] + 1_000.0, site[1], 1.5]])
     d2d, az_off, depression = network.site_geometry(
-        site, np.array([c.azimuth_deg for c in cells[:3]]), user
+        site, layout.sector_azimuth_deg[:3], user
     )
     assert_allclose(d2d, 1_000.0)
     assert_allclose(az_off, [[0.0], [-120.0], [-240.0]])
@@ -91,9 +98,9 @@ def test_associate_center_user_gets_platform_beam(default_cfg):
     users = np.array([[0.0, 0.0, 1.5]])
     for seed in (1, 2, 3):
         rng = engine.derive_rng(seed, 7)
-        coupling = engine.drop_budgets(scenario, users, rng)
+        coupling = engine.drop_budgets(scenario, users, [(rng, 1)])
         serving = associate(coupling[: scenario.n_cells])
-        assert scenario.cells[serving[0]].kind is CellKind.HIBS_BEAM
+        assert scenario.is_hibs[serving[0]]
 
 
 def test_associate_user_next_to_site_gets_facing_sector():
@@ -103,27 +110,32 @@ def test_associate_user_next_to_site_gets_facing_sector():
     )
     scenario = engine.build_combined_scenario(cfg)
     # site 0 sector boresights point at 60/180/300 deg; stand 300 m along 60 deg
-    site = scenario.cells[1].tx_position
+    site = scenario.transmitters[1].position
     az = math.radians(60.0)
     users = np.array(
         [[site[0] + 300.0 * math.cos(az), site[1] + 300.0 * math.sin(az), 1.5]]
     )
     for seed in (1, 2, 3):
         rng = engine.derive_rng(seed, 8)
-        coupling = engine.drop_budgets(scenario, users, rng)
+        coupling = engine.drop_budgets(scenario, users, [(rng, 1)])
         serving = int(associate(coupling[: scenario.n_cells])[0])
         assert serving == 1
-        assert scenario.cells[1].azimuth_deg == 60.0
+        assert scenario.transmitters[1].pointing[0] == 60.0
 
 
-def _links_by_transmitter(cells, users, frequency_hz, ntn, rma, uniform, normal):
+def _links_by_transmitter(
+    transmitters, users, frequency_hz, ntn, rma, ue_height_m, uniform, normal
+):
     """(pathloss, shadow, clutter, g_tx, los) matrices over all cells, each
-    transmitter's rows from its budget and the given draws."""
-    shape = (len(cells), users.shape[0])
+    transmitter's rows, one per pointing entry, from its budget and the
+    given draws."""
+    shape = (sum(len(tx.pointing) for tx in transmitters), users.shape[0])
     pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
     los = np.empty(shape, dtype=bool)
-    for r in network.transmitter_rows(cells):
-        budget = network.transmitter_budget(cells, r, users, frequency_hz, ntn, rma)
+    rows = np.arange(shape[0])
+    for tx in transmitters:
+        r, rows = rows[: len(tx.pointing)], rows[len(tx.pointing) :]
+        budget = network.transmitter_budget(tx, users, frequency_hz, ntn, rma, ue_height_m)
         pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
             budget.medians, uniform[r], None if normal is None else normal[r]
         )
@@ -132,13 +144,14 @@ def _links_by_transmitter(cells, users, frequency_hz, ntn, rma, uniform, normal)
 
 
 def test_coupling_loss_matrix_shapes_and_determinism():
-    cells = _hibs_cells()
+    platforms = [_platform()]
     users = geometry.drop_users(40, np.random.default_rng(2), 35_682.0)
+    args = (2.0e9, 0.0, NtnParams(), RmaParams())
     a = coupling_loss_matrix(
-        cells, users, 2.0e9, 0.0, NtnParams(), RmaParams(), np.random.default_rng(5)
+        platforms, users, *args, [(np.random.default_rng(5), 40)], True, 1.5
     )
     b = coupling_loss_matrix(
-        cells, users, 2.0e9, 0.0, NtnParams(), RmaParams(), np.random.default_rng(5)
+        platforms, users, *args, [(np.random.default_rng(5), 40)], True, 1.5
     )
     assert a.shape == (19, 40)
     assert np.array_equal(a, b)
@@ -150,7 +163,7 @@ def test_coupling_loss_matrix_shapes_and_determinism():
         uniform[i], normal[i] = rng.random(40), rng.standard_normal(40)
     links = [
         _links_by_transmitter(
-            cells, users, 2.0e9, NtnParams(), RmaParams(), uniform, normal
+            platforms, users, 2.0e9, NtnParams(), RmaParams(), 1.5, uniform, normal
         )
         for _ in range(2)
     ]
@@ -171,37 +184,37 @@ def reference_aperture_gain_dbi(theta_deg, pattern):
     return pattern.peak_gain_dbi + rel_db
 
 
-def reference_cell_budget(cell, users, cfg, rng):
-    """One cell's (pathloss, shadow, clutter, g_tx, los) row, computed for
-    that cell alone: geometry, medians and draws (n LOS uniforms unless the
-    cell is always LOS, then n shadowing normals). The draws come last, as
-    (uniform, normal), zero where none were drawn."""
+def reference_cell_budget(tx, pointing, users, cfg, rng):
+    """The (pathloss, shadow, clutter, g_tx, los) row of the cell of
+    transmitter `tx` with one `pointing` entry (a boresight or an azimuth),
+    computed for that cell alone: geometry, medians and draws (n LOS
+    uniforms unless the cell is always LOS, then n shadowing normals). The
+    draws come last, as (uniform, normal), zero where none were drawn."""
     n = users.shape[0]
     f = cfg.carrier.frequency_hz
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
-    always_los = ntn.los_only and cell.kind is CellKind.HIBS_BEAM
+    beam = isinstance(tx.pattern, AperturePattern)
+    always_los = ntn.los_only and beam
     uniform = np.zeros(n) if always_los else rng.random(n)
     normal = rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
-    if cell.kind is CellKind.HIBS_BEAM:
-        delta = users - cell.tx_position
+    if beam:
+        delta = users - tx.position
         slant = np.linalg.norm(delta, axis=1)
         elev = np.degrees(np.arctan2(-delta[:, 2], np.hypot(delta[:, 0], delta[:, 1])))
-        off_axis = np.degrees(
-            np.arccos(np.clip(delta @ cell.boresight / slant, -1.0, 1.0))
-        )
+        off_axis = np.degrees(np.arccos(np.clip(delta @ pointing / slant, -1.0, 1.0)))
         pl = channel.fspl_db(slant, f)
         los = np.ones(n, dtype=bool) if always_los else uniform < ntn.p_los(elev)
         clutter = np.where(los, 0.0, ntn.clutter_db(elev))
         sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
-        g_tx = reference_aperture_gain_dbi(off_axis, cell.pattern)
+        g_tx = reference_aperture_gain_dbi(off_axis, tx.pattern)
     else:
-        dx = users[:, 0] - cell.tx_position[0]
-        dy = users[:, 1] - cell.tx_position[1]
+        dx = users[:, 0] - tx.position[0]
+        dy = users[:, 1] - tx.position[1]
         d2d = np.hypot(dx, dy)
-        az_off = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
-        depression = np.degrees(np.arctan2(cell.tx_position[2] - users[:, 2], d2d))
+        az_off = np.degrees(np.arctan2(dy, dx)) - pointing
+        depression = np.degrees(np.arctan2(tx.position[2] - users[:, 2], d2d))
         pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
-            d2d, f, cell.tx_position[2], cfg.ue.height_m, rma
+            d2d, f, tx.position[2], cfg.ue.height_m, rma
         )
         los = uniform < p_los
         pl = np.where(los, pl_los, pl_nlos)
@@ -211,7 +224,7 @@ def reference_cell_budget(cell, users, cfg, rng):
             np.where(pre_bp, rma.sigma_los_near_db, rma.sigma_los_far_db),
             rma.sigma_nlos_db,
         )
-        g_tx = antenna.sector_gain_dbi(az_off, depression, cell.pattern)
+        g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
     shadow = sigma * normal if cfg.channel.shadowing else np.zeros(n)
     return pl, shadow, clutter, g_tx, los, uniform, normal
 
@@ -231,24 +244,29 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
     cfg = config_from_dict(overrides)
     build = engine.build_combined_scenario if combined else engine.build_hibs_scenario
     scenario = build(cfg)
-    cells = scenario.cells + list(scenario.dl_interferers)
-    assert len(cells) == (55 if combined else 19)
+    table = scenario.transmitters + scenario.dl_interferers
     users = geometry.drop_users(
         150, np.random.default_rng(31), scenario.service_radius_m, height_m=1.5
     )
     core_rng, rng = engine.derive_rng(7, 1, 2), engine.derive_rng(7, 1, 2)
-    coupling = engine.drop_budgets(scenario, users, core_rng)
-    rows = [reference_cell_budget(c, users, cfg, rng) for c in cells]
+    coupling = engine.drop_budgets(scenario, users, [(core_rng, 150)])
+    rows = [
+        reference_cell_budget(tx, pointing, users, cfg, rng)
+        for tx in table
+        for pointing in tx.pointing
+    ]
+    assert len(rows) == (55 if combined else 19)
     pl, sh, cl, gt, los, uniform, normal = (np.stack(col) for col in zip(*rows))
     assert np.array_equal(coupling, pl + sh + cl - gt - cfg.ue.antenna_gain_dbi)
     assert core_rng.random() == rng.random()  # same number of draws
     # the pieces: each transmitter's budget, resolved with the reference draws
     got = _links_by_transmitter(
-        cells,
+        table,
         users,
         cfg.carrier.frequency_hz,
         cfg.channel.ntn,
         cfg.channel.rma,
+        cfg.ue.height_m,
         uniform,
         normal if cfg.channel.shadowing else None,
     )
@@ -260,50 +278,55 @@ def test_coupling_loss_matrix_drop_streams_match_drops_alone():
     # two drops side by side, each drawing from its own generator, give the
     # same bits and draw counts as each drop on its own, single-receiver drop
     # included
-    cells = _hibs_cells()
+    platforms = [_platform()]
     users = geometry.drop_users(41, np.random.default_rng(2), 35_682.0)
-    args = (2.0e9, 0.0, NtnParams(), RmaParams())
+
+    def matrix(rx_xyz, streams):
+        args = (2.0e9, 0.0, NtnParams(), RmaParams(), streams, True, 1.5)
+        return coupling_loss_matrix(platforms, rx_xyz, *args)
+
     rngs = [np.random.default_rng(5), np.random.default_rng(6)]
-    both = coupling_loss_matrix(cells, users, *args, [(rngs[0], 40), (rngs[1], 1)])
+    both = matrix(users, [(rngs[0], 40), (rngs[1], 1)])
     alone = [np.random.default_rng(5), np.random.default_rng(6)]
-    first = coupling_loss_matrix(cells, users[:40], *args, alone[0])
-    lone = coupling_loss_matrix(cells, users[40:], *args, alone[1])
+    first = matrix(users[:40], [(alone[0], 40)])
+    lone = matrix(users[40:], [(alone[1], 1)])
     assert np.array_equal(both[:, :40], first)
     assert np.array_equal(both[:, 40:], lone)
     for a, b in zip(rngs, alone):
         assert a.random() == b.random()  # same number of draws
     with pytest.raises(ValueError, match="add up"):
-        coupling_loss_matrix(cells, users, *args, [(np.random.default_rng(5), 40)])
+        matrix(users, [(np.random.default_rng(5), 40)])
 
 
 def test_platform_geometry_same_bits_for_one_receiver():
-    cells = _hibs_cells()
+    platform = _platform()
     users = geometry.drop_users(64, np.random.default_rng(4), 35_682.0)
-    bores = [c.boresight for c in cells]
-    many = network.platform_geometry(cells[0].tx_position, bores, users)
+    bores = platform.pointing
+    many = network.platform_geometry(platform.position, bores, users)
     for j in range(users.shape[0]):
-        one = network.platform_geometry(cells[0].tx_position, bores, users[j : j + 1])
+        one = network.platform_geometry(platform.position, bores, users[j : j + 1])
         for a, b in zip(many, one):
             assert np.array_equal(a[..., j : j + 1], b.reshape(a[..., j : j + 1].shape))
 
 
 def test_coupling_loss_center_user_deterministic_budget():
     # nadir user: elevation 90 -> LOS certain, no shadow requested -> 108 dB chain
-    cells = _hibs_cells()
+    platform = _platform()
     users = np.array([[0.0, 0.0, 1.5]])
     coupling = coupling_loss_matrix(
-        cells,
+        [platform],
         users,
         2.0e9,
         0.0,
         NtnParams(),
         RmaParams(),
-        np.random.default_rng(0),
-        shadowing=False,
+        [(np.random.default_rng(0), 1)],
+        False,
+        1.5,
     )
     assert_allclose(coupling[0, 0], 108.0, atol=0.2)
     budget = network.transmitter_budget(
-        cells, np.arange(19), users, 2.0e9, NtnParams(), RmaParams()
+        platform, users, 2.0e9, NtnParams(), RmaParams(), 1.5
     )
     uniform = np.random.default_rng(0).random((19, 1))
     _, shadow, clutter, los = channel.resolve_links(budget.medians, uniform, None)
