@@ -32,14 +32,32 @@ def _platform():
     return Transmitter(layout.platform_position, pattern, boresights)
 
 
-def test_transmitter_table():
-    platform = engine.build_hibs_scenario(ScenarioConfig()).transmitters[0]
+def test_build_hibs_cells_structure():
+    scenario = engine.build_hibs_scenario(ScenarioConfig())
+    assert len(scenario.transmitters) == 1
+    platform = scenario.transmitters[0]
+    assert isinstance(platform.pattern, AperturePattern)
     assert platform.pointing.shape == (19, 3)
     assert_allclose(np.linalg.norm(platform.pointing, axis=1), 1.0)
+    assert list(scenario.ring) == [0] + [1] * 6 + [2] * 12
+    assert scenario.is_hibs.all()
     # center beam points straight down
     assert_allclose(platform.pointing[0], [0.0, 0.0, -1.0])
     assert_allclose(platform.position, [0.0, 0.0, 20_000.0])
 
+
+def test_build_tn_cells_structure():
+    cfg = config_from_dict({"terrestrial": {"sector_rotation_deg": 60.0}})
+    sites = engine.build_combined_scenario(cfg).transmitters[1:]
+    assert len(sites) == 12
+    assert sum(len(site.pointing) for site in sites) == 36
+    assert all(isinstance(site.pattern, antenna.SectorPattern) for site in sites)
+    assert_allclose(sites[0].pointing, [60.0, 180.0, 300.0])
+    assert_allclose(sites[0].position[2], 30.0)
+
+
+def test_transmitter_table():
+    platform = engine.build_hibs_scenario(ScenarioConfig()).transmitters[0]
     overlay = engine.build_combined_scenario(ScenarioConfig())
     table = overlay.transmitters + overlay.dl_interferers
     rows = [r for r, _ in network._cell_rows(table)]
@@ -52,9 +70,6 @@ def test_transmitter_table():
     # the 18 interferer beams come after the center beam and the 36 sectors
     assert rows[-1] == slice(37, 55)
     assert np.array_equal(overlay.dl_interferers[0].pointing, platform.pointing[1:])
-    site = overlay.transmitters[1]
-    assert_allclose(site.pointing, [60.0, 180.0, 300.0])
-    assert_allclose(site.position[2], 30.0)
     assert overlay.tx_power_dbm.shape == (55,)
 
 
