@@ -18,6 +18,9 @@ _J1_Q = (0.375, -0.1025390625, 0.2775764465332031, -1.993531733751297)
 _SERIES_CUTOFF = 20.0
 
 FIRST_J1_ZERO = 3.8317059702075125  # u at the edge of the aperture main lobe
+# u where the main lobe |2 J1(u)/u|^2 is 3 dB down (within 0.01 dB), whatever
+# the aperture size
+U_3DB = 1.6127571220703125
 
 
 def bessel_j1(x):
@@ -112,38 +115,13 @@ def aperture_gain_dbi(theta_off_axis_deg, pattern: AperturePattern):
     return float(gain[0]) if scalar else gain.reshape(theta.shape)
 
 
-def solve_ka_for_beamwidth(
-    beamwidth_3db_deg: float, tol_db: float = 0.01, max_iter: int = 100
-) -> float:
+def solve_ka_for_beamwidth(beamwidth_3db_deg: float) -> float:
     """Normalized aperture radius whose pattern is 3 dB down at half the
-    given beamwidth. Bisection on the monotone main lobe; raises if the
-    half-beamwidth target cannot be bracketed or bisection stalls.
-    """
+    given beamwidth: the main lobe's -3 dB argument `U_3DB` over the sine of
+    the half beamwidth."""
     if not 1.0 <= beamwidth_3db_deg <= 90.0:
         raise ValueError("3 dB beamwidth must lie in [1, 90] degrees")
-    half_rad = math.radians(0.5 * beamwidth_3db_deg)
-    sin_half = math.sin(half_rad)
-
-    def rel_db(u: float) -> float:
-        if u < 1e-12:
-            return 0.0
-        return 10.0 * math.log10((2.0 * bessel_j1(u) / u) ** 2)
-
-    lo, hi = 1e-6, 3.8317  # main lobe ends at the first J1 zero
-    if rel_db(hi * 0.9999) > -3.0:
-        raise RuntimeError("cannot bracket the -3 dB point")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f = rel_db(mid)
-        if abs(f + 3.0) <= tol_db:
-            return mid / sin_half
-        if f > -3.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(
-        f"-3 dB bisection did not converge to {tol_db} dB in {max_iter} iterations"
-    )
+    return U_3DB / math.sin(math.radians(0.5 * beamwidth_3db_deg))
 
 
 def make_aperture_pattern(

@@ -99,10 +99,10 @@ class LinkMedians:
     """Fading-free half of the links from one transmitter: every field
     broadcasts to the links' shape.
 
-    A link is LOS when its uniform draw falls below `p_los`, or always where
-    `always_los` holds. LOS links take `pl_los_db` and `sigma_los_db`; NLOS
-    links take `pl_nlos_db`, `sigma_nlos_db` and, kept apart from the
-    pathloss, the extra `clutter_db`.
+    A link is LOS when its uniform draw falls below `p_los`, so a `p_los` of
+    1 makes it LOS whatever the draw. LOS links take `pl_los_db` and
+    `sigma_los_db`; NLOS links take `pl_nlos_db`, `sigma_nlos_db` and, kept
+    apart from the pathloss, the extra `clutter_db`.
     """
 
     pl_los_db: np.ndarray
@@ -111,7 +111,6 @@ class LinkMedians:
     p_los: np.ndarray
     sigma_los_db: np.ndarray | float
     sigma_nlos_db: float
-    always_los: bool
 
 
 def ntn_link_medians(
@@ -124,40 +123,36 @@ def ntn_link_medians(
     states, plus elevation-dependent clutter on NLOS links.
 
     Elevations outside [10, 90] degrees are rejected: the LOS table does not
-    extrapolate.
+    extrapolate. Under `los_only` every link has p_los 1 and no clutter.
     """
     elev = np.asarray(elevation_deg, dtype=float)
     if np.any(elev < MIN_ELEVATION_DEG - 1e-9) or np.any(elev > 90.0 + 1e-9):
         raise ValueError("elevation must lie in [10, 90] degrees")
     pl = fspl_db(distance_m, frequency_hz)
+    # a p_los of ones keeps the receivers' shape, so the LOS mask keeps the
+    # links' shape
     return LinkMedians(
         pl_los_db=pl,
         pl_nlos_db=pl,
-        clutter_db=params.clutter_db(elev),
-        p_los=params.p_los(elev),
+        clutter_db=0.0 if params.los_only else params.clutter_db(elev),
+        p_los=np.ones_like(elev) if params.los_only else params.p_los(elev),
         sigma_los_db=params.sigma_los_db,
         sigma_nlos_db=params.sigma_nlos_db,
-        always_los=params.los_only,
     )
 
 
 def resolve_links(medians: LinkMedians, uniform, normal):
     """Links from their medians and draws: (pathloss, shadow, clutter, los).
 
-    `uniform` holds the LOS draws (ignored where `always_los`), `normal` the
-    unit shadowing draws, or None for no shadowing. The pathloss is a fresh
-    array of the links' shape, so a caller may sum the other terms into it.
-    Shadow and clutter come as arrays, or as the float 0.0 where they are
-    zero on every link (no shadowing; no clutter model, or all links LOS);
-    the clutter is zero on LOS links.
+    `uniform` holds the LOS draws in [0, 1), `normal` the unit shadowing
+    draws, or None for no shadowing. The pathloss is a fresh array of the
+    links' shape, so a caller may sum the other terms into it. Shadow and
+    clutter come as arrays, or as the float 0.0 where they are zero on every
+    link (no shadowing; no clutter model); the clutter is zero on LOS links.
     """
-    if medians.always_los:
-        shape = np.broadcast_shapes(np.shape(uniform), np.shape(medians.p_los))
-        los = np.ones(shape, dtype=bool)
-    else:
-        los = uniform < medians.p_los
+    los = uniform < medians.p_los
     pl = np.where(los, medians.pl_los_db, medians.pl_nlos_db)
-    if medians.always_los or not np.any(medians.clutter_db):
+    if not np.any(medians.clutter_db):
         clutter = 0.0
     else:
         clutter = np.where(los, 0.0, medians.clutter_db)
@@ -281,5 +276,4 @@ def rma_link_medians(
             pre_bp, params.sigma_los_near_db, params.sigma_los_far_db
         ),
         sigma_nlos_db=params.sigma_nlos_db,
-        always_los=False,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .channel import MIN_ELEVATION_DEG, NtnParams, RmaParams
-from .geometry import ring_radius_for_isd, service_disk_radius_m
+from .geometry import beamwidth_3db_deg, ring_radius_for_isd, service_disk_radius_m
 from .network import RateParams
 
 
@@ -289,7 +289,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         f"must be one of {list(PATTERN_SIDELOBE_MODES)}",
     )
     _require(h.noise_figure_db >= 0, "hibs.noise_figure_db", "must be >= 0")
-    bw_deg = 2.0 * math.degrees(math.atan(0.5 * h.footprint_diameter_m / h.altitude_m))
+    bw_deg = beamwidth_3db_deg(h.footprint_diameter_m, h.altitude_m)
     _require(
         1.0 <= bw_deg <= 90.0,
         "hibs.footprint_diameter_m",

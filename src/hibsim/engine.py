@@ -9,6 +9,10 @@ no matter how many worker processes execute the blocks, and more drops only
 append samples. The workers are module-level functions that take the
 scenario and one block as arguments, so they carry no state inherited from
 the parent and run the same under any start method.
+
+A scenario is built only from a config that passes `validate_config`, so
+every run, from the command line or the Python API, meets the config checks
+before its first drop or track.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import antenna, geometry, network
 from .channel import noise_power_dbm
-from .config import ScenarioConfig
+from .config import ScenarioConfig, validate_config
 
 # spawn-key domains, one per experiment, so identical seeds never share streams
 _COUPLING, _SINR, _THROUGHPUT, _MOBILITY = 0, 1, 2, 3
@@ -61,11 +65,8 @@ class Scenario:
 
 
 def _hibs_pattern(cfg: ScenarioConfig) -> antenna.AperturePattern:
-    bw_deg = 2.0 * math.degrees(
-        math.atan(0.5 * cfg.hibs.footprint_diameter_m / cfg.hibs.altitude_m)
-    )
     return antenna.make_aperture_pattern(
-        bw_deg,
+        geometry.beamwidth_3db_deg(cfg.hibs.footprint_diameter_m, cfg.hibs.altitude_m),
         cfg.hibs.peak_gain_dbi,
         cfg.hibs.pattern_floor_db,
         bessel_sidelobes=cfg.hibs.pattern_sidelobes == "bessel",
@@ -99,6 +100,7 @@ def _build_platform(cfg: ScenarioConfig):
 
 def build_hibs_scenario(cfg: ScenarioConfig) -> Scenario:
     """Multi-beam platform alone (19 beams at defaults)."""
+    validate_config(cfg)
     layout, platform = _build_platform(cfg)
     n_beams = len(platform.pointing)
     return Scenario(
@@ -122,6 +124,7 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     region — the site ring plus one nominal cell radius of outskirts — not
     over the platform-only service disk.
     """
+    validate_config(cfg)
     layout, platform = _build_platform(cfg)
     t = cfg.terrestrial
     tn_layout = geometry.build_tn_ring_layout(

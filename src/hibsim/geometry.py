@@ -13,17 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Hexagonal axial-coordinate step directions, counterclockwise.
-_HEX_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
-
 @dataclass(frozen=True)
 class HibsLayout:
     """Platform position plus the hex grid of beam centers on the ground.
 
     Beam centers are ordered center first, then ring 1 (6 cells), ring 2
-    (12 cells), each ring sorted by azimuth. `ring_index[i]` gives the ring
-    (0, 1, 2, ...) of beam i.
+    (12 cells), each ring sorted by azimuth in [0, 2 pi) counterclockwise
+    from +x. `ring_index[i]` gives the ring (0, 1, 2, ...) of beam i.
     """
 
     platform_position: np.ndarray = field(repr=False)  # (3,)
@@ -37,6 +33,12 @@ def service_disk_radius_m(service_area_km2: float) -> float:
     if service_area_km2 <= 0.0:
         raise ValueError("service area must be positive")
     return math.sqrt(service_area_km2 * 1e6 / math.pi)
+
+
+def beamwidth_3db_deg(footprint_diameter_m: float, altitude_m: float) -> float:
+    """3 dB beamwidth of a beam that, pointed straight down from the given
+    altitude, lights a footprint of the given diameter."""
+    return 2.0 * math.degrees(math.atan(0.5 * footprint_diameter_m / altitude_m))
 
 
 def build_hibs_layout(
@@ -55,27 +57,20 @@ def build_hibs_layout(
     if n_rings < 0:
         raise ValueError("n_rings must be >= 0")
     s = footprint_diameter_m
-    centers = [(0.0, 0.0)]
-    rings = [0]
-    for ring in range(1, n_rings + 1):
-        # walk the hex ring starting from corner (ring, 0) in axial coordinates
-        q, r = ring, 0
-        pts = []
-        for dq, dr in _HEX_DIRECTIONS[2:] + _HEX_DIRECTIONS[:2]:
-            for _ in range(ring):
-                x = s * (q + 0.5 * r)
-                y = s * (math.sqrt(3.0) / 2.0) * r
-                pts.append((x, y))
-                q, r = q + dq, r + dr
-        pts.sort(key=lambda xy: math.atan2(xy[1], xy[0]) % (2.0 * math.pi))
-        centers.extend(pts)
-        rings.extend([ring] * len(pts))
-    beam_centers = np.zeros((len(centers), 3))
-    beam_centers[:, :2] = np.asarray(centers)
+    cells = []  # (ring, azimuth, x, y) of each axial cell (q, r) within n_rings
+    for q in range(-n_rings, n_rings + 1):
+        for r in range(-n_rings, n_rings + 1):
+            ring = max(abs(q), abs(r), abs(q + r))
+            if ring <= n_rings:
+                x, y = s * (q + 0.5 * r), s * (math.sqrt(3.0) / 2.0) * r
+                cells.append((ring, math.atan2(y, x) % (2.0 * math.pi), x, y))
+    cells.sort()  # no two cells of a ring share an azimuth
+    beam_centers = np.zeros((len(cells), 3))
+    beam_centers[:, :2] = [(x, y) for _, _, x, y in cells]
     return HibsLayout(
         platform_position=np.array([0.0, 0.0, altitude_m]),
         beam_centers=beam_centers,
-        ring_index=np.asarray(rings, dtype=int),
+        ring_index=np.array([ring for ring, _, _, _ in cells], dtype=int),
         service_radius_m=service_disk_radius_m(service_area_km2),
     )
 

@@ -225,8 +225,6 @@ def run_mobility(
     """
     m = cfg.mobility
     offset = m.a3_offset_db if a3_offset_db is None else float(a3_offset_db)
-    if m.sim_duration_s <= 0.0:
-        raise ValueError("sim_duration_s must be positive")
     scenario = build_combined_scenario(cfg)
     tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
     worker = functools.partial(_track_events, scenario, seed, offset)

@@ -109,9 +109,10 @@ def _draw_links(
 ) -> None:
     """The per-cell draw order of drops and tracks: cells in row order, each
     filling its row of `uniform` with LOS uniforms, unless it is always LOS
-    (a platform's beams under `los_only`), then its row of `normal` with
-    shadow normals (none when `normal` is None). A row holds one drop's
-    users, or one track's LOS threshold and its samples' innovations."""
+    (a platform's beams under `los_only`, whose p_los is 1, so their row
+    keeps the caller's zeros), then its row of `normal` with shadow normals
+    (none when `normal` is None). A row holds one drop's users, or one
+    track's LOS threshold and its samples' innovations."""
     for rows, tx in _cell_rows(transmitters):
         always_los = ntn_params.los_only and isinstance(tx.pattern, AperturePattern)
         for i in range(rows.start, rows.stop):

@@ -8,6 +8,7 @@ same reason.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -125,20 +126,7 @@ def emit_throughput_sweep(
     results = {
         "hibs_max_se_bpshz": result.hibs_max_se_bpshz,
         "tn_max_se_bpshz": result.tn_max_se_bpshz,
-        "points": [
-            {
-                "density": p.density,
-                "hibs_cell_bps": p.hibs_cell_bps,
-                "tn_cell_bps": p.tn_cell_bps,
-                "hibs_user_bps": p.hibs_user_bps,
-                "tn_user_bps": p.tn_user_bps,
-                "hibs_se_bpshz": p.hibs_se_bpshz,
-                "tn_se_bpshz": p.tn_se_bpshz,
-                "n_hibs_users": p.n_hibs_users,
-                "n_tn_users": p.n_tn_users,
-            }
-            for p in result.points
-        ],
+        "points": [dataclasses.asdict(p) for p in result.points],
         "n_drops": result.n_drops,
     }
     summary_path = os.path.join(out_dir, "summary.json")

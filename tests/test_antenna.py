@@ -10,6 +10,7 @@ from scipy.special import jn as scipy_jn
 
 from hibsim.antenna import (
     FIRST_J1_ZERO,
+    U_3DB,
     AperturePattern,
     SectorPattern,
     aperture_gain_dbi,
@@ -222,6 +223,27 @@ def test_solve_ka_default_beamwidth():
     assert_allclose(
         solve_ka_for_beamwidth(DEFAULT_BEAMWIDTH_DEG), 6.6495679627630535, atol=5e-3
     )
+
+
+@pytest.mark.parametrize(
+    "beamwidth_deg, ka",
+    [
+        (1.0, 184.8106986295795),
+        (5.0, 36.97340149605032),
+        (28.072486935852957, 6.6495679627630535),
+        (60.0, 3.2255142441406255),
+        (90.0, 2.2807829948456373),
+    ],
+)
+def test_solve_ka_exact_values(beamwidth_deg, ka):
+    # the values a -3 dB bisection on the main lobe (to 0.01 dB) returns
+    assert solve_ka_for_beamwidth(beamwidth_deg) == ka
+
+
+def test_u_3db_is_the_main_lobe_half_power_point():
+    rel_db = 10.0 * math.log10((2.0 * scipy_j1(U_3DB) / U_3DB) ** 2)
+    assert abs(rel_db + 3.0) <= 0.01
+    assert 0.0 < U_3DB < FIRST_J1_ZERO
 
 
 def test_solve_ka_monotone_in_beamwidth():

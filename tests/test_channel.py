@@ -188,6 +188,36 @@ def test_ntn_pathloss_los_only_switch():
     assert np.all(clutter == 0.0)
 
 
+@pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
+def test_los_only_resolves_every_link_los(draw):
+    # the table gives p_los 0 at 10 deg; los_only must override it for any
+    # uniform in [0, 1)
+    params = NtnParams(p_los_table=((10.0, 0.0), (90.0, 1.0)), los_only=True)
+    elev = np.array([10.0, 10.0, 45.0, 90.0])
+    slant = 20_000.0 / np.sin(np.radians(elev))
+    medians = ntn_link_medians(elev, slant, 2.0e9, params)
+    _, shadow, clutter, los = resolve_links(medians, np.full(elev.shape, draw), None)
+    assert los.shape == elev.shape and np.all(los)
+    assert np.all(clutter == 0.0)
+    assert np.all(shadow == 0.0)
+
+
+def test_los_only_track_threshold_keeps_the_samples_shape():
+    # a track holds one (1, 1) LOS threshold against (1, T) shadow draws
+    params = NtnParams(p_los_table=((10.0, 0.0), (90.0, 1.0)), los_only=True)
+    elev = np.linspace(10.0, 90.0, 7)
+    slant = 20_000.0 / np.sin(np.radians(elev))
+    medians = ntn_link_medians(elev, slant, 2.0e9, params)
+    normal = np.random.default_rng(3).standard_normal((1, elev.size))
+    pl, shadow, clutter, los = resolve_links(
+        medians, np.full((1, 1), np.nextafter(1.0, 0.0)), normal
+    )
+    assert los.shape == (1, elev.size) and np.all(los)
+    assert np.all(clutter == 0.0)
+    assert np.array_equal(shadow, params.sigma_los_db * normal)
+    assert np.array_equal(pl, np.broadcast_to(fspl_db(slant, 2.0e9), (1, elev.size)))
+
+
 def test_ntn_pathloss_shadowing_switch():
     rng = np.random.default_rng(7)
     _, shadow, _, _ = _draw_ntn_links(

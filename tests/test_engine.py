@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hibsim import engine, geometry, network
+from hibsim import engine, geometry, mobility, network
 from hibsim.channel import noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
@@ -25,6 +25,7 @@ from hibsim.engine import (
     run_throughput_sweep,
 )
 from hibsim.antenna import AperturePattern
+from hibsim.config import ConfigError, HibsConfig, ScenarioConfig, TerrestrialConfig
 
 RING_RADIUS_M = 17386.66487320323
 
@@ -124,6 +125,35 @@ def test_run_coupling_loss_rejects_bad_sizes(default_cfg):
         run_coupling_loss(default_cfg, n_drops=0)
     with pytest.raises(ValueError, match="positive"):
         run_coupling_loss(default_cfg, users_per_drop=0)
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (ScenarioConfig(terrestrial=TerrestrialConfig(isd_m=30_000.0)), "terrestrial.isd_m"),
+        (ScenarioConfig(hibs=HibsConfig(altitude_m=5_000.0)), "hibs.altitude_m"),
+    ],
+)
+@pytest.mark.parametrize(
+    "run",
+    [
+        functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5),
+        functools.partial(run_sinr_sweep, n_drops=2, densities=(1.0,)),
+        functools.partial(run_throughput_sweep, n_drops=2, densities=(1.0,)),
+        mobility.run_mobility,
+    ],
+    ids=["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"],
+)
+def test_runs_reject_an_invalid_config_before_any_draw(run, cfg, key, monkeypatch):
+    # a config built in Python, not read through config_from_dict, still
+    # meets the config checks before any drop or track draws
+    def no_draws(*_):
+        raise AssertionError("drew before checking the config")
+
+    monkeypatch.setattr(engine, "derive_rng", no_draws)
+    monkeypatch.setattr(mobility, "derive_rng", no_draws)
+    with pytest.raises(ConfigError, match=key):
+        run(cfg)
 
 
 def test_run_sinr_sweep_small(default_cfg):

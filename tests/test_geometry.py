@@ -104,6 +104,19 @@ def test_hibs_layout_ring_distances():
     assert_allclose(r2[6:], 20_000.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("n_rings", range(6))
+def test_hibs_layout_orders_cells_by_ring_then_azimuth(n_rings):
+    layout = build_hibs_layout(footprint_diameter_m=7_000.0, n_rings=n_rings)
+    ring = layout.ring_index
+    counts = np.bincount(ring, minlength=n_rings + 1)
+    assert counts.tolist() == [1] + [6 * k for k in range(1, n_rings + 1)]
+    x, y = layout.beam_centers[:, 0], layout.beam_centers[:, 1]
+    azimuth = np.arctan2(y, x) % (2.0 * math.pi)
+    key = list(zip(ring.tolist(), azimuth.tolist()))
+    assert key == sorted(key)
+    assert len(set(key)) == len(key)  # no ties inside a ring
+
+
 def test_hibs_layout_zero_rings():
     layout = build_hibs_layout(n_rings=0)
     assert layout.beam_centers.shape == (1, 3)

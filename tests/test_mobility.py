@@ -13,7 +13,7 @@ from scipy.signal import lfilter
 import hibsim
 from hibsim import antenna, channel, engine
 from hibsim.antenna import AperturePattern
-from hibsim.config import config_from_dict
+from hibsim.config import ConfigError, config_from_dict
 from hibsim.mobility import (
     CENTER_PARK_RADIUS_M,
     HIBS_TO_TN,
@@ -84,7 +84,7 @@ def test_run_mobility_rejects_nonpositive_duration(default_cfg):
         default_cfg,
         mobility=dataclasses.replace(default_cfg.mobility, sim_duration_s=0.0),
     )
-    with pytest.raises(ValueError, match="sim_duration_s"):
+    with pytest.raises(ConfigError, match="mobility.sim_duration_s"):
         run_mobility(bad)
 
 
