@@ -1,7 +1,9 @@
 """Propagation models: free space, platform-to-ground rural, and TR 38.901 RMa.
 
 Every public function returns dB quantities and leaves antenna gains out of
-the pathloss itself; `network.coupling_loss_matrix` assembles the full links.
+the pathloss itself; `network.coupling_loss_matrix` assembles the full links,
+passing these functions the carrier frequency, UE height and parameters it
+reads from the scenario config.
 A link budget comes in two halves. `ntn_link_medians` and `rma_link_medians`
 give the fading-free half, computed once per transmitter; `resolve_links`
 turns it into LOS states and shadowing from draws the caller made, so the

@@ -28,13 +28,17 @@ def _parse_densities(text: str) -> tuple[float, ...]:
     return values
 
 
-def _check_counts(args: argparse.Namespace) -> None:
-    """Reject counts below one before any scenario is built."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject counts below one and a non-finite A3 offset before any
+    scenario is built."""
     for flag in ("drops", "users_per_drop", "threads"):
         value = getattr(args, flag, None)  # not every command has every flag
         if value is not None and value < 1:
             name = "--" + flag.replace("_", "-")
             raise ConfigError(f"{name}: must be at least 1, got {value}")
+    offset = getattr(args, "a3_offset_db", None)
+    if offset is not None and not math.isfinite(offset):
+        raise ConfigError(f"--a3-offset-db: must be finite, got {offset}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +114,7 @@ def _band_warnings(cfg: ScenarioConfig, directions: tuple[str, ...]) -> list[str
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         cfg = load_config(args.config) if args.config else ScenarioConfig()
         out_dir = args.out or os.environ.get("HIBSIM_OUT_DIR") or "results"
         directions = ("DL", "UL") if args.command == "sinr-sweep" else ("DL",)

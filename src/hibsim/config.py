@@ -201,14 +201,9 @@ def _coerce_p_los_table(value, path: str):
         raise ConfigError(f"{path}: expected a mapping of elevation_deg: p_los")
     try:
         pairs = sorted((float(e), float(p)) for e, p in pairs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not all(math.isfinite(v) for pair in pairs for v in pair):
-        raise ConfigError(f"{path}: elevations and probabilities must be finite")
-    # np.interp holds the end values outside the table, so a table must
-    # cover every elevation a platform link can take
-    if not pairs or pairs[0][0] > MIN_ELEVATION_DEG or pairs[-1][0] < 90.0:
-        raise ConfigError(f"{path}: must span [{MIN_ELEVATION_DEG:g}, 90] deg elevation")
+    _check_p_los_table(pairs, path)
     return tuple(pairs)
 
 
@@ -273,7 +268,34 @@ def _require(ok: bool, key: str, msg: str):
         raise ConfigError(f"{key}: {msg}")
 
 
+def _check_p_los_table(pairs, key: str):
+    """The LOS table rule of YAML and Python configs alike, for pairs sorted
+    by elevation."""
+    if not all(math.isfinite(v) for pair in pairs for v in pair):
+        raise ConfigError(f"{key}: elevations and probabilities must be finite")
+    # np.interp holds the end values outside the table, so a table must
+    # cover every elevation a platform link can take
+    if not pairs or pairs[0][0] > MIN_ELEVATION_DEG or pairs[-1][0] < 90.0:
+        raise ConfigError(f"{key}: must span [{MIN_ELEVATION_DEG:g}, 90] deg elevation")
+
+
+def _check_numbers(node, prefix: str):
+    """The number checks of the YAML path, walking the dataclass tree, so a
+    config built in Python meets them too: every float field a finite
+    number, and the LOS table by its rule."""
+    hints = typing.get_type_hints(type(node))
+    for f in dataclasses.fields(node):
+        value, key = getattr(node, f.name), prefix + f.name
+        if dataclasses.is_dataclass(value):
+            _check_numbers(value, key + ".")
+        elif f.name == "p_los_table":
+            _check_p_los_table(value, key)
+        elif hints[f.name] is float:
+            _coerce_scalar(value, float, key)
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
+    _check_numbers(cfg, "")
     c = cfg.carrier
     _require(c.frequency_hz > 0, "carrier.frequency_hz", "must be positive")
     _require(c.bandwidth_hz > 0, "carrier.bandwidth_hz", "must be positive")

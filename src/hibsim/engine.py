@@ -164,18 +164,8 @@ def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, streams):
     """Coupling-loss matrix over the serving cells then the dl_interferers'
     cells (a cell's row fixes the order in which it draws). `streams` holds
     one (generator, user count) pair per drop of a block."""
-    cfg = scenario.cfg
-    return network.coupling_loss_matrix(
-        scenario.transmitters + scenario.dl_interferers,
-        users_xyz,
-        cfg.carrier.frequency_hz,
-        cfg.ue.antenna_gain_dbi,
-        cfg.channel.ntn,
-        cfg.channel.rma,
-        streams,
-        cfg.channel.shadowing,
-        cfg.ue.height_m,
-    )
+    table = scenario.transmitters + scenario.dl_interferers
+    return network.coupling_loss_matrix(table, users_xyz, streams, scenario.cfg)
 
 
 # A block of consecutive drops shares one link-budget pass. It holds at most

@@ -105,7 +105,8 @@ def _track_rx_power_dbm(
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
     threshold = np.zeros((n_c, 1))
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
-    network._draw_links(rng, scenario.transmitters, cfg.channel.ntn, threshold, unit)
+    los_only = cfg.channel.ntn.los_only
+    network._draw_links(rng, scenario.transmitters, los_only, threshold, unit)
     if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
@@ -115,15 +116,7 @@ def _track_rx_power_dbm(
             row[:] = lfilter([1.0], [1.0, -rho], row)
     rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
     for rows, coupling in network._link_coupling(
-        scenario.transmitters,
-        pos_xyz,
-        threshold,
-        unit,
-        cfg.carrier.frequency_hz,
-        cfg.ue.antenna_gain_dbi,
-        cfg.channel.ntn,
-        cfg.channel.rma,
-        cfg.ue.height_m,
+        scenario.transmitters, pos_xyz, threshold, unit, cfg
     ):
         np.subtract(scenario.tx_power_dbm[rows, None], coupling, out=coupling)
         rx[:, rows] = coupling.T
@@ -221,11 +214,14 @@ def run_mobility(
     Returns every cross-layer handover event; intra-layer handovers update
     the serving cell silently. `a3_offset_db` overrides the config offset so
     hysteresis sweeps can reuse one config (and one seed: trajectories and
-    channels are identical across offsets).
+    channels are identical across offsets); a non-finite override raises
+    ValueError before any track.
     """
     m = cfg.mobility
-    offset = m.a3_offset_db if a3_offset_db is None else float(a3_offset_db)
     scenario = build_combined_scenario(cfg)
+    offset = m.a3_offset_db if a3_offset_db is None else float(a3_offset_db)
+    if not math.isfinite(offset):
+        raise ValueError(f"a3_offset_db must be finite, got {offset!r}")
     tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
     worker = functools.partial(_track_events, scenario, seed, offset)
     per_track = engine._map_ordered(worker, tracks, threads)

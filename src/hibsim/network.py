@@ -5,19 +5,23 @@ its sectors; each beam or sector is a cell, one downlink transmit port.
 Coupling losses are computed as (n_cells, n_users) matrices so the same
 matrix serves association, downlink SINR, and uplink scheduling. A list of
 transmitters gives each transmitter's cells the next consecutive rows, in
-listing order.
+listing order. The link layer takes the scenario config whole and reads its
+constants from it: the carrier frequency, the UE antenna gain and height,
+the platform and RMa channel parameters, and whether shadowing is on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import antenna, channel
 from .antenna import AperturePattern, SectorPattern
-from .channel import NtnParams, RmaParams
+
+if TYPE_CHECKING:  # config imports RateParams from here
+    from .config import ScenarioConfig
 
 
 class Transmitter(NamedTuple):
@@ -73,39 +77,28 @@ class TransmitterBudget(NamedTuple):
 
 
 def transmitter_budget(
-    tx: Transmitter,
-    rx_xyz: np.ndarray,
-    frequency_hz: float,
-    ntn_params: NtnParams,
-    rma_params: RmaParams,
-    ue_height_m: float,
+    tx: Transmitter, rx_xyz: np.ndarray, cfg: ScenarioConfig
 ) -> TransmitterBudget:
     """Deterministic half of the link budget from one transmitter: its
     geometry and pathloss medians once, and the gains of all its cells in
-    one call."""
+    one call, at the config's carrier frequency, channel parameters and UE
+    height."""
+    f = cfg.carrier.frequency_hz
     if isinstance(tx.pattern, AperturePattern):
         slant, elev, off_axis = platform_geometry(tx.position, tx.pointing, rx_xyz)
-        medians = channel.ntn_link_medians(elev, slant, frequency_hz, ntn_params)
+        medians = channel.ntn_link_medians(elev, slant, f, cfg.channel.ntn)
         g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
     else:
         d2d, az_off, depression = site_geometry(tx.position, tx.pointing, rx_xyz)
         medians = channel.rma_link_medians(
-            d2d,
-            frequency_hz,
-            h_bs_m=tx.position[2],
-            h_ut_m=ue_height_m,
-            params=rma_params,
+            d2d, f, tx.position[2], cfg.ue.height_m, cfg.channel.rma
         )
         g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
     return TransmitterBudget(medians, g_tx)
 
 
 def _draw_links(
-    rng: np.random.Generator,
-    transmitters,
-    ntn_params: NtnParams,
-    uniform: np.ndarray,
-    normal,
+    rng: np.random.Generator, transmitters, los_only: bool, uniform: np.ndarray, normal
 ) -> None:
     """The per-cell draw order of drops and tracks: cells in row order, each
     filling its row of `uniform` with LOS uniforms, unless it is always LOS
@@ -114,7 +107,7 @@ def _draw_links(
     (none when `normal` is None). A row holds one drop's users, or one
     track's LOS threshold and its samples' innovations."""
     for rows, tx in _cell_rows(transmitters):
-        always_los = ntn_params.los_only and isinstance(tx.pattern, AperturePattern)
+        always_los = los_only and isinstance(tx.pattern, AperturePattern)
         for i in range(rows.start, rows.stop):
             if not always_los:
                 rng.random(out=uniform[i])
@@ -123,27 +116,17 @@ def _draw_links(
 
 
 def _link_coupling(
-    transmitters,
-    rx_xyz: np.ndarray,
-    uniform: np.ndarray,
-    normal,
-    frequency_hz: float,
-    g_rx_dbi: float,
-    ntn_params: NtnParams,
-    rma_params: RmaParams,
-    ue_height_m: float,
+    transmitters, rx_xyz: np.ndarray, uniform: np.ndarray, normal, cfg: ScenarioConfig
 ):
     """(rows, coupling) per transmitter, one at a time.
 
     Each transmitter's budget is resolved with its rows of the draws into
     the coupling loss pl + shadow + clutter - g_tx - g_rx, summed in that
-    order into the pathloss array; the budget is dropped before the next
-    one is computed.
+    order into the pathloss array, g_rx being the config's UE antenna gain;
+    the budget is dropped before the next one is computed.
     """
     for rows, tx in _cell_rows(transmitters):
-        budget = transmitter_budget(
-            tx, rx_xyz, frequency_hz, ntn_params, rma_params, ue_height_m
-        )
+        budget = transmitter_budget(tx, rx_xyz, cfg)
         coupling, shadow, clutter, _ = channel.resolve_links(
             budget.medians, uniform[rows], None if normal is None else normal[rows]
         )
@@ -152,21 +135,13 @@ def _link_coupling(
             if np.ndim(term):
                 coupling += term
         coupling -= budget.g_tx_dbi
-        coupling -= g_rx_dbi
+        coupling -= cfg.ue.antenna_gain_dbi
         del budget, shadow, clutter
         yield rows, coupling
 
 
 def coupling_loss_matrix(
-    transmitters,
-    users_xyz: np.ndarray,
-    frequency_hz: float,
-    g_rx_dbi: float,
-    ntn_params: NtnParams,
-    rma_params: RmaParams,
-    streams,
-    shadowing: bool,
-    ue_height_m: float,
+    transmitters, users_xyz: np.ndarray, streams, cfg: ScenarioConfig
 ) -> np.ndarray:
     """(n_cells, n_users) coupling loss, LOS and shadowing i.i.d. per link.
 
@@ -174,32 +149,24 @@ def coupling_loss_matrix(
     the drops lying end to end. Each drop makes its `_draw_links` draws from
     its own generator into its columns, so a fixed seed reproduces a drop's
     columns bit for bit, whichever drops share the call. All draws are made
-    first; the budgets then come one transmitter at a time.
+    first; the budgets then come one transmitter at a time. Shadowing is
+    drawn only when the config's `channel.shadowing` is on.
     """
     n_users = users_xyz.shape[0]
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
     shape = (sum(len(tx.pointing) for tx in transmitters), n_users)
     uniform = np.zeros(shape)
-    normal = np.empty(shape) if shadowing else None
+    normal = np.empty(shape) if cfg.channel.shadowing else None
+    los_only = cfg.channel.ntn.los_only
     lo = 0
     for rng, n in streams:
         cols = slice(lo, lo + n)
         shadow = None if normal is None else normal[:, cols]
-        _draw_links(rng, transmitters, ntn_params, uniform[:, cols], shadow)
+        _draw_links(rng, transmitters, los_only, uniform[:, cols], shadow)
         lo += n
     coupling = np.empty(shape)
-    for rows, link in _link_coupling(
-        transmitters,
-        users_xyz,
-        uniform,
-        normal,
-        frequency_hz,
-        g_rx_dbi,
-        ntn_params,
-        rma_params,
-        ue_height_m,
-    ):
+    for rows, link in _link_coupling(transmitters, users_xyz, uniform, normal, cfg):
         coupling[rows] = link
     return coupling
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hibsim import engine, network
+from hibsim import engine, mobility, network
 from hibsim.cli import _parse_densities, main
 from hibsim.config import ConfigError, load_config
 
@@ -267,6 +267,22 @@ def test_counts_below_one_exit_1(tmp_path, monkeypatch, capsys, command, flag, v
     assert code == 1
     err = capsys.readouterr().err
     assert flag in err and value in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_a3_offset_exits_1(tmp_path, monkeypatch, capsys, value):
+    # a NaN offset fired no handover and wrote NaN, not JSON, into the
+    # summary; -inf fired one at every time-to-trigger
+    def no_run(*args, **kwargs):
+        raise AssertionError("mobility ran with a non-finite offset")
+
+    monkeypatch.setattr(mobility, "run_mobility", no_run)
+    out = tmp_path / "run"
+    code = main(["mobility", f"--a3-offset-db={value}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--a3-offset-db" in err and "finite" in err
     assert not out.exists()
 
 

@@ -6,9 +6,15 @@ import yaml
 
 from hibsim import engine, mobility
 from hibsim.cli import main as cli_main
+from hibsim.channel import NtnParams, RmaParams
 from hibsim.config import (
+    CarrierConfig,
+    ChannelConfig,
     ConfigError,
+    HibsConfig,
+    MobilityConfig,
     ScenarioConfig,
+    UeConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -16,6 +22,7 @@ from hibsim.config import (
     validate_config,
 )
 from hibsim.geometry import ring_radius_for_isd
+from hibsim.network import RateParams
 
 
 def test_default_values(default_cfg):
@@ -173,11 +180,84 @@ def test_rejects_unknown_key():
             "channel.ntn.p_los_table",
         ),
         ({"channel": {"ntn": {"p_los_table": {}}}}, "channel.ntn.p_los_table"),
+        # an elevation beyond the float range once crashed the loader
+        (
+            {"channel": {"ntn": {"p_los_table": {10**400: 0.5, 90.0: 1.0}}}},
+            "channel.ntn.p_los_table",
+        ),
     ],
 )
 def test_validation_errors_name_the_key(data, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         config_from_dict(data)
+
+
+def _with_ntn(**ntn):
+    return ScenarioConfig(channel=ChannelConfig(ntn=NtnParams(**ntn)))
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            ScenarioConfig(ue=UeConfig(tx_power_dbm=math.nan)),
+            "ue.tx_power_dbm: must be finite, got nan",
+        ),
+        (
+            ScenarioConfig(hibs=HibsConfig(tx_power_dbm=math.nan)),
+            "hibs.tx_power_dbm: must be finite",
+        ),
+        (
+            ScenarioConfig(ue=UeConfig(antenna_gain_dbi=10**400)),
+            "ue.antenna_gain_dbi: must be finite, got inf",
+        ),
+        (
+            ScenarioConfig(carrier=CarrierConfig(frequency_hz=math.inf)),
+            "carrier.frequency_hz: must be finite",
+        ),
+        (
+            ScenarioConfig(rate=RateParams(sinr_min_db=-math.inf)),
+            "rate.sinr_min_db: must be finite",
+        ),
+        (
+            ScenarioConfig(mobility=MobilityConfig(a3_offset_db=math.nan)),
+            "mobility.a3_offset_db: must be finite",
+        ),
+        (
+            ScenarioConfig(channel=ChannelConfig(rma=RmaParams(max_d2d_m=math.inf))),
+            "channel.rma.max_d2d_m: must be finite",
+        ),
+        (
+            _with_ntn(p_los_table=((30.0, 0.7), (90.0, 1.0))),
+            "channel.ntn.p_los_table: must span [10, 90] deg",
+        ),
+        (
+            _with_ntn(p_los_table=((10.0, 0.25), (80.0, 0.99))),
+            "channel.ntn.p_los_table: must span [10, 90] deg",
+        ),
+        (
+            _with_ntn(p_los_table=((math.nan, 0.5), (10.0, 0.25), (90.0, 1.0))),
+            "channel.ntn.p_los_table: elevations and probabilities must be finite",
+        ),
+    ],
+    ids=[
+        "ue-nan",
+        "hibs-nan",
+        "int-beyond-float-range",
+        "carrier-inf",
+        "rate-minus-inf",
+        "a3-nan",
+        "rma-inf",
+        "table-from-30",
+        "table-to-80",
+        "table-nan-elevation",
+    ],
+)
+def test_python_built_config_meets_the_yaml_number_checks(cfg, message):
+    # validate_config, not only the YAML loader, rejects these
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert str(exc.value).startswith(message)
 
 
 def test_mobility_time_step_key_is_gone():

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hibsim import engine, geometry, mobility, network
-from hibsim.channel import noise_power_dbm
+from hibsim.channel import NtnParams, noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
     build_hibs_scenario,
@@ -25,7 +25,14 @@ from hibsim.engine import (
     run_throughput_sweep,
 )
 from hibsim.antenna import AperturePattern
-from hibsim.config import ConfigError, HibsConfig, ScenarioConfig, TerrestrialConfig
+from hibsim.config import (
+    ChannelConfig,
+    ConfigError,
+    HibsConfig,
+    ScenarioConfig,
+    TerrestrialConfig,
+    UeConfig,
+)
 
 RING_RADIUS_M = 17386.66487320323
 
@@ -132,6 +139,15 @@ def test_run_coupling_loss_rejects_bad_sizes(default_cfg):
     [
         (ScenarioConfig(terrestrial=TerrestrialConfig(isd_m=30_000.0)), "terrestrial.isd_m"),
         (ScenarioConfig(hibs=HibsConfig(altitude_m=5_000.0)), "hibs.altitude_m"),
+        # number checks the YAML path makes: a NaN, and a table holding
+        # p_los at 0.7 below 30 deg
+        (ScenarioConfig(ue=UeConfig(tx_power_dbm=math.nan)), "ue.tx_power_dbm"),
+        (
+            ScenarioConfig(
+                channel=ChannelConfig(ntn=NtnParams(p_los_table=((30.0, 0.7), (90.0, 1.0))))
+            ),
+            "channel.ntn.p_los_table",
+        ),
     ],
 )
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 import hibsim
-from hibsim import antenna, channel, engine
+from hibsim import antenna, channel, engine, mobility
 from hibsim.antenna import AperturePattern
 from hibsim.config import ConfigError, config_from_dict
 from hibsim.mobility import (
@@ -164,6 +164,19 @@ def test_run_mobility_offset_override_recorded():
     cfg = _cfg(n_inbound=1, n_outbound=1, sim_duration_s=60.0)
     assert run_mobility(cfg, seed=1).a3_offset_db == 3.0
     assert run_mobility(cfg, seed=1, a3_offset_db=6.0).a3_offset_db == 6.0
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_run_mobility_rejects_a_non_finite_offset_before_any_track(
+    offset, monkeypatch
+):
+    def no_tracks(*_):
+        raise AssertionError("a track ran with a non-finite offset")
+
+    monkeypatch.setattr(mobility, "_track_events", no_tracks)
+    cfg = _cfg(n_inbound=1, n_outbound=1, sim_duration_s=60.0)
+    with pytest.raises(ValueError, match="a3_offset_db must be finite"):
+        run_mobility(cfg, seed=1, a3_offset_db=offset)
 
 
 def test_run_mobility_threads_equal():

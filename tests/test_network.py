@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from hibsim import antenna, channel, engine, geometry, network
 from hibsim.antenna import AperturePattern, make_aperture_pattern
-from hibsim.channel import NtnParams, RmaParams, noise_power_dbm
+from hibsim.channel import noise_power_dbm
 from hibsim.config import ScenarioConfig, config_from_dict
 from hibsim.network import (
     RateParams,
@@ -138,19 +138,17 @@ def test_associate_user_next_to_site_gets_facing_sector():
         assert scenario.transmitters[1].pointing[0] == 60.0
 
 
-def _links_by_transmitter(
-    transmitters, users, frequency_hz, ntn, rma, ue_height_m, uniform, normal
-):
+def _links_by_transmitter(transmitters, users, cfg, uniform, normal):
     """(pathloss, shadow, clutter, g_tx, los) matrices over all cells, each
-    transmitter's rows, one per pointing entry, from its budget and the
-    given draws."""
+    transmitter's rows, one per pointing entry, from its budget under `cfg`
+    and the given draws."""
     shape = (sum(len(tx.pointing) for tx in transmitters), users.shape[0])
     pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
     los = np.empty(shape, dtype=bool)
     rows = np.arange(shape[0])
     for tx in transmitters:
         r, rows = rows[: len(tx.pointing)], rows[len(tx.pointing) :]
-        budget = network.transmitter_budget(tx, users, frequency_hz, ntn, rma, ue_height_m)
+        budget = network.transmitter_budget(tx, users, cfg)
         pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
             budget.medians, uniform[r], None if normal is None else normal[r]
         )
@@ -161,13 +159,9 @@ def _links_by_transmitter(
 def test_coupling_loss_matrix_shapes_and_determinism():
     platforms = [_platform()]
     users = geometry.drop_users(40, np.random.default_rng(2), 35_682.0)
-    args = (2.0e9, 0.0, NtnParams(), RmaParams())
-    a = coupling_loss_matrix(
-        platforms, users, *args, [(np.random.default_rng(5), 40)], True, 1.5
-    )
-    b = coupling_loss_matrix(
-        platforms, users, *args, [(np.random.default_rng(5), 40)], True, 1.5
-    )
+    cfg = ScenarioConfig()
+    a = coupling_loss_matrix(platforms, users, [(np.random.default_rng(5), 40)], cfg)
+    b = coupling_loss_matrix(platforms, users, [(np.random.default_rng(5), 40)], cfg)
     assert a.shape == (19, 40)
     assert np.array_equal(a, b)
     # the same generator's draws, in the documented order: per cell, the LOS
@@ -177,10 +171,7 @@ def test_coupling_loss_matrix_shapes_and_determinism():
     for i in range(19):
         uniform[i], normal[i] = rng.random(40), rng.standard_normal(40)
     links = [
-        _links_by_transmitter(
-            platforms, users, 2.0e9, NtnParams(), RmaParams(), 1.5, uniform, normal
-        )
-        for _ in range(2)
+        _links_by_transmitter(platforms, users, cfg, uniform, normal) for _ in range(2)
     ]
     assert np.array_equal(links[0][4], links[1][4])
     pl, sh, cl, gt, _ = links[0]
@@ -276,17 +267,26 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
     assert core_rng.random() == rng.random()  # same number of draws
     # the pieces: each transmitter's budget, resolved with the reference draws
     got = _links_by_transmitter(
-        table,
-        users,
-        cfg.carrier.frequency_hz,
-        cfg.channel.ntn,
-        cfg.channel.rma,
-        cfg.ue.height_m,
-        uniform,
-        normal if cfg.channel.shadowing else None,
+        table, users, cfg, uniform, normal if cfg.channel.shadowing else None
     )
     for g, want in zip(got, (pl, sh, cl, gt, los)):
         assert np.array_equal(g, want)
+
+
+def test_ue_antenna_gain_comes_off_last_from_the_config():
+    # the same drop and draws with a 3 dBi UE antenna: the gain is taken off
+    # the finished sum, so every link of the overlay moves by exactly 3 dB
+    coupling = {}
+    for gain in (0.0, 3.0):
+        cfg = config_from_dict({"ue": {"antenna_gain_dbi": gain}})
+        scenario = engine.build_combined_scenario(cfg)
+        users = geometry.drop_users(
+            80, np.random.default_rng(9), scenario.service_radius_m, height_m=1.5
+        )
+        stream = [(engine.derive_rng(3, 5), 80)]
+        coupling[gain] = engine.drop_budgets(scenario, users, stream)
+    assert coupling[0.0].shape == (55, 80)
+    assert np.array_equal(coupling[3.0], coupling[0.0] - 3.0)
 
 
 def test_coupling_loss_matrix_drop_streams_match_drops_alone():
@@ -297,8 +297,7 @@ def test_coupling_loss_matrix_drop_streams_match_drops_alone():
     users = geometry.drop_users(41, np.random.default_rng(2), 35_682.0)
 
     def matrix(rx_xyz, streams):
-        args = (2.0e9, 0.0, NtnParams(), RmaParams(), streams, True, 1.5)
-        return coupling_loss_matrix(platforms, rx_xyz, *args)
+        return coupling_loss_matrix(platforms, rx_xyz, streams, ScenarioConfig())
 
     rngs = [np.random.default_rng(5), np.random.default_rng(6)]
     both = matrix(users, [(rngs[0], 40), (rngs[1], 1)])
@@ -328,21 +327,12 @@ def test_coupling_loss_center_user_deterministic_budget():
     # nadir user: elevation 90 -> LOS certain, no shadow requested -> 108 dB chain
     platform = _platform()
     users = np.array([[0.0, 0.0, 1.5]])
+    cfg = config_from_dict({"channel": {"shadowing": False}})
     coupling = coupling_loss_matrix(
-        [platform],
-        users,
-        2.0e9,
-        0.0,
-        NtnParams(),
-        RmaParams(),
-        [(np.random.default_rng(0), 1)],
-        False,
-        1.5,
+        [platform], users, [(np.random.default_rng(0), 1)], cfg
     )
     assert_allclose(coupling[0, 0], 108.0, atol=0.2)
-    budget = network.transmitter_budget(
-        platform, users, 2.0e9, NtnParams(), RmaParams(), 1.5
-    )
+    budget = network.transmitter_budget(platform, users, cfg)
     uniform = np.random.default_rng(0).random((19, 1))
     _, shadow, clutter, los = channel.resolve_links(budget.medians, uniform, None)
     assert los.all()
