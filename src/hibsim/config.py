@@ -280,9 +280,10 @@ def _check_p_los_table(pairs, key: str):
 
 
 def _check_numbers(node, prefix: str):
-    """The number checks of the YAML path, walking the dataclass tree, so a
-    config built in Python meets them too: every float field a finite
-    number, and the LOS table by its rule."""
+    """The type and number checks of the YAML path, walking the dataclass
+    tree, so a config built in Python meets them too: every scalar leaf of
+    its field's type (a bool, an integer, a string or a finite number), and
+    the LOS table by its rule."""
     hints = typing.get_type_hints(type(node))
     for f in dataclasses.fields(node):
         value, key = getattr(node, f.name), prefix + f.name
@@ -290,8 +291,8 @@ def _check_numbers(node, prefix: str):
             _check_numbers(value, key + ".")
         elif f.name == "p_los_table":
             _check_p_los_table(value, key)
-        elif hints[f.name] is float:
-            _coerce_scalar(value, float, key)
+        else:
+            _coerce_scalar(value, hints[f.name], key)
 
 
 def validate_config(cfg: ScenarioConfig) -> None:

@@ -42,12 +42,13 @@ class Scenario:
     """Transmitters plus the drop region and the per-row arrays the SINR
     math wants.
 
-    The cells of `transmitters` are the servers users may attach to, rows
-    0 to n_cells - 1 of the link matrices; the cells of `dl_interferers`
-    take the rows after them and never serve anyone but stay on the air
-    (the overlay keeps the platform's non-center beams this way).
-    `tx_power_dbm` covers every row; `ring` and `is_hibs` cover the serving
-    cells.
+    Each physical transmitter is one entry of `transmitters`, its cells at
+    the link-matrix rows it names. Rows 0 to n_cells - 1 are the servers
+    users may attach to; the rows after them never serve anyone but stay on
+    the air (the overlay keeps the platform's non-center beams this way,
+    rows of the same platform entry as its serving center beam).
+    `tx_power_dbm` covers every row; `ring` covers the serving cells, a
+    platform beam's hex ring, or -1 for a macro sector.
     """
 
     transmitters: tuple[network.Transmitter, ...]
@@ -56,12 +57,10 @@ class Scenario:
     beam_centers: np.ndarray = field(repr=False)  # (n serving beams, 3) on ground
     tx_power_dbm: np.ndarray = field(repr=False)  # (every row,)
     ring: np.ndarray = field(repr=False)  # (n_cells,) hibs ring or -1
-    is_hibs: np.ndarray = field(repr=False)  # (n_cells,) bool
-    dl_interferers: tuple[network.Transmitter, ...] = ()
 
     @property
     def n_cells(self) -> int:
-        return sum(len(tx.pointing) for tx in self.transmitters)
+        return self.ring.size
 
 
 def _hibs_pattern(cfg: ScenarioConfig) -> antenna.AperturePattern:
@@ -94,7 +93,9 @@ def _build_platform(cfg: ScenarioConfig):
     )
     steer = layout.beam_centers - layout.platform_position
     boresights = np.array([b / np.linalg.norm(b) for b in steer])
-    platform = network.Transmitter(layout.platform_position, _hibs_pattern(cfg), boresights)
+    platform = network.Transmitter(
+        layout.platform_position, _hibs_pattern(cfg), boresights, np.arange(len(steer))
+    )
     return layout, platform
 
 
@@ -110,7 +111,6 @@ def build_hibs_scenario(cfg: ScenarioConfig) -> Scenario:
         beam_centers=layout.beam_centers,
         tx_power_dbm=np.full(n_beams, cfg.hibs.tx_power_dbm),
         ring=layout.ring_index,
-        is_hibs=np.ones(n_beams, dtype=bool),
     )
 
 
@@ -132,40 +132,38 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     )
     pattern = _tn_pattern(cfg)
     azimuths = tn_layout.sector_azimuth_deg.reshape(tn_layout.n_sites, 3)
-    sites = tuple(
-        network.Transmitter(position, pattern, az)
-        for position, az in zip(tn_layout.site_positions, azimuths)
-    )
-    beams = platform.pointing
-    on_air = beams[1:] if cfg.scheduler.overlay_cochannel_beams else beams[:0]
-    # a platform without non-center beams has no interferer entry at all
-    interferers = (platform._replace(pointing=on_air),) if len(on_air) else ()
     n_sectors = azimuths.size
+    # the center beam serves from row 0, the sectors from rows 1 on; the
+    # beams kept on the air take the rows after the sectors
+    n_beams = len(platform.pointing) if cfg.scheduler.overlay_cochannel_beams else 1
+    rows = np.r_[0, n_sectors + 1 : n_sectors + n_beams]
+    platform = platform._replace(pointing=platform.pointing[:n_beams], rows=rows)
+    sites = tuple(
+        network.Transmitter(position, pattern, az, site_rows)
+        for position, az, site_rows in zip(
+            tn_layout.site_positions, azimuths, 1 + np.arange(n_sectors).reshape(-1, 3)
+        )
+    )
     drop_radius_m = tn_layout.ring_radius_m + 0.5 * t.isd_m
+    tx_power_dbm = np.full(n_sectors + n_beams, t.tx_power_dbm)
+    tx_power_dbm[rows] = cfg.hibs.tx_power_dbm
     return Scenario(
-        transmitters=(platform._replace(pointing=beams[:1]),) + sites,
+        transmitters=(platform,) + sites,
         cfg=cfg,
         service_radius_m=drop_radius_m,
         beam_centers=layout.beam_centers[:1],
-        tx_power_dbm=np.concatenate(
-            [
-                [cfg.hibs.tx_power_dbm],
-                np.full(n_sectors, t.tx_power_dbm),
-                np.full(len(on_air), cfg.hibs.tx_power_dbm),
-            ]
-        ),
+        tx_power_dbm=tx_power_dbm,
         ring=np.array([0] + [-1] * n_sectors),
-        is_hibs=np.array([True] + [False] * n_sectors),
-        dl_interferers=interferers,
     )
 
 
 def drop_budgets(scenario: Scenario, users_xyz: np.ndarray, streams):
-    """Coupling-loss matrix over the serving cells then the dl_interferers'
-    cells (a cell's row fixes the order in which it draws). `streams` holds
+    """Coupling-loss matrix over every row of the scenario, serving cells
+    first (a cell's row fixes the order in which it draws). `streams` holds
     one (generator, user count) pair per drop of a block."""
-    table = scenario.transmitters + scenario.dl_interferers
-    return network.coupling_loss_matrix(table, users_xyz, streams, scenario.cfg)
+    return network.coupling_loss_matrix(
+        scenario.transmitters, users_xyz, streams, scenario.cfg
+    )
 
 
 # A block of consecutive drops shares one link-budget pass. It holds at most
@@ -401,7 +399,7 @@ def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
     total = rx.sum(axis=2)  # one drop's n_b phantoms at a time
     own = np.zeros_like(total)
     beams = np.arange(n_b)
-    own[:n_b] = rx[beams, :, beams]  # beam i is cell i by build order
+    own[:n_b] = rx[beams, :, beams]  # beam i is row i of the platform
     return (total - own).T
 
 
@@ -554,7 +552,7 @@ def run_throughput_sweep(
     scenario = build_combined_scenario(cfg)
     noise_dl_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     bw = cfg.carrier.bandwidth_hz
-    hibs_mask = scenario.is_hibs
+    hibs_mask = scenario.ring >= 0
     n_serv = scenario.n_cells
     drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, n_serv)
     rows = scenario.tx_power_dbm.size

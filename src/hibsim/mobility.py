@@ -95,18 +95,23 @@ def _track_rx_power_dbm(
 ) -> np.ndarray:
     """Received DL power tx - coupling, (T, n_cells), along one track.
 
-    The draws follow `network._draw_links`: per cell in row order, one LOS
-    threshold (none when the cell is always LOS), then (shadowed only) T
-    AR(1) innovations — one track stream reproduces the track
-    exactly, and the LOS pattern is identical across the two decision
-    signals. The coupling comes one transmitter at a time, as for drops.
+    Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
+    rule compares no other. The draws follow `network._draw_links`: per
+    cell in row order, one LOS threshold (none when the cell is always
+    LOS), then (shadowed only) T AR(1) innovations — one track stream
+    reproduces the track exactly, and the LOS pattern is identical across
+    the two decision signals. The coupling comes one transmitter at a time,
+    as for drops.
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
+    table = [
+        tx._replace(pointing=tx.pointing[tx.rows < n_c], rows=tx.rows[tx.rows < n_c])
+        for tx in scenario.transmitters
+    ]
     threshold = np.zeros((n_c, 1))
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
-    los_only = cfg.channel.ntn.los_only
-    network._draw_links(rng, scenario.transmitters, los_only, threshold, unit)
+    network._draw_links(rng, table, cfg.channel.ntn.los_only, threshold, unit)
     if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
@@ -115,9 +120,7 @@ def _track_rx_power_dbm(
         for row in unit:
             row[:] = lfilter([1.0], [1.0, -rho], row)
     rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
-    for rows, coupling in network._link_coupling(
-        scenario.transmitters, pos_xyz, threshold, unit, cfg
-    ):
+    for rows, coupling in network._link_coupling(table, pos_xyz, threshold, unit, cfg):
         np.subtract(scenario.tx_power_dbm[rows, None], coupling, out=coupling)
         rx[:, rows] = coupling.T
     return rx
@@ -179,7 +182,7 @@ def _track_events(
     # where the serving cell is best, else the best
     best, best_cell, second, second_cell = _best_two(rx)
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
-    is_hibs = scenario.is_hibs  # cells are link-matrix rows
+    is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
     serving = int(best_cell[0])
     start = 1

@@ -3,11 +3,14 @@
 A transmitter is one platform feeding its beams, or one macro site feeding
 its sectors; each beam or sector is a cell, one downlink transmit port.
 Coupling losses are computed as (n_cells, n_users) matrices so the same
-matrix serves association, downlink SINR, and uplink scheduling. A list of
-transmitters gives each transmitter's cells the next consecutive rows, in
-listing order. The link layer takes the scenario config whole and reads its
-constants from it: the carrier frequency, the UE antenna gain and height,
-the platform and RMa channel parameters, and whether shadowing is on.
+matrix serves association, downlink SINR, and uplink scheduling. Each
+physical transmitter is listed once and names the link-matrix row of each
+of its cells, so its rows need not be consecutive: the overlay platform
+holds row 0 and the rows after the macro sectors. Draws are made in row
+order, whatever the listing order. The link layer takes the scenario
+config whole and reads its constants from it: the carrier frequency, the
+UE antenna gain and height, the platform and RMa channel parameters, and
+whether shadowing is on.
 """
 
 from __future__ import annotations
@@ -27,19 +30,13 @@ if TYPE_CHECKING:  # config imports RateParams from here
 class Transmitter(NamedTuple):
     """One platform or macro site and its cells, one per `pointing` entry:
     unit beam boresights (n, 3) for a platform (an aperture pattern), sector
-    boresight azimuths in degrees (n,) for a site (a sector pattern)."""
+    boresight azimuths in degrees (n,) for a site (a sector pattern). The
+    cell of `pointing[i]` is row `rows[i]` of the link matrices."""
 
     position: np.ndarray  # (3,) antenna phase center
     pattern: AperturePattern | SectorPattern
     pointing: np.ndarray
-
-
-def _cell_rows(transmitters):
-    """(rows, transmitter) pairs, rows the slice of the transmitter's cells."""
-    lo = 0
-    for tx in transmitters:
-        yield slice(lo, lo + len(tx.pointing)), tx
-        lo += len(tx.pointing)
+    rows: np.ndarray  # (n,) int
 
 
 def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
@@ -105,30 +102,32 @@ def _draw_links(
     (a platform's beams under `los_only`, whose p_los is 1, so their row
     keeps the caller's zeros), then its row of `normal` with shadow normals
     (none when `normal` is None). A row holds one drop's users, or one
-    track's LOS threshold and its samples' innovations."""
-    for rows, tx in _cell_rows(transmitters):
-        always_los = los_only and isinstance(tx.pattern, AperturePattern)
-        for i in range(rows.start, rows.stop):
-            if not always_los:
-                rng.random(out=uniform[i])
-            if normal is not None:
-                rng.standard_normal(out=normal[i])
+    track's LOS threshold and its samples' innovations; the transmitters
+    cover every row once."""
+    always_los = np.zeros(uniform.shape[0], dtype=bool)
+    for tx in transmitters:
+        always_los[tx.rows] = los_only and isinstance(tx.pattern, AperturePattern)
+    for i, los in enumerate(always_los):
+        if not los:
+            rng.random(out=uniform[i])
+        if normal is not None:
+            rng.standard_normal(out=normal[i])
 
 
 def _link_coupling(
     transmitters, rx_xyz: np.ndarray, uniform: np.ndarray, normal, cfg: ScenarioConfig
 ):
-    """(rows, coupling) per transmitter, one at a time.
+    """(rows, coupling) per transmitter, one at a time, in listing order.
 
     Each transmitter's budget is resolved with its rows of the draws into
     the coupling loss pl + shadow + clutter - g_tx - g_rx, summed in that
     order into the pathloss array, g_rx being the config's UE antenna gain;
     the budget is dropped before the next one is computed.
     """
-    for rows, tx in _cell_rows(transmitters):
+    for tx in transmitters:
         budget = transmitter_budget(tx, rx_xyz, cfg)
         coupling, shadow, clutter, _ = channel.resolve_links(
-            budget.medians, uniform[rows], None if normal is None else normal[rows]
+            budget.medians, uniform[tx.rows], None if normal is None else normal[tx.rows]
         )
         # the zero terms come as the float 0.0; adding them changes no bit
         for term in (shadow, clutter):
@@ -137,7 +136,7 @@ def _link_coupling(
         coupling -= budget.g_tx_dbi
         coupling -= cfg.ue.antenna_gain_dbi
         del budget, shadow, clutter
-        yield rows, coupling
+        yield tx.rows, coupling
 
 
 def coupling_loss_matrix(
@@ -155,7 +154,7 @@ def coupling_loss_matrix(
     n_users = users_xyz.shape[0]
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
-    shape = (sum(len(tx.pointing) for tx in transmitters), n_users)
+    shape = (sum(len(tx.rows) for tx in transmitters), n_users)
     uniform = np.zeros(shape)
     normal = np.empty(shape) if cfg.channel.shadowing else None
     los_only = cfg.channel.ntn.los_only

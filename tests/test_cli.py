@@ -99,7 +99,8 @@ def test_mobility_command(tmp_path):
 
 def test_single_beam_platform_overlay_runs(tmp_path):
     # with no ring the platform has only its center beam, which serves, so
-    # the overlay keeps no co-channel beam on the air: no interferer entry
+    # the overlay keeps no co-channel beam on the air: the platform entry
+    # holds row 0 alone
     cfg = tmp_path / "one_beam.yaml"
     cfg.write_text(
         "hibs:\n  n_rings: 0\n"
@@ -107,7 +108,9 @@ def test_single_beam_platform_overlay_runs(tmp_path):
         "mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 300.0\n"
     )
     scenario = engine.build_combined_scenario(load_config(str(cfg)))
-    assert scenario.dl_interferers == ()
+    platform = scenario.transmitters[0]
+    assert len(platform.pointing) == 1
+    assert platform.rows.tolist() == [0]
     assert scenario.tx_power_dbm.shape == (37,)
     for command in (["throughput-sweep", *SMALL, "--densities", "1,5"], ["mobility"]):
         out = tmp_path / command[0]

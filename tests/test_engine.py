@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hibsim import engine, geometry, mobility, network
+from hibsim import channel, engine, geometry, mobility, network
 from hibsim.channel import NtnParams, noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
@@ -29,6 +29,7 @@ from hibsim.config import (
     ChannelConfig,
     ConfigError,
     HibsConfig,
+    MobilityConfig,
     ScenarioConfig,
     TerrestrialConfig,
     UeConfig,
@@ -58,9 +59,11 @@ def test_derive_rng_streams_independent():
 def test_build_hibs_scenario(default_cfg):
     s = build_hibs_scenario(default_cfg)
     assert s.n_cells == 19
-    assert s.is_hibs.all()
     assert np.array_equal(np.bincount(s.ring), [1, 6, 12])
-    assert s.dl_interferers == ()
+    # one platform entry, its 19 beams in rows 0 to 18
+    (platform,) = s.transmitters
+    assert len(platform.pointing) == 19
+    assert np.array_equal(platform.rows, np.arange(19))
     assert_allclose(s.service_radius_m, 35682.482323055425)
     assert s.beam_centers.shape == (19, 3)
     assert_allclose(s.tx_power_dbm, 49.0)
@@ -70,16 +73,17 @@ def test_build_combined_scenario(default_cfg):
     s = build_combined_scenario(default_cfg)
     assert s.n_cells == 37
     assert isinstance(s.transmitters[0].pattern, AperturePattern)
-    assert np.array_equal(s.is_hibs, [True] + [False] * 36)
     assert np.array_equal(s.ring, [0] + [-1] * 36)
     # full beam grid stays on the air as non-serving interferers: the
-    # platform's ring-1 and ring-2 beams, in one more platform entry
+    # platform's ring-1 and ring-2 beams, in the rows after the sectors of
+    # the one platform entry whose center beam serves
     platform = build_hibs_scenario(default_cfg)
-    (beams,) = s.dl_interferers
-    assert np.array_equal(beams.pointing, platform.transmitters[0].pointing[1:])
+    beams = s.transmitters[0]
+    assert len(beams.pointing) == 19
+    assert np.array_equal(beams.rows, [0, *range(37, 55)])
+    assert np.array_equal(beams.pointing, platform.transmitters[0].pointing)
     assert np.array_equal(platform.ring[1:], [1] * 6 + [2] * 12)
-    assert isinstance(beams.pattern, AperturePattern)
-    assert np.array_equal(beams.position, s.transmitters[0].position)
+    assert np.array_equal(beams.position, platform.transmitters[0].position)
     hibs_dbm, tn_dbm = default_cfg.hibs.tx_power_dbm, default_cfg.terrestrial.tx_power_dbm
     assert np.array_equal(s.tx_power_dbm, [hibs_dbm] + [tn_dbm] * 36 + [hibs_dbm] * 18)
     # drop region: site ring plus half an ISD of outskirts
@@ -96,7 +100,35 @@ def test_build_combined_scenario_without_overlay_beams(default_cfg):
     )
     s = build_combined_scenario(cfg)
     assert s.n_cells == 37
-    assert s.dl_interferers == ()
+    # the platform entry holds its serving center beam alone
+    assert len(s.transmitters[0].pointing) == 1
+    assert np.array_equal(s.transmitters[0].rows, [0])
+    assert s.tx_power_dbm.shape == (37,)
+
+
+def test_drop_budgets_computes_the_platform_once(default_cfg, monkeypatch):
+    # the overlay lists its one platform once, so one drop's budgets take
+    # the platform's geometry and channel medians once for all 19 beams
+    calls = {"platform_geometry": 0, "ntn_link_medians": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(network, "platform_geometry")
+    spy(channel, "ntn_link_medians")
+    scenario = build_combined_scenario(default_cfg)
+    users = geometry.drop_users(
+        30, np.random.default_rng(4), scenario.service_radius_m, height_m=1.5
+    )
+    coupling = engine.drop_budgets(scenario, users, [(derive_rng(1, 9), 30)])
+    assert coupling.shape == (55, 30)
+    assert calls == {"platform_geometry": 1, "ntn_link_medians": 1}
 
 
 def test_run_coupling_loss_small(default_cfg):
@@ -147,6 +179,14 @@ def test_run_coupling_loss_rejects_bad_sizes(default_cfg):
                 channel=ChannelConfig(ntn=NtnParams(p_los_table=((30.0, 0.7), (90.0, 1.0))))
             ),
             "channel.ntn.p_los_table",
+        ),
+        # type checks the YAML path makes: a bool, an integer and a string
+        # field each given a value of another type
+        (ScenarioConfig(channel=ChannelConfig(shadowing="false")), "channel.shadowing"),
+        (ScenarioConfig(hibs=HibsConfig(n_rings=2.5)), "hibs.n_rings"),
+        (
+            ScenarioConfig(mobility=MobilityConfig(decision_signal=None)),
+            "mobility.decision_signal",
         ),
     ],
 )
@@ -440,7 +480,7 @@ def test_run_throughput_sweep_matches_per_drop_reference(default_cfg):
     n_serv = scenario.n_cells
     noise_dl = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     bw = cfg.carrier.bandwidth_hz
-    hibs = scenario.is_hibs
+    hibs = scenario.ring >= 0
     for di, (density, point) in enumerate(zip(densities, res.points)):
         cells, users, served = [], [], []
         for d in range(n_drops):

@@ -237,16 +237,26 @@ def test_inbound_tracks_park_at_center():
 
 
 def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
-    """Received power (T, n_cells) computed one cell at a time, a cell being
-    one (transmitter, pointing entry) pair: geometry, medians, one LOS
-    threshold (unless always LOS), then T AR(1) innovations;
-    tx - (pl + shadow + clutter - g_tx - g_rx), the drops' coupling order."""
+    """Received power (T, n_cells) computed one serving cell at a time, in
+    row order, a cell being one (transmitter, pointing entry) pair:
+    geometry, medians, one LOS threshold (unless always LOS), then T AR(1)
+    innovations; tx - (pl + shadow + clutter - g_tx - g_rx), the drops'
+    coupling order."""
     cfg = scenario.cfg
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
     n_t = pos_xyz.shape[0]
-    cells = [(tx, p) for tx in scenario.transmitters for p in tx.pointing]
+    cells = sorted(
+        (
+            (row, tx, p)
+            for tx in scenario.transmitters
+            for row, p in zip(tx.rows, tx.pointing)
+            if row < scenario.n_cells
+        ),
+        key=lambda cell: cell[0],
+    )
+    assert [row for row, _, _ in cells] == list(range(scenario.n_cells))
     rx = np.empty((n_t, len(cells)))
-    for i, (tx, pointing) in enumerate(cells):
+    for i, (_, tx, pointing) in enumerate(cells):
         if isinstance(tx.pattern, AperturePattern):
             tx_power_dbm = cfg.hibs.tx_power_dbm
             delta = pos_xyz - tx.position

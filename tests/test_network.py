@@ -29,7 +29,7 @@ def _platform():
     steer = layout.beam_centers - layout.platform_position
     boresights = steer / np.linalg.norm(steer, axis=1, keepdims=True)
     pattern = make_aperture_pattern(BEAMWIDTH_DEG)
-    return Transmitter(layout.platform_position, pattern, boresights)
+    return Transmitter(layout.platform_position, pattern, boresights, np.arange(19))
 
 
 def test_build_hibs_cells_structure():
@@ -38,9 +38,9 @@ def test_build_hibs_cells_structure():
     platform = scenario.transmitters[0]
     assert isinstance(platform.pattern, AperturePattern)
     assert platform.pointing.shape == (19, 3)
+    assert np.array_equal(platform.rows, np.arange(19))
     assert_allclose(np.linalg.norm(platform.pointing, axis=1), 1.0)
     assert list(scenario.ring) == [0] + [1] * 6 + [2] * 12
-    assert scenario.is_hibs.all()
     # center beam points straight down
     assert_allclose(platform.pointing[0], [0.0, 0.0, -1.0])
     assert_allclose(platform.position, [0.0, 0.0, 20_000.0])
@@ -59,17 +59,19 @@ def test_build_tn_cells_structure():
 def test_transmitter_table():
     platform = engine.build_hibs_scenario(ScenarioConfig()).transmitters[0]
     overlay = engine.build_combined_scenario(ScenarioConfig())
-    table = overlay.transmitters + overlay.dl_interferers
-    rows = [r for r, _ in network._cell_rows(table)]
-    listed = np.concatenate([np.arange(r.start, r.stop) for r in rows])
-    assert np.array_equal(listed, np.arange(55))  # in order, each row once
-    assert [len(tx.pointing) for tx in table] == [1] + [3] * 12 + [18]
+    table = overlay.transmitters
+    listed = np.concatenate([tx.rows for tx in table])
+    assert np.array_equal(np.sort(listed), np.arange(55))  # each row once
+    assert [len(tx.rows) for tx in table] == [len(tx.pointing) for tx in table]
+    assert [len(tx.pointing) for tx in table] == [19] + [3] * 12
     assert [isinstance(tx.pattern, AperturePattern) for tx in table] == (
-        [True] + [False] * 12 + [True]
+        [True] + [False] * 12
     )
-    # the 18 interferer beams come after the center beam and the 36 sectors
-    assert rows[-1] == slice(37, 55)
-    assert np.array_equal(overlay.dl_interferers[0].pointing, platform.pointing[1:])
+    # one platform entry: the center beam serves from row 0, and the 18
+    # co-channel beams come after the 36 sectors, which the sites hold
+    assert np.array_equal(table[0].rows, [0, *range(37, 55)])
+    assert np.array_equal(table[0].pointing, platform.pointing)
+    assert np.array_equal(np.concatenate([tx.rows for tx in table[1:]]), np.arange(1, 37))
     assert overlay.tx_power_dbm.shape == (55,)
 
 
@@ -115,7 +117,7 @@ def test_associate_center_user_gets_platform_beam(default_cfg):
         rng = engine.derive_rng(seed, 7)
         coupling = engine.drop_budgets(scenario, users, [(rng, 1)])
         serving = associate(coupling[: scenario.n_cells])
-        assert scenario.is_hibs[serving[0]]
+        assert scenario.ring[serving[0]] >= 0
 
 
 def test_associate_user_next_to_site_gets_facing_sector():
@@ -145,9 +147,8 @@ def _links_by_transmitter(transmitters, users, cfg, uniform, normal):
     shape = (sum(len(tx.pointing) for tx in transmitters), users.shape[0])
     pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
     los = np.empty(shape, dtype=bool)
-    rows = np.arange(shape[0])
     for tx in transmitters:
-        r, rows = rows[: len(tx.pointing)], rows[len(tx.pointing) :]
+        r = tx.rows
         budget = network.transmitter_budget(tx, users, cfg)
         pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
             budget.medians, uniform[r], None if normal is None else normal[r]
@@ -250,18 +251,25 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
     cfg = config_from_dict(overrides)
     build = engine.build_combined_scenario if combined else engine.build_hibs_scenario
     scenario = build(cfg)
-    table = scenario.transmitters + scenario.dl_interferers
+    table = scenario.transmitters
     users = geometry.drop_users(
         150, np.random.default_rng(31), scenario.service_radius_m, height_m=1.5
     )
     core_rng, rng = engine.derive_rng(7, 1, 2), engine.derive_rng(7, 1, 2)
     coupling = engine.drop_budgets(scenario, users, [(core_rng, 150)])
+    # one cell at a time in row order, whatever the order of the table
+    cells = sorted(
+        (
+            (row, tx, pointing)
+            for tx in table
+            for row, pointing in zip(tx.rows, tx.pointing)
+        ),
+        key=lambda cell: cell[0],
+    )
+    assert [row for row, _, _ in cells] == list(range(55 if combined else 19))
     rows = [
-        reference_cell_budget(tx, pointing, users, cfg, rng)
-        for tx in table
-        for pointing in tx.pointing
+        reference_cell_budget(tx, pointing, users, cfg, rng) for _, tx, pointing in cells
     ]
-    assert len(rows) == (55 if combined else 19)
     pl, sh, cl, gt, los, uniform, normal = (np.stack(col) for col in zip(*rows))
     assert np.array_equal(coupling, pl + sh + cl - gt - cfg.ue.antenna_gain_dbi)
     assert core_rng.random() == rng.random()  # same number of draws
