@@ -65,7 +65,8 @@ class NtnParams:
     Pathloss is free space at the slant range in both LOS and NLOS; NLOS adds
     an elevation-dependent clutter loss, linear from `clutter_low_db` at 10
     deg elevation down to `clutter_high_db` at zenith. `los_only` forces the
-    LOS branch everywhere (clean-sky variant).
+    LOS branch everywhere (clean-sky variant). `config.validate_config`
+    checks the LOS table and the sigmas.
     """
 
     p_los_table: tuple = DEFAULT_P_LOS_TABLE
@@ -74,16 +75,6 @@ class NtnParams:
     sigma_los_db: float = 4.0
     sigma_nlos_db: float = 8.0
     los_only: bool = False
-
-    def __post_init__(self):
-        elev = [e for e, _ in self.p_los_table]
-        if list(elev) != sorted(elev) or not elev:
-            raise ValueError("p_los_table must be sorted by elevation")
-        for e, p in self.p_los_table:
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"p_los out of [0, 1] at elevation {e}")
-        if self.sigma_los_db < 0.0 or self.sigma_nlos_db < 0.0:
-            raise ValueError("shadowing sigmas must be >= 0")
 
     def p_los(self, elevation_deg):
         e = np.asarray(elevation_deg, dtype=float)
@@ -168,7 +159,10 @@ def resolve_links(medians: LinkMedians, uniform, normal):
 
 @dataclass(frozen=True)
 class RmaParams:
-    """TR 38.901 RMa scenario constants (table 7.4.1-1 row RMa)."""
+    """TR 38.901 RMa scenario constants (table 7.4.1-1 row RMa).
+
+    `config.validate_config` checks them against the model's validity window.
+    """
 
     street_width_m: float = 20.0
     building_height_m: float = 5.0
@@ -177,14 +171,6 @@ class RmaParams:
     sigma_nlos_db: float = 8.0
     min_d2d_m: float = 10.0
     max_d2d_m: float = 21_000.0
-
-    def __post_init__(self):
-        if not 5.0 <= self.building_height_m <= 50.0:
-            raise ValueError("avg building height valid range is [5, 50] m")
-        if not 5.0 <= self.street_width_m <= 50.0:
-            raise ValueError("street width valid range is [5, 50] m")
-        if self.min_d2d_m <= 0.0 or self.max_d2d_m <= self.min_d2d_m:
-            raise ValueError("need 0 < min_d2d < max_d2d")
 
 
 def _rma_pl1_db(d3d_m, log_d3d, f_ghz, h_m):

@@ -29,13 +29,13 @@ def _parse_densities(text: str) -> tuple[float, ...]:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject counts below one and a non-finite A3 offset before any
-    scenario is built."""
-    for flag in ("drops", "users_per_drop", "threads"):
+    """Reject a negative seed, counts below one and a non-finite A3 offset
+    before any scenario is built."""
+    for flag, least in (("seed", 0), ("drops", 1), ("users_per_drop", 1), ("threads", 1)):
         value = getattr(args, flag, None)  # not every command has every flag
-        if value is not None and value < 1:
+        if value is not None and value < least:
             name = "--" + flag.replace("_", "-")
-            raise ConfigError(f"{name}: must be at least 1, got {value}")
+            raise ConfigError(f"{name}: must be at least {least}, got {value}")
     offset = getattr(args, "a3_offset_db", None)
     if offset is not None and not math.isfinite(offset):
         raise ConfigError(f"--a3-offset-db: must be finite, got {offset}")

@@ -30,9 +30,6 @@ class CarrierConfig:
     bandwidth_hz: float = 20e6
 
 
-PATTERN_SIDELOBE_MODES = ("floor", "bessel")
-
-
 @dataclass(frozen=True)
 class HibsConfig:
     """Platform segment: one stratospheric platform over the area center."""
@@ -43,7 +40,8 @@ class HibsConfig:
     service_area_km2: float = 4_000.0
     peak_gain_dbi: float = 16.5
     pattern_floor_db: float = 30.0
-    pattern_sidelobes: str = "floor"  # "floor" = main lobe only, "bessel" = Airy rings
+    # "floor" = main lobe only, "bessel" = Airy rings
+    pattern_sidelobes: typing.Literal["floor", "bessel"] = "floor"
     tx_power_dbm: float = 49.0  # per beam
     noise_figure_db: float = 5.0
 
@@ -86,9 +84,6 @@ class ChannelConfig:
     rma: RmaParams = field(default_factory=RmaParams)
 
 
-A3_DECISION_SIGNALS = ("longterm", "shadowed")
-
-
 @dataclass(frozen=True)
 class MobilityConfig:
     """Straight-line trajectories through the area center.
@@ -111,7 +106,7 @@ class MobilityConfig:
     a3_offset_db: float = 3.0
     time_to_trigger_s: float = 0.64
     sim_duration_s: float = 2_400.0
-    decision_signal: str = "longterm"
+    decision_signal: typing.Literal["longterm", "shadowed"] = "longterm"
     shadow_decorrelation_m: float = 50.0
     tn_spawn_near: float = 1.05  # inbound spawn band, in site-ring radii
     tn_spawn_far: float = 1.30
@@ -119,9 +114,6 @@ class MobilityConfig:
     outbound_stop_margin_m: float = 1_000.0
     n_inbound: int = 120
     n_outbound: int = 120
-
-
-UL_INTERFERENCE_MODES = ("full_load", "coscheduled", "none")
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ class SchedulerConfig:
     Disable for a platform that truly powers down to a single beam.
     """
 
-    ul_interference: str = "full_load"
+    ul_interference: typing.Literal["full_load", "coscheduled", "none"] = "full_load"
     overlay_cochannel_beams: bool = True
 
 
@@ -185,26 +177,30 @@ def _coerce_scalar(value, ftype, path: str):
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if ftype is str:
-        if isinstance(value, str):
-            return value
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    if ftype is str or typing.get_origin(ftype) is typing.Literal:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected a string, got {value!r}")
+        choices = typing.get_args(ftype)  # none for a plain string
+        if choices and value not in choices:
+            raise ConfigError(f"{path}: must be one of {list(choices)}")
+        return value
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
 def _coerce_p_los_table(value, path: str):
     if isinstance(value, dict):
-        pairs = list(value.items())
-    elif isinstance(value, (list, tuple)):
-        pairs = [tuple(p) for p in value]
-    else:
+        value = value.items()
+    elif not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a mapping of elevation_deg: p_los")
+    return tuple(sorted(_float_pairs(value, path)))
+
+
+def _float_pairs(pairs, key: str) -> list[tuple[float, float]]:
+    """A LOS table's (elevation, p_los) pairs as floats."""
     try:
-        pairs = sorted((float(e), float(p)) for e, p in pairs)
+        return [(float(e), float(p)) for e, p in pairs]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    _check_p_los_table(pairs, path)
-    return tuple(pairs)
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _build_dataclass(cls, data, path: str):
@@ -224,10 +220,7 @@ def _build_dataclass(cls, data, path: str):
             kwargs[key] = _coerce_p_los_table(value, sub_path)
         else:
             kwargs[key] = _coerce_scalar(value, ftype, sub_path)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict | None) -> ScenarioConfig:
@@ -269,10 +262,16 @@ def _require(ok: bool, key: str, msg: str):
 
 
 def _check_p_los_table(pairs, key: str):
-    """The LOS table rule of YAML and Python configs alike, for pairs sorted
-    by elevation."""
+    """The LOS table rule of YAML and Python configs alike."""
+    pairs = _float_pairs(pairs, key)
     if not all(math.isfinite(v) for pair in pairs for v in pair):
         raise ConfigError(f"{key}: elevations and probabilities must be finite")
+    elevations = [e for e, _ in pairs]
+    if elevations != sorted(elevations):
+        raise ConfigError(f"{key}: elevations must be ascending")
+    for e, p in pairs:
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"{key}: p_los must lie in [0, 1], got {p:g} at {e:g} deg")
     # np.interp holds the end values outside the table, so a table must
     # cover every elevation a platform link can take
     if not pairs or pairs[0][0] > MIN_ELEVATION_DEG or pairs[-1][0] < 90.0:
@@ -282,8 +281,8 @@ def _check_p_los_table(pairs, key: str):
 def _check_numbers(node, prefix: str):
     """The type and number checks of the YAML path, walking the dataclass
     tree, so a config built in Python meets them too: every scalar leaf of
-    its field's type (a bool, an integer, a string or a finite number), and
-    the LOS table by its rule."""
+    its field's type (a bool, an integer, a string, one of a `Literal`'s
+    choices or a finite number), and the LOS table by its rule."""
     hints = typing.get_type_hints(type(node))
     for f in dataclasses.fields(node):
         value, key = getattr(node, f.name), prefix + f.name
@@ -296,6 +295,8 @@ def _check_numbers(node, prefix: str):
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    """Every rule on a scenario config, whether read from YAML or built in
+    Python; a violation raises ConfigError naming its full dotted key."""
     _check_numbers(cfg, "")
     c = cfg.carrier
     _require(c.frequency_hz > 0, "carrier.frequency_hz", "must be positive")
@@ -306,11 +307,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(h.n_rings >= 0, "hibs.n_rings", "must be >= 0")
     _require(h.service_area_km2 > 0, "hibs.service_area_km2", "must be positive")
     _require(h.pattern_floor_db > 0, "hibs.pattern_floor_db", "must be positive")
-    _require(
-        h.pattern_sidelobes in PATTERN_SIDELOBE_MODES,
-        "hibs.pattern_sidelobes",
-        f"must be one of {list(PATTERN_SIDELOBE_MODES)}",
-    )
     _require(h.noise_figure_db >= 0, "hibs.noise_figure_db", "must be >= 0")
     bw_deg = beamwidth_3db_deg(h.footprint_diameter_m, h.altitude_m)
     _require(
@@ -337,11 +333,25 @@ def validate_config(cfg: ScenarioConfig) -> None:
         "must lie in [1, 10] m, the range the RMa model covers",
     )
     _require(u.noise_figure_db >= 0, "ue.noise_figure_db", "must be >= 0")
+    ntn = cfg.channel.ntn
+    _require(ntn.sigma_los_db >= 0, "channel.ntn.sigma_los_db", "must be >= 0")
+    _require(ntn.sigma_nlos_db >= 0, "channel.ntn.sigma_nlos_db", "must be >= 0")
+    rma = cfg.channel.rma
+    # the street and building ranges of TR 38.901 table 7.4.1-1
     _require(
-        cfg.scheduler.ul_interference in UL_INTERFERENCE_MODES,
-        "scheduler.ul_interference",
-        f"must be one of {list(UL_INTERFERENCE_MODES)}",
+        5.0 <= rma.building_height_m <= 50.0,
+        "channel.rma.building_height_m",
+        "must lie in [5, 50] m, the range the RMa model covers",
     )
+    _require(
+        5.0 <= rma.street_width_m <= 50.0,
+        "channel.rma.street_width_m",
+        "must lie in [5, 50] m, the range the RMa model covers",
+    )
+    _require(rma.min_d2d_m > 0, "channel.rma.min_d2d_m", "must be positive")
+    _require(rma.max_d2d_m > rma.min_d2d_m, "channel.rma.max_d2d_m", "must be > min_d2d_m")
+    _require(cfg.rate.alpha > 0, "rate.alpha", "must be positive")
+    _require(cfg.rate.se_max_bpshz > 0, "rate.se_max_bpshz", "must be positive")
     m = cfg.mobility
     _require(m.speed_mps > 0, "mobility.speed_mps", "must be positive")
     _require(
@@ -357,11 +367,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         m.shadow_decorrelation_m > 0,
         "mobility.shadow_decorrelation_m",
         "must be positive",
-    )
-    _require(
-        m.decision_signal in A3_DECISION_SIGNALS,
-        "mobility.decision_signal",
-        f"must be one of {list(A3_DECISION_SIGNALS)}",
     )
     _require(m.tn_spawn_near >= 1.0, "mobility.tn_spawn_near", "must be >= 1.0")
     _require(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -240,8 +241,11 @@ def _map_ordered(worker, keys, threads: int) -> list:
 
     One worker runs in-process. More run as worker processes, started here
     and never at import; `worker` must then pickle, so it is a module-level
-    function or a functools.partial of one over picklable arguments.
+    function or a functools.partial of one over picklable arguments. A
+    `threads` that is not an integer >= 1 raises ValueError before any work.
     """
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     workers = _pool_size(threads, len(keys))
     if workers <= 1:
         return [worker(k) for k in keys]

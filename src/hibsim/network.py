@@ -220,15 +220,12 @@ def dl_sinr_db(
 
 @dataclass(frozen=True)
 class RateParams:
-    """Truncated Shannon link-to-rate mapping."""
+    """Truncated Shannon link-to-rate mapping; `config.validate_config`
+    checks that `alpha` and `se_max_bpshz` are positive."""
 
     alpha: float = 0.6  # implementation-loss scaling on log2(1 + sinr)
     sinr_min_db: float = -10.0  # below this the link gets nothing
     se_max_bpshz: float = 4.8  # highest MCS ceiling
-
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.se_max_bpshz <= 0.0:
-            raise ValueError("alpha and se_max must be positive")
 
 
 def spectral_efficiency_bpshz(sinr_db, params: RateParams = RateParams()):

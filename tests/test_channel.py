@@ -8,7 +8,6 @@ from hibsim.channel import (
     DEFAULT_P_LOS_TABLE,
     SPEED_OF_LIGHT_M_S,
     NtnParams,
-    RmaParams,
     fspl_db,
     noise_power_dbm,
     ntn_link_medians,
@@ -125,15 +124,6 @@ def test_ntn_params_clutter_interpolation():
     assert_allclose(
         params.clutter_db([10.0, 50.0, 90.0]), [19.0, 14.5, 10.0]
     )
-
-
-def test_ntn_params_validation():
-    with pytest.raises(ValueError, match="sorted"):
-        NtnParams(p_los_table=((30.0, 0.7), (10.0, 0.25)))
-    with pytest.raises(ValueError, match="p_los"):
-        NtnParams(p_los_table=((10.0, 1.25), (90.0, 1.0)))
-    with pytest.raises(ValueError, match="sigma"):
-        NtnParams(sigma_los_db=-1.0)
 
 
 def test_ntn_pathloss_zenith_always_los():
@@ -257,15 +247,6 @@ def test_shadow_draws_independent_lag1():
     )
     lag1 = float(np.corrcoef(shadow[:-1], shadow[1:])[0, 1])
     assert abs(lag1) < 0.05
-
-
-def test_rma_params_validation():
-    with pytest.raises(ValueError, match="building"):
-        RmaParams(building_height_m=60.0)
-    with pytest.raises(ValueError, match="street"):
-        RmaParams(street_width_m=1.0)
-    with pytest.raises(ValueError, match="d2d"):
-        RmaParams(min_d2d_m=100.0, max_d2d_m=50.0)
 
 
 def test_rma_median_frozen_grid():

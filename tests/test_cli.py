@@ -273,6 +273,23 @@ def test_counts_below_one_exit_1(tmp_path, monkeypatch, capsys, command, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"]
+)
+def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, command):
+    # numpy's seeding rejected it mid-run, exit 2, without naming the flag
+    def no_scenario(cfg):
+        raise AssertionError("scenario built before the flags were checked")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    out = tmp_path / "run"
+    code = main([command, "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_a3_offset_exits_1(tmp_path, monkeypatch, capsys, value):
     # a NaN offset fired no handover and wrote NaN, not JSON, into the

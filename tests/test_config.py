@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 import yaml
@@ -120,6 +121,9 @@ def test_p_los_table_accepts_list_of_pairs():
 def test_p_los_table_rejects_scalar():
     with pytest.raises(ConfigError, match="p_los_table"):
         config_from_dict({"channel": {"ntn": {"p_los_table": 0.5}}})
+    # a list of scalars, not pairs, once crashed the loader with a TypeError
+    with pytest.raises(ConfigError, match=r"channel\.ntn\.p_los_table: "):
+        config_from_dict({"channel": {"ntn": {"p_los_table": [10, 90]}}})
 
 
 def test_rejects_unknown_key():
@@ -127,6 +131,21 @@ def test_rejects_unknown_key():
         config_from_dict({"carier": {"frequency_hz": 2e9}})
     with pytest.raises(ConfigError, match="scenario.hibs.altitude"):
         config_from_dict({"hibs": {"altitude": 20e3}})
+
+
+def _python_built(data: dict, node=None):
+    """The config a YAML mapping describes, built in Python: no loader check
+    runs, and a LOS table keeps its pairs in the mapping's order."""
+    node = ScenarioConfig() if node is None else node
+    changes = {}
+    for name, value in data.items():
+        current = getattr(node, name)
+        if dataclasses.is_dataclass(current):
+            value = _python_built(value, current)
+        elif name == "p_los_table":
+            value = tuple(value.items())
+        changes[name] = value
+    return dataclasses.replace(node, **changes)
 
 
 @pytest.mark.parametrize(
@@ -185,11 +204,43 @@ def test_rejects_unknown_key():
             {"channel": {"ntn": {"p_los_table": {10**400: 0.5, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
         ),
+        # the channel and rate rules, once checked as each class was built
+        (
+            {"channel": {"ntn": {"p_los_table": {30.0: 0.7, 10.0: 0.25}}}},
+            "channel.ntn.p_los_table",
+        ),
+        (
+            {"channel": {"ntn": {"p_los_table": {10.0: 1.25, 90.0: 1.0}}}},
+            "channel.ntn.p_los_table",
+        ),
+        (
+            {"channel": {"ntn": {"p_los_table": {10.0: -0.1, 90.0: 1.0}}}},
+            "channel.ntn.p_los_table",
+        ),
+        ({"channel": {"ntn": {"sigma_los_db": -1.0}}}, "channel.ntn.sigma_los_db"),
+        ({"channel": {"ntn": {"sigma_nlos_db": -1.0}}}, "channel.ntn.sigma_nlos_db"),
+        # outside the RMa street and building ranges of TR 38.901 table 7.4.1-1
+        ({"channel": {"rma": {"building_height_m": 3.0}}}, "channel.rma.building_height_m"),
+        ({"channel": {"rma": {"building_height_m": 60.0}}}, "channel.rma.building_height_m"),
+        ({"channel": {"rma": {"street_width_m": 1.0}}}, "channel.rma.street_width_m"),
+        ({"channel": {"rma": {"street_width_m": 51.0}}}, "channel.rma.street_width_m"),
+        ({"channel": {"rma": {"min_d2d_m": 0.0}}}, "channel.rma.min_d2d_m"),
+        (
+            {"channel": {"rma": {"min_d2d_m": 100.0, "max_d2d_m": 50.0}}},
+            "channel.rma.max_d2d_m",
+        ),
+        ({"rate": {"alpha": 0.0}}, "rate.alpha"),
+        ({"rate": {"se_max_bpshz": -1.0}}, "rate.se_max_bpshz"),
     ],
 )
 def test_validation_errors_name_the_key(data, key):
-    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+    # the message opens with the full key, from YAML and from Python alike
+    opening = rf"^(scenario\.)?{re.escape(key)}: "
+    with pytest.raises(ConfigError, match=opening):
         config_from_dict(data)
+    cfg = _python_built(data)  # builds without a word: the checks come next
+    with pytest.raises(ConfigError, match=opening):
+        validate_config(cfg)
 
 
 def _with_ntn(**ntn):
@@ -239,6 +290,18 @@ def _with_ntn(**ntn):
             _with_ntn(p_los_table=((math.nan, 0.5), (10.0, 0.25), (90.0, 1.0))),
             "channel.ntn.p_los_table: elevations and probabilities must be finite",
         ),
+        (
+            _with_ntn(p_los_table=((10**400, 0.5), (90.0, 1.0))),
+            "channel.ntn.p_los_table: int too large to convert to float",
+        ),
+        (
+            _with_ntn(p_los_table=((30.0, 0.7), (10.0, 0.25))),
+            "channel.ntn.p_los_table: elevations must be ascending",
+        ),
+        (
+            _with_ntn(p_los_table=((10.0, 1.25), (90.0, 1.0))),
+            "channel.ntn.p_los_table: p_los must lie in [0, 1], got 1.25 at 10 deg",
+        ),
     ],
     ids=[
         "ue-nan",
@@ -251,6 +314,9 @@ def _with_ntn(**ntn):
         "table-from-30",
         "table-to-80",
         "table-nan-elevation",
+        "table-int-beyond-float-range",
+        "table-descending",
+        "table-p-above-one",
     ],
 )
 def test_python_built_config_meets_the_yaml_number_checks(cfg, message):
@@ -354,12 +420,6 @@ def test_rma_window_edge():
 def test_type_errors(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
         config_from_dict(data)
-
-
-def test_nested_param_validation_becomes_config_error():
-    # NtnParams raises ValueError; the loader wraps it with the key path
-    with pytest.raises(ConfigError, match="scenario.channel.ntn"):
-        config_from_dict({"channel": {"ntn": {"sigma_los_db": -1.0}}})
 
 
 def test_yaml_parse_error_reports_line(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hibsim import channel, engine, geometry, mobility, network
-from hibsim.channel import NtnParams, noise_power_dbm
+from hibsim.channel import NtnParams, RmaParams, noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
     build_hibs_scenario,
@@ -188,6 +188,11 @@ def test_run_coupling_loss_rejects_bad_sizes(default_cfg):
             ScenarioConfig(mobility=MobilityConfig(decision_signal=None)),
             "mobility.decision_signal",
         ),
+        # a window rule the class once checked itself as it was built
+        (
+            ScenarioConfig(channel=ChannelConfig(rma=RmaParams(building_height_m=3.0))),
+            "channel.rma.building_height_m",
+        ),
     ],
 )
 @pytest.mark.parametrize(
@@ -210,6 +215,27 @@ def test_runs_reject_an_invalid_config_before_any_draw(run, cfg, key, monkeypatc
     monkeypatch.setattr(mobility, "derive_rng", no_draws)
     with pytest.raises(ConfigError, match=key):
         run(cfg)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5),
+        functools.partial(run_sinr_sweep, n_drops=2, densities=(1.0,)),
+        functools.partial(run_throughput_sweep, n_drops=2, densities=(1.0,)),
+        mobility.run_mobility,
+    ],
+    ids=["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"],
+)
+def test_runs_reject_a_bad_thread_count_before_any_budget(run, threads, monkeypatch):
+    # the command line rejects these; a library caller meets the same rule
+    def no_budget(*_):
+        raise AssertionError("computed a link budget before checking threads")
+
+    monkeypatch.setattr(network, "transmitter_budget", no_budget)
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        run(ScenarioConfig(), threads=threads)
 
 
 def test_run_sinr_sweep_small(default_cfg):

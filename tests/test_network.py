@@ -405,13 +405,6 @@ def test_dl_sinr_interference_lowers_sinr():
     assert_allclose(both, [10.0, 10.0], atol=0.5)
 
 
-def test_rate_params_validation():
-    with pytest.raises(ValueError, match="positive"):
-        RateParams(alpha=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        RateParams(se_max_bpshz=-1.0)
-
-
 def test_spectral_efficiency_truncation_and_cap():
     params = RateParams()
     assert spectral_efficiency_bpshz(-10.001, params) == 0.0
