@@ -34,7 +34,10 @@ _COUPLING, _SINR, _THROUGHPUT, _MOBILITY = 0, 1, 2, 3
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one unit of work under a master seed."""
+    """Independent generator for one unit of work under a master seed. Every
+    draw of every run comes from one of these, so a `seed` that is not an
+    integer >= 0 raises ValueError before any draw."""
+    _require_integer("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
@@ -235,6 +238,14 @@ def _pool_size(threads: int, n_keys: int) -> int:
     return max(1, min(threads, n_keys, cpus))
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    """The rule for the two integer arguments of every run, `threads` (least
+    1) and `seed` (least 0): a bool, a float, a string or a value below the
+    least raises ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _map_ordered(worker, keys, threads: int) -> list:
     """Run worker over keys, returning results in key order regardless of
     completion order (the determinism contract across --threads).
@@ -244,8 +255,7 @@ def _map_ordered(worker, keys, threads: int) -> list:
     function or a functools.partial of one over picklable arguments. A
     `threads` that is not an integer >= 1 raises ValueError before any work.
     """
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _require_integer("threads", threads, 1)
     workers = _pool_size(threads, len(keys))
     if workers <= 1:
         return [worker(k) for k in keys]

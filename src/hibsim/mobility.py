@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, geometry, network
+from . import channel, engine, geometry, network
+from .antenna import SectorPattern
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 
@@ -37,6 +38,14 @@ HIBS_TO_TN = "hibs_to_tn"
 # Inbound tracks park on reaching this distance from the center: the task
 # ("drive into the platform-only zone") is complete there.
 CENTER_PARK_RADIUS_M = 500.0
+
+# Macro sites are bounded, and skipped where they cannot reach the A3 rule's
+# top two, on segments of this many track samples (853 m at the defaults).
+SEGMENT_SAMPLES = 512
+# A site's bound takes its least distance to a segment less this margin,
+# and adds this slack, far above the rounding of the budget sums.
+_DISTANCE_MARGIN_M = 1.0
+_BOUND_SLACK_DB = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,22 +95,184 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
     return int(hits[0]) + k - 1 if hits.size else -1
 
 
+class _TrackPower:
+    """Received DL power tx - coupling, `rx` (T, n_cells), along one track,
+    each macro site's cells left at -inf on the segments where the site
+    cannot reach the top two (see `_track_rx_power_dbm`).
+
+    Every evaluated entry has the bits of a full evaluation: the budgets are
+    elementwise over the samples, and each evaluation of a transmitter is one
+    `network._link_coupling` call on the samples it covers. `fill` adds a
+    cell's skipped samples for the A3 rule, which reads the serving cell's
+    power after it leaves the top two.
+    """
+
+    def __init__(self, scenario: Scenario, table, pos_xyz, threshold, unit):
+        self.cfg, self.tx_power_dbm = scenario.cfg, scenario.tx_power_dbm
+        self.table, self.pos, self.threshold, self.unit = table, pos_xyz, threshold, unit
+        n_t = pos_xyz.shape[0]
+        self.starts = np.arange(0, n_t, SEGMENT_SAMPLES)
+        self.lengths = np.diff(np.r_[self.starts, n_t])
+        # row per sample: `_best_two` scans along rows
+        self.rx = np.full((n_t, scenario.n_cells), -np.inf)
+        self.tx_of_cell = np.empty(scenario.n_cells, dtype=np.int64)
+        for i, tx in enumerate(table):
+            self.tx_of_cell[tx.rows] = i
+        # table index -> mask of the segments it is not evaluated on
+        self.skipped: dict[int, np.ndarray] = {}
+
+    def evaluate(self, i: int, segments: np.ndarray | None = None) -> None:
+        """Write table entry i's cells into `rx` on a mask of segments, or
+        on the whole track (None)."""
+        tx = self.table[i]
+        rows, threshold, unit = tx.rows, self.threshold, self.unit
+        if segments is None:
+            samples = slice(None)
+        else:
+            samples = np.flatnonzero(np.repeat(segments, self.lengths))
+            # the entry's own rows of the draws, on those samples only
+            threshold, tx = threshold[rows], tx._replace(rows=np.arange(rows.size))
+            unit = None if unit is None else unit[np.ix_(rows, samples)]
+        ((_, coupling),) = network._link_coupling(
+            [tx], self.pos[samples], threshold, unit, self.cfg
+        )
+        np.subtract(self.tx_power_dbm[rows, None], coupling, out=coupling)
+        if segments is None:
+            self.rx[:, rows] = coupling.T
+        else:
+            self.rx[np.ix_(samples, rows)] = coupling.T
+
+    def fill(self, cell: int, start: int) -> None:
+        """Evaluate the cell's transmitter on the segments it skips from the
+        one holding sample `start` on."""
+        i = int(self.tx_of_cell[cell])
+        skipped = self.skipped.get(i)
+        if skipped is None:  # evaluated on every sample
+            return
+        need = skipped.copy()
+        need[: start // SEGMENT_SAMPLES] = False
+        if need.any():
+            self.evaluate(i, need)
+            skipped &= ~need
+            if not skipped.any():
+                del self.skipped[i]
+
+    def site_bounds(self, sites: list[int]) -> np.ndarray:
+        """(sites, segments): an upper bound on the received power of every
+        cell of each listed site on each segment.
+
+        The bound is tx + peak gain + g_rx - PL at the site's least distance
+        to the segment. PL is the RMa LOS curve where any of the site's LOS
+        thresholds lies below p_los there, else the NLOS curve: both curves
+        rise with distance and p_los falls, so no sample of the segment has
+        a lower pathloss. The shadowed signal adds sigma_max * max|unit|
+        over the segment and the site's cells.
+        """
+        cfg, rma = self.cfg, self.cfg.channel.rma
+        sites_xy = np.array([self.table[i].position[:2] for i in sites])
+        pl_los, pl_nlos, _, p_los, _ = channel.rma_median_pathloss(
+            _least_distance_m(self.pos, sites_xy),  # clamped from below
+            cfg.carrier.frequency_hz,
+            cfg.terrestrial.site_height_m,
+            cfg.ue.height_m,
+            rma,
+        )
+        rows = [self.table[i].rows for i in sites]
+        least_threshold = np.array([self.threshold[r].min() for r in rows])
+        bound = np.where(least_threshold[:, None] < p_los, pl_los, pl_nlos)
+        np.negative(bound, out=bound)
+        peak = [
+            self.tx_power_dbm[r].max() + self.table[i].pattern.peak_gain_dbi
+            for i, r in zip(sites, rows)
+        ]
+        bound += np.array(peak)[:, None] + cfg.ue.antenna_gain_dbi + _BOUND_SLACK_DB
+        if self.unit is not None:
+            swing = np.maximum(
+                np.maximum.reduceat(self.unit, self.starts, axis=1),
+                -np.minimum.reduceat(self.unit, self.starts, axis=1),
+            )
+            sigma_max = max(rma.sigma_los_near_db, rma.sigma_los_far_db, rma.sigma_nlos_db)
+            bound += sigma_max * np.array([swing[r].max(axis=0) for r in rows])
+        return bound
+
+
+def _least_distance_m(pos_xyz: np.ndarray, points_xy: np.ndarray) -> np.ndarray:
+    """(points, segments): a lower bound on the 2D distance from each point
+    to every sample of each segment of `SEGMENT_SAMPLES` samples. It is the
+    distance to the segment's chord, from its first sample to its last, less
+    the farthest any of its samples strays from the chord (zero on a
+    straight track, up to rounding) and `_DISTANCE_MARGIN_M`."""
+    n_t = pos_xyz.shape[0]
+    n_seg = -(-n_t // SEGMENT_SAMPLES)
+    # x and y by segment, the last segment padded with the last sample
+    q = np.empty((2, n_seg * SEGMENT_SAMPLES))
+    q[:, :n_t] = pos_xyz[:, :2].T
+    q[:, n_t:] = pos_xyz[-1, :2, None]
+    q = q.reshape(2, n_seg, SEGMENT_SAMPLES)
+    a = q[..., 0].copy()
+    ab = q[..., -1] - a
+    ab2 = ab[0] * ab[0] + ab[1] * ab[1]
+    inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > 0.0)
+    q -= a[..., None]
+    stray = _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
+    d2d = _chord_distance(points_xy.T[..., None] - a[:, None], ab[:, None], inv)
+    d2d -= stray + _DISTANCE_MARGIN_M
+    return d2d
+
+
+def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.ndarray:
+    """Distance from points to chords: `d` (2, ...) holds the points' x and
+    y offsets from the chords' starts and is overwritten, `ab` the chords'
+    x and y extents and `inv_ab2` 1 / |ab|^2 (0 for a chord of one point),
+    all broadcasting."""
+    t = d[0] * ab[0]
+    t += d[1] * ab[1]
+    t *= inv_ab2
+    np.clip(t, 0.0, 1.0, out=t)
+    d -= t * ab
+    return np.hypot(d[0], d[1])
+
+
+def _second_largest(rx: np.ndarray, cols) -> np.ndarray:
+    """Per sample of a (T, n_cells) track: the second-largest value among
+    the given cells (a tie with the largest counts twice), by a running top
+    two over those columns alone, at a fraction of `_best_two`'s cost."""
+    first = np.full(rx.shape[0], -np.inf)
+    second, low = first.copy(), np.empty_like(first)
+    for c in cols:
+        np.minimum(first, rx[:, c], out=low)
+        np.maximum(second, low, out=second)
+        np.maximum(first, rx[:, c], out=first)
+    return second
+
+
 def _track_rx_power_dbm(
     scenario: Scenario,
     pos_xyz: np.ndarray,
     rng: np.random.Generator,
     rho: float,
     shadowed: bool,
-) -> np.ndarray:
-    """Received DL power tx - coupling, (T, n_cells), along one track.
+) -> _TrackPower:
+    """Received DL power tx - coupling, (T, n_cells), along one track,
+    evaluated where it can reach the A3 rule's top two.
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
     rule compares no other. The draws follow `network._draw_links`: per
     cell in row order, one LOS threshold (none when the cell is always
     LOS), then (shadowed only) T AR(1) innovations — one track stream
     reproduces the track exactly, and the LOS pattern is identical across
-    the two decision signals. The coupling comes one transmitter at a time,
-    as for drops.
+    the two decision signals. All draws are made before any budget, so the
+    pruning below changes no draw.
+
+    The platform is evaluated on the whole track. Each macro site is bounded
+    from above on each segment of `SEGMENT_SAMPLES` samples
+    (`_TrackPower.site_bounds`). The sites among the two highest bounds of
+    any segment are evaluated on the whole track; L, a segment's least
+    second-largest power among the cells evaluated so far, is then a lower
+    bound on its runner-up. Every other site is evaluated, in one call, on
+    the segments where its bound reaches L, and left at -inf on the rest:
+    a skipped cell lies strictly below the runner-up, so the best cell, the
+    runner-up and their ties are those of a full evaluation.
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
@@ -119,11 +290,26 @@ def _track_rx_power_dbm(
         unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
         for row in unit:
             row[:] = lfilter([1.0], [1.0, -rho], row)
-    rx = np.empty((n_t, n_c))  # row per sample: the A3 scans run along rows
-    for rows, coupling in network._link_coupling(table, pos_xyz, threshold, unit, cfg):
-        np.subtract(scenario.tx_power_dbm[rows, None], coupling, out=coupling)
-        rx[:, rows] = coupling.T
-    return rx
+    track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
+    sites = [i for i, tx in enumerate(table) if isinstance(tx.pattern, SectorPattern)]
+    bound = track.site_bounds(sites)
+    top = {sites[s] for s in np.argsort(-bound, axis=0)[:2].ravel()}
+    whole = [i for i in range(len(table)) if i not in sites or i in top]
+    for i in whole:
+        track.evaluate(i)
+    cols = np.concatenate([table[i].rows for i in whole])
+    floor = np.minimum.reduceat(_second_largest(track.rx, cols), track.starts)
+    for s, i in enumerate(sites):
+        if i in top:
+            continue
+        need = bound[s] >= floor
+        if need.all():
+            track.evaluate(i)
+            continue
+        if need.any():
+            track.evaluate(i, need)
+        track.skipped[i] = ~need
+    return track
 
 
 def _best_two(rx: np.ndarray):
@@ -140,13 +326,38 @@ def _best_two(rx: np.ndarray):
     return best, best_cell, second, second_cell
 
 
+def _a3_trigger(best, best_cell, second, serving_rx, serving, start, offset_db, k):
+    """The first sample from `start` on that ends k consecutive samples on
+    which the strongest cell other than the serving one beats the serving
+    cell by more than the offset, or -1. The samples are scanned in windows
+    of doubling length, each overlapping the last by k - 1, so a trigger
+    soon after `start` costs little however long the track."""
+    n_t, lo, width = best.size, start, 64
+    while True:
+        hi = min(lo + width, n_t)
+        is_best = best_cell[lo:hi] == serving
+        rival = np.where(is_best, second[lo:hi], best[lo:hi])
+        rel = _first_sustained(rival > serving_rx[lo:hi] + offset_db, k)
+        if rel >= 0:
+            return lo + rel
+        if hi == n_t:
+            return -1
+        lo, width = max(start, hi - k + 1), 2 * width
+
+
 def _track_events(
     scenario: Scenario, seed: int, offset_db: float, track: tuple[int, int]
 ) -> list[HandoverEvent]:
     """Cross-layer handovers along one track, keyed (direction, index):
     direction 0 is the index-th inbound track, 1 the index-th outbound. The
     key, not the track's position among all tracks, picks its stream, so
-    adding tracks of one direction leaves the other direction's alone."""
+    adding tracks of one direction leaves the other direction's alone.
+
+    The A3 rule reads the best cell, the runner-up and the serving cell.
+    The first two come from the pruned received power as they would from a
+    full evaluation. The serving cell may have left the top two, so each
+    trigger search first evaluates the serving cell's site on the segments
+    it skips from the search's start on (`_TrackPower.fill`)."""
     m = scenario.cfg.mobility
     outbound, index = track
     u = index + m.n_inbound if outbound else index  # user id in the output
@@ -176,7 +387,8 @@ def _track_events(
         pos = pos[: arrived[0] + 1]
     rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
     shadowed = m.decision_signal == "shadowed"
-    rx = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
+    track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
+    rx = track.rx
 
     # the strongest cell other than the serving one is the runner-up
     # where the serving cell is best, else the best
@@ -187,14 +399,14 @@ def _track_events(
     serving = int(best_cell[0])
     start = 1
     while start < pos.shape[0]:
-        is_best = best_cell[start:] == serving
-        rival = np.where(is_best, second[start:], best[start:])
-        cond = rival > rx[start:, serving] + offset_db
-        rel = _first_sustained(cond, k_need)
-        if rel < 0:
+        track.fill(serving, start)
+        t_idx = _a3_trigger(
+            best, best_cell, second, rx[:, serving], serving, start, offset_db, k_need
+        )
+        if t_idx < 0:
             break
-        t_idx = start + rel
-        new = int(second_cell[t_idx] if is_best[rel] else best_cell[t_idx])
+        is_best = best_cell[t_idx] == serving
+        new = int(second_cell[t_idx] if is_best else best_cell[t_idx])
         if is_hibs[new] != is_hibs[serving]:
             direction = TN_TO_HIBS if is_hibs[new] else HIBS_TO_TN
             x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])

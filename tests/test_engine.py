@@ -238,6 +238,28 @@ def test_runs_reject_a_bad_thread_count_before_any_budget(run, threads, monkeypa
         run(ScenarioConfig(), threads=threads)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5),
+        functools.partial(run_sinr_sweep, n_drops=2, densities=(1.0,)),
+        functools.partial(run_throughput_sweep, n_drops=2, densities=(1.0,)),
+        mobility.run_mobility,
+    ],
+    ids=["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"],
+)
+def test_runs_reject_a_bad_seed_before_any_draw(run, seed, monkeypatch):
+    # numpy would take -1 and 1.5 to its own errors, and True or "1" some
+    # other way; every run meets the rule the command line states
+    def no_generator(*_):
+        raise AssertionError("made a generator before checking the seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+        run(ScenarioConfig(), seed=seed)
+
+
 def test_run_sinr_sweep_small(default_cfg):
     res = run_sinr_sweep(default_cfg, seed=9, n_drops=4, densities=(0.5, 2.0))
     assert res.densities == (0.5, 2.0)

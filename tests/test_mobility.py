@@ -1,18 +1,23 @@
+import copy
 import dataclasses
+import functools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 import hibsim
-from hibsim import antenna, channel, engine, mobility
-from hibsim.antenna import AperturePattern
+from hibsim import antenna, channel, engine, mobility, network
+from hibsim.antenna import AperturePattern, SectorPattern
 from hibsim.config import ConfigError, config_from_dict
 from hibsim.mobility import (
     CENTER_PARK_RADIUS_M,
@@ -20,9 +25,11 @@ from hibsim.mobility import (
     TN_TO_HIBS,
     HandoverEvent,
     MobilityResult,
+    _a3_trigger,
     _best_two,
     _consecutive_needed,
     _first_sustained,
+    _track_events,
     _track_rx_power_dbm,
     run_mobility,
 )
@@ -61,6 +68,26 @@ def test_first_sustained_no_run():
     assert _first_sustained(np.zeros(10, dtype=bool), 2) == -1
     assert _first_sustained(np.array([True, False] * 5), 2) == -1
     assert _first_sustained(np.empty(0, dtype=bool), 2) == -1
+
+
+@pytest.mark.parametrize("k", [2, 5, 70])
+def test_a3_trigger_equals_one_scan_of_the_rest(k):
+    # the windowed search finds what one scan of every sample from the
+    # start on finds, runs straddling window edges included
+    rng = np.random.default_rng(k)
+    rx = np.round(np.cumsum(rng.normal(size=(3_000, 5)), axis=0), 0)  # long runs, ties
+    best, best_cell, second, _ = _best_two(rx)
+    for serving in range(5):
+        for start in [1, 63, 64, 500, 2_990]:
+            for offset_db in [-1.0, 0.0, 0.5, 2.0]:
+                is_best = best_cell[start:] == serving
+                rival = np.where(is_best, second[start:], best[start:])
+                rel = _first_sustained(rival > rx[start:, serving] + offset_db, k)
+                want = start + rel if rel >= 0 else -1
+                got = _a3_trigger(
+                    best, best_cell, second, rx[:, serving], serving, start, offset_db, k
+                )
+                assert got == want
 
 
 def test_best_two_gives_the_strongest_other_cell():
@@ -306,18 +333,170 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
 def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
     cfg = config_from_dict({"channel": {"ntn": {"los_only": los_only}}})
     scenario = engine.build_combined_scenario(cfg)
-    # an inbound track from outside the site ring to the center
-    t = np.linspace(0.0, 1.0, 400)[:, None]
-    pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
-        [300.0, 80.0, 1.5]
+    # an inbound track from outside the site ring to the center, in one
+    # segment, then in eight, where sites are skipped on some
+    for n_t in (400, 4_000):
+        t = np.linspace(0.0, 1.0, n_t)[:, None]
+        pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
+            [300.0, 80.0, 1.5]
+        )
+        core_rng = engine.derive_rng(4, engine._MOBILITY, 9)
+        rng = engine.derive_rng(4, engine._MOBILITY, 9)
+        got = _track_rx_power_dbm(scenario, pos_xyz, core_rng, 0.9, shadowed).rx
+        want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
+        assert got.shape == (n_t, 37)
+        evaluated = got > -np.inf
+        assert np.array_equal(got[evaluated], want[evaluated])
+        # a skipped cell lies strictly below its sample's runner-up
+        _, _, runner_up, _ = _best_two(want)
+        assert np.all((want < runner_up[:, None])[~evaluated])
+        assert core_rng.random() == rng.random()  # same number of draws
+
+
+@pytest.mark.parametrize("shadowed", [False, True])
+def test_site_bounds_hold_on_a_bent_track(shadowed):
+    # a track weaving up to 400 m off its segments' chords, which pass 550 m
+    # from the first macro site, its samples as close as 150 m: each site's
+    # bound still covers every sample of each segment, in LOS and NLOS, and
+    # the pruned power keeps the full evaluation's bits and its runner-up
+    scenario = _scenario()
+    t = np.arange(3_000)
+    site_x = scenario.transmitters[1].position[0]
+    pos_xyz = np.column_stack(
+        [site_x + 1_500.0 - 6.0 * t, 550.0 + 400.0 * np.sin(t / 40.0), np.full(t.size, 1.5)]
     )
-    core_rng = engine.derive_rng(4, engine._MOBILITY, 9)
-    rng = engine.derive_rng(4, engine._MOBILITY, 9)
-    got = _track_rx_power_dbm(scenario, pos_xyz, core_rng, 0.9, shadowed)
-    want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
-    assert got.shape == (400, 37)
-    assert np.array_equal(got, want)
-    assert core_rng.random() == rng.random()  # same number of draws
+    for key in range(4):
+        rng = engine.derive_rng(5, engine._MOBILITY, 0, key)
+        power = _track_rx_power_dbm(scenario, pos_xyz, copy.deepcopy(rng), 0.95, shadowed)
+        full = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.95, shadowed)
+        sites = [i for i, tx in enumerate(power.table) if isinstance(tx.pattern, SectorPattern)]
+        bound = power.site_bounds(sites)
+        for s, i in enumerate(sites):
+            site_max = full[:, power.table[i].rows].max(axis=1)
+            assert np.all(np.maximum.reduceat(site_max, power.starts) <= bound[s])
+        evaluated = power.rx > -np.inf
+        assert np.array_equal(power.rx[evaluated], full[evaluated])
+        _, _, runner_up, _ = _best_two(full)
+        assert np.all((full < runner_up[:, None])[~evaluated])
+
+
+@functools.cache
+def _scenario(signal="longterm", los_only=False, sidelobes="floor"):
+    return engine.build_combined_scenario(
+        config_from_dict(
+            {
+                "mobility": {"decision_signal": signal},
+                "channel": {"ntn": {"los_only": los_only}},
+                "hibs": {"pattern_sidelobes": sidelobes},
+            }
+        )
+    )
+
+
+class _FullTrack:
+    """A track's power evaluated in full, by the per-cell reference: the A3
+    loop finds nothing to fill."""
+
+    def __init__(self, scenario, pos_xyz, rng, rho, shadowed):
+        self.rx = reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed)
+
+    def fill(self, cell, start):
+        pass
+
+
+def _full_track_events(scenario, seed, offset_db, track):
+    with mock.patch.object(mobility, "_track_rx_power_dbm", _FullTrack):
+        return _track_events(scenario, seed, offset_db, track)
+
+
+@settings(max_examples=24, deadline=None, database=None)
+@given(
+    track=st.tuples(st.integers(0, 1), st.integers(0, 10_000)),
+    seed=st.integers(0, 2**32 - 1),
+    offset_db=st.sampled_from([0.0, -2.0]) | st.floats(-4.0, 8.0),
+    signal=st.sampled_from(["longterm", "shadowed"]),
+    los_only=st.booleans(),
+    sidelobes=st.sampled_from(["floor", "bessel"]),
+)
+def test_pruned_tracks_hand_over_as_a_full_evaluation(
+    track, seed, offset_db, signal, los_only, sidelobes
+):
+    # the skipped cells never decide a handover, at any offset: the same
+    # events, times and positions, bit for bit
+    scenario = _scenario(signal, los_only, sidelobes)
+    assert _track_events(scenario, seed, offset_db, track) == _full_track_events(
+        scenario, seed, offset_db, track
+    )
+
+
+@pytest.mark.parametrize("signal", ["longterm", "shadowed"])
+def test_a3_loop_reads_the_values_of_a_full_evaluation(signal):
+    # on every sample of default tracks: the best and runner-up levels and
+    # cells the loop scans, and the serving cell's level from each start on
+    scenario = _scenario(signal)
+    for track in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        seen = {}
+
+        def pruned(scenario, pos_xyz, rng, rho, shadowed):
+            full = reference_track_rx_power_dbm(
+                scenario, pos_xyz, copy.deepcopy(rng), rho, shadowed
+            )
+            power = _track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed)
+            fill = power.fill
+
+            def recorded_fill(cell, start):
+                reads.append((cell, start))
+                fill(cell, start)
+
+            power.fill = recorded_fill
+            seen.update(power=power, full=full, fill=fill)
+            return power
+
+        def best_two(rx):
+            seen["best_two"] = _best_two(rx)
+            return seen["best_two"]
+
+        reads = []
+        with mock.patch.object(mobility, "_track_rx_power_dbm", pruned), mock.patch.object(
+            mobility, "_best_two", best_two
+        ):
+            events = _track_events(scenario, 1, 3.0, track)
+        assert events == _full_track_events(scenario, 1, 3.0, track)
+        rx, full, fill = seen["power"].rx, seen["full"], seen["fill"]
+        for got, want in zip(seen["best_two"], _best_two(full)):
+            assert np.array_equal(got, want)
+        assert reads and reads[0][1] == 1
+        for cell, start in reads:
+            assert np.array_equal(rx[start:, cell], full[start:, cell])
+        if signal == "longterm":
+            assert np.isneginf(rx).any()  # the pruning is on
+        # a fill from inside a segment covers that segment too
+        for cell in range(rx.shape[1]):
+            fill(cell, 700)
+        assert np.array_equal(rx[700:], full[700:])
+
+
+def test_default_tracks_evaluate_a_fifth_of_the_site_samples():
+    # the pruning stays on: the macro sites' budgets see 22.1 % of the
+    # (site, sample) pairs on these six default tracks (21.0 % on all 240
+    # at seed 1), where a full evaluation sees every pair
+    scenario = _scenario()
+    n_sites = len(scenario.transmitters) - 1
+    evaluated, full = 0, 0
+    budget = network.transmitter_budget
+
+    def counting(tx, rx_xyz, cfg):
+        nonlocal evaluated, full
+        if isinstance(tx.pattern, SectorPattern):
+            evaluated += rx_xyz.shape[0]
+        else:  # the platform, on every sample of the track
+            full += n_sites * rx_xyz.shape[0]
+        return budget(tx, rx_xyz, cfg)
+
+    with mock.patch.object(network, "transmitter_budget", counting):
+        for track in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]:
+            _track_events(scenario, 1, 3.0, track)
+    assert evaluated <= 0.3 * full, evaluated / full
 
 
 def _peak_traced_bytes(fn):
@@ -347,7 +526,7 @@ def test_track_rx_power_live_memory(shadowed, bound):
 
     def track():
         rng = engine.derive_rng(1, engine._MOBILITY, 0)
-        return _track_rx_power_dbm(scenario, pos_xyz, rng, 0.97, shadowed)
+        return _track_rx_power_dbm(scenario, pos_xyz, rng, 0.97, shadowed).rx
 
     track()  # first-call work (the scipy.signal import) is not the track's
     rx, peak = _peak_traced_bytes(track)
