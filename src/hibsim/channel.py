@@ -5,9 +5,10 @@ the pathloss itself; `network.coupling_loss_matrix` assembles the full links,
 passing these functions the carrier frequency, UE height and parameters it
 reads from the scenario config.
 A link budget comes in two halves. `ntn_link_medians` and `rma_link_medians`
-give the fading-free half, computed once per transmitter; `resolve_links`
-turns it into LOS states and shadowing from draws the caller made, so the
-caller alone fixes which random numbers each link consumes.
+give the fading-free half, once per transmitter (a group of macro sites
+in one call); `resolve_links` turns it into LOS states and shadowing from
+draws the caller made, so the caller alone fixes which random numbers each
+link consumes.
 """
 
 from __future__ import annotations

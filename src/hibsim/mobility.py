@@ -123,7 +123,7 @@ class _TrackPower:
 
     def evaluate(self, i: int, segments: np.ndarray | None = None) -> None:
         """Write table entry i's cells into `rx` on a mask of segments, or
-        on the whole track (None)."""
+        on the whole track (None), as a budget group of one."""
         tx = self.table[i]
         rows, threshold, unit = tx.rows, self.threshold, self.unit
         if segments is None:

@@ -7,10 +7,12 @@ matrix serves association, downlink SINR, and uplink scheduling. Each
 physical transmitter is listed once and names the link-matrix row of each
 of its cells, so its rows need not be consecutive: the overlay platform
 holds row 0 and the rows after the macro sectors. Draws are made in row
-order, whatever the listing order. The link layer takes the scenario
-config whole and reads its constants from it: the carrier frequency, the
-UE antenna gain and height, the platform and RMa channel parameters, and
-whether shadowing is on.
+order, whatever the listing order. The budgets then come the platform,
+then site groups: consecutive macro sites that share one pattern and
+height take one vectorized pass, a lone site being a group of one. The
+link layer takes the scenario config whole and reads its constants from
+it: the carrier frequency, the UE antenna gain and height, the platform and
+RMa channel parameters, and whether shadowing is on.
 """
 
 from __future__ import annotations
@@ -55,42 +57,52 @@ def platform_geometry(position: np.ndarray, boresights, rx_xyz: np.ndarray):
     return slant, elev, off_axis
 
 
-def site_geometry(position: np.ndarray, azimuths_deg: np.ndarray, rx_xyz: np.ndarray):
-    """(d2d_m, az_off_deg, depression_deg) from one macro site to receivers;
-    azimuth offsets have one row per sector boresight azimuth."""
-    dx = rx_xyz[:, 0] - position[0]
-    dy = rx_xyz[:, 1] - position[1]
+def site_geometry(positions: np.ndarray, azimuths_deg: np.ndarray, rx_xyz: np.ndarray):
+    """(d2d_m, az_off_deg, depression_deg) from k macro sites, positions
+    (k, 3) with sector boresight azimuths (k, s), to n receivers: d2d and
+    depression are (k, n), azimuth offsets (k, s, n)."""
+    dx = rx_xyz[:, 0] - positions[:, 0, None]
+    dy = rx_xyz[:, 1] - positions[:, 1, None]
     d2d = np.hypot(dx, dy)
-    az_off = np.degrees(np.arctan2(dy, dx)) - azimuths_deg[:, None]
-    depression = np.degrees(np.arctan2(position[2] - rx_xyz[:, 2], d2d))
+    az_off = np.degrees(np.arctan2(dy, dx))[:, None] - azimuths_deg[..., None]
+    depression = np.degrees(np.arctan2(positions[:, 2, None] - rx_xyz[:, 2], d2d))
     return d2d, az_off, depression
 
 
 class TransmitterBudget(NamedTuple):
-    """Deterministic half of the link budget from one transmitter."""
+    """Deterministic half of the link budget from a group of transmitters."""
 
-    medians: channel.LinkMedians  # fields over the receivers
-    g_tx_dbi: np.ndarray  # (its cells, receivers)
+    medians: channel.LinkMedians  # fields broadcast to the gains' shape
+    g_tx_dbi: np.ndarray  # (cells, receivers), or (sites, sectors, receivers)
 
 
 def transmitter_budget(
-    tx: Transmitter, rx_xyz: np.ndarray, cfg: ScenarioConfig
+    group, rx_xyz: np.ndarray, cfg: ScenarioConfig
 ) -> TransmitterBudget:
-    """Deterministic half of the link budget from one transmitter: its
-    geometry and pathloss medians once, and the gains of all its cells in
-    one call, at the config's carrier frequency, channel parameters and UE
-    height."""
+    """Deterministic half of the link budget from a group of transmitters:
+    one platform, or macro sites that share one sector pattern, one height
+    and one sector count. Geometry and pathloss medians come once per
+    transmitter, and the gains of all the group's cells in one call, at the
+    config's carrier frequency, channel parameters and UE height. A
+    platform's gains are (beams, receivers); a site group's are (sites,
+    sectors, receivers), its medians (sites, 1, receivers)."""
     f = cfg.carrier.frequency_hz
+    tx = group[0]
     if isinstance(tx.pattern, AperturePattern):
+        (tx,) = group
         slant, elev, off_axis = platform_geometry(tx.position, tx.pointing, rx_xyz)
         medians = channel.ntn_link_medians(elev, slant, f, cfg.channel.ntn)
         g_tx = antenna.aperture_gain_dbi(off_axis, tx.pattern)
     else:
-        d2d, az_off, depression = site_geometry(tx.position, tx.pointing, rx_xyz)
-        medians = channel.rma_link_medians(
-            d2d, f, tx.position[2], cfg.ue.height_m, cfg.channel.rma
+        d2d, az_off, depression = site_geometry(
+            np.array([t.position for t in group]),
+            np.array([t.pointing for t in group]),
+            rx_xyz,
         )
-        g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
+        medians = channel.rma_link_medians(
+            d2d[:, None], f, tx.position[2], cfg.ue.height_m, cfg.channel.rma
+        )
+        g_tx = antenna.sector_gain_dbi(az_off, depression[:, None], tx.pattern)
     return TransmitterBudget(medians, g_tx)
 
 
@@ -114,20 +126,68 @@ def _draw_links(
             rng.standard_normal(out=normal[i])
 
 
+def _group_cell_limit(transmitters) -> int:
+    """Most cells a site group may hold: as many as the largest transmitter,
+    so a group's arrays stay the size of that one's. That is 6 sites of 3
+    sectors beside the overlay's 19 beams, and one site where a platform
+    serves from one beam."""
+    return max(len(tx.rows) for tx in transmitters)
+
+
+def _budget_groups(transmitters) -> list[list[Transmitter]]:
+    """The transmitters in listing order as budget groups: each platform
+    alone, and runs of consecutive macro sites that share one sector
+    pattern, height and sector count, each holding at most
+    `_group_cell_limit` cells (a lone site whatever the limit)."""
+    limit = _group_cell_limit(transmitters)
+    groups: list[list[Transmitter]] = []
+    cells = 0
+    for tx in transmitters:
+        head = groups[-1][0] if groups else None
+        if (
+            head is not None
+            and isinstance(tx.pattern, SectorPattern)
+            and tx.pattern == head.pattern
+            and tx.position[2] == head.position[2]
+            and len(tx.pointing) == len(head.pointing)
+            and cells + len(tx.rows) <= limit
+        ):
+            groups[-1].append(tx)
+            cells += len(tx.rows)
+        else:
+            groups.append([tx])
+            cells = len(tx.rows)
+    return groups
+
+
 def _link_coupling(
     transmitters, rx_xyz: np.ndarray, uniform: np.ndarray, normal, cfg: ScenarioConfig
 ):
-    """(rows, coupling) per transmitter, one at a time, in listing order.
+    """(rows, coupling) per budget group: the platform, then site groups
+    (`_budget_groups`), in listing order. `rows` indexes the group's rows of
+    the draws and link matrices: a slice where they are consecutive, so the
+    group reads its draws without a copy, else an index array.
 
-    Each transmitter's budget is resolved with its rows of the draws into
-    the coupling loss pl + shadow + clutter - g_tx - g_rx, summed in that
-    order into the pathloss array, g_rx being the config's UE antenna gain;
-    the budget is dropped before the next one is computed.
+    Each group's budget is resolved with its rows of the draws, reshaped to
+    its gains' shape, into the coupling loss pl + shadow + clutter - g_tx -
+    g_rx, summed in that order into the pathloss array, g_rx being the
+    config's UE antenna gain. The draws may hold one column, a track's LOS
+    thresholds, which broadcasts over the receivers. Each budget is dropped
+    before the next one is computed.
     """
-    for tx in transmitters:
-        budget = transmitter_budget(tx, rx_xyz, cfg)
+    for group in _budget_groups(transmitters):
+        listed = [row for tx in group for row in tx.rows.tolist()]
+        first, n_rows = listed[0], len(listed)
+        if listed == list(range(first, first + n_rows)):
+            rows = slice(first, first + n_rows)
+        else:
+            rows = np.array(listed)
+        budget = transmitter_budget(group, rx_xyz, cfg)
+        shape = (*budget.g_tx_dbi.shape[:-1], -1)
         coupling, shadow, clutter, _ = channel.resolve_links(
-            budget.medians, uniform[tx.rows], None if normal is None else normal[tx.rows]
+            budget.medians,
+            uniform[rows].reshape(shape),
+            None if normal is None else normal[rows].reshape(shape),
         )
         # the zero terms come as the float 0.0; adding them changes no bit
         for term in (shadow, clutter):
@@ -136,7 +196,7 @@ def _link_coupling(
         coupling -= budget.g_tx_dbi
         coupling -= cfg.ue.antenna_gain_dbi
         del budget, shadow, clutter
-        yield tx.rows, coupling
+        yield rows, coupling.reshape(-1, coupling.shape[-1])
 
 
 def coupling_loss_matrix(
@@ -148,7 +208,7 @@ def coupling_loss_matrix(
     the drops lying end to end. Each drop makes its `_draw_links` draws from
     its own generator into its columns, so a fixed seed reproduces a drop's
     columns bit for bit, whichever drops share the call. All draws are made
-    first; the budgets then come one transmitter at a time. Shadowing is
+    first; the budgets then come the platform, then site groups. Shadowing is
     drawn only when the config's `channel.shadowing` is on.
     """
     n_users = users_xyz.shape[0]

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import operator
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hibsim import channel, engine, geometry, mobility, network
+from hibsim import channel, engine, geometry, mobility, network, output
 from hibsim.channel import NtnParams, RmaParams, noise_power_dbm
 from hibsim.engine import (
     build_combined_scenario,
@@ -336,6 +337,27 @@ def test_run_throughput_sweep_threads_equal(default_cfg):
     assert a.points == b.points
 
 
+def test_run_throughput_sweep_same_bytes_with_lone_site_groups(
+    default_cfg, monkeypatch, tmp_path
+):
+    # the overlay's sites take their budgets in groups of 6; a site group
+    # limit of one cell makes every site a group of one, with the same bytes
+    scenario = build_combined_scenario(default_cfg)
+    kwargs = dict(seed=4, n_drops=3, densities=(0.5, 20.0), threads=1)
+    written = {}
+    for limit, sizes in ((None, [1, 6, 6]), (1, [1] * 13)):
+        if limit is not None:
+            monkeypatch.setattr(network, "_group_cell_limit", lambda _: limit)
+        groups = network._budget_groups(scenario.transmitters)
+        assert [len(group) for group in groups] == sizes
+        res = run_throughput_sweep(default_cfg, **kwargs)
+        out = tmp_path / str(limit)
+        out.mkdir()
+        paths = output.emit_throughput_sweep(res, default_cfg, str(out))
+        written[limit] = [pathlib.Path(path).read_bytes() for path in paths]
+    assert written[None] == written[1]
+
+
 def test_run_throughput_sweep_near_zero_density(default_cfg):
     res = run_throughput_sweep(default_cfg, seed=1, n_drops=2, densities=(1e-9,))
     p = res.points[0]
@@ -564,11 +586,12 @@ def test_drop_budgets_live_memory(default_cfg):
     # 600 overlay users over 55 cells (36 sectors, the serving beam and 18
     # co-channel beams). The LOS uniforms and shadow normals are drawn up
     # front, one of each per link, and the coupling matrix is the output:
-    # 3x its bytes. The budgets then live one transmitter at a time, the
-    # largest being the 18 co-channel beams' rows of 55 (geometry, gains,
-    # resolved links), so the peak stays within 7x the output: measured 5.71x.
-    # Building every transmitter's budget and five component matrices
-    # before combining them reads 10.2x.
+    # 3x its bytes. The budgets then live one group at a time: the platform
+    # (its 19 beams' rows of 55: geometry, gains, resolved links), then two
+    # groups of 6 sites, each holding no more cells than the platform, so
+    # the peak stays within 7x the output: measured 5.79x. One group of all
+    # 12 sites reads 6.98x; building every transmitter's budget and five
+    # component matrices before combining them reads 10.2x.
     scenario = engine.build_combined_scenario(default_cfg)
     users = geometry.drop_users(
         600, np.random.default_rng(3), scenario.service_radius_m, height_m=1.5

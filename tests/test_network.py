@@ -91,11 +91,11 @@ def test_tn_link_geometry():
     site = layout.site_positions[0]  # azimuth 0 sector
     user = np.array([[site[0] + 1_000.0, site[1], 1.5]])
     d2d, az_off, depression = network.site_geometry(
-        site, layout.sector_azimuth_deg[:3], user
+        site[None], layout.sector_azimuth_deg[None, :3], user
     )
-    assert_allclose(d2d, 1_000.0)
-    assert_allclose(az_off, [[0.0], [-120.0], [-240.0]])
-    assert_allclose(depression, math.degrees(math.atan2(28.5, 1_000.0)))
+    assert_allclose(d2d, [[1_000.0]])
+    assert_allclose(az_off, [[[0.0], [-120.0], [-240.0]]])
+    assert_allclose(depression, [[math.degrees(math.atan2(28.5, 1_000.0))]])
 
 
 def test_associate_single_cell():
@@ -142,18 +142,22 @@ def test_associate_user_next_to_site_gets_facing_sector():
 
 def _links_by_transmitter(transmitters, users, cfg, uniform, normal):
     """(pathloss, shadow, clutter, g_tx, los) matrices over all cells, each
-    transmitter's rows, one per pointing entry, from its budget under `cfg`
-    and the given draws."""
+    transmitter's rows, one per pointing entry, from its budget as a group
+    of one under `cfg` and the given draws."""
     shape = (sum(len(tx.pointing) for tx in transmitters), users.shape[0])
     pl, sh, cl, gt = (np.empty(shape) for _ in range(4))
     los = np.empty(shape, dtype=bool)
     for tx in transmitters:
         r = tx.rows
-        budget = network.transmitter_budget(tx, users, cfg)
-        pl[r], sh[r], cl[r], los[r] = channel.resolve_links(
-            budget.medians, uniform[r], None if normal is None else normal[r]
+        budget = network.transmitter_budget([tx], users, cfg)
+        links = budget.g_tx_dbi.shape  # (beams, n), or (1 site, sectors, n)
+        resolved = channel.resolve_links(
+            budget.medians,
+            uniform[r].reshape(links),
+            None if normal is None else normal[r].reshape(links),
         )
-        gt[r] = budget.g_tx_dbi
+        for out, link in zip((pl, sh, cl, los, gt), (*resolved, budget.g_tx_dbi)):
+            out[r] = np.broadcast_to(link, links).reshape(len(r), -1)
     return pl, sh, cl, gt, los
 
 
@@ -194,23 +198,31 @@ def reference_aperture_gain_dbi(theta_deg, pattern):
 def reference_cell_budget(tx, pointing, users, cfg, rng):
     """The (pathloss, shadow, clutter, g_tx, los) row of the cell of
     transmitter `tx` with one `pointing` entry (a boresight or an azimuth),
-    computed for that cell alone: geometry, medians and draws (n LOS
-    uniforms unless the cell is always LOS, then n shadowing normals). The
-    draws come last, as (uniform, normal), zero where none were drawn."""
+    computed for that cell alone, from its own draws (n LOS uniforms unless
+    the cell is always LOS, then n shadowing normals). The draws come last,
+    as (uniform, normal), zero where none were drawn."""
+    n = users.shape[0]
+    always_los = cfg.channel.ntn.los_only and isinstance(tx.pattern, AperturePattern)
+    uniform = np.zeros(n) if always_los else rng.random(n)
+    normal = rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
+    return (*reference_cell_links(tx, pointing, users, cfg, uniform, normal), uniform, normal)
+
+
+def reference_cell_links(tx, pointing, users, cfg, uniform, normal):
+    """The (pathloss, shadow, clutter, g_tx, los) row of one cell, computed
+    for that cell alone from the given draws: its LOS uniforms (one per
+    receiver, or one held for all) and its shadowing normals."""
     n = users.shape[0]
     f = cfg.carrier.frequency_hz
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
     beam = isinstance(tx.pattern, AperturePattern)
-    always_los = ntn.los_only and beam
-    uniform = np.zeros(n) if always_los else rng.random(n)
-    normal = rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
     if beam:
         delta = users - tx.position
         slant = np.linalg.norm(delta, axis=1)
         elev = np.degrees(np.arctan2(-delta[:, 2], np.hypot(delta[:, 0], delta[:, 1])))
         off_axis = np.degrees(np.arccos(np.clip(delta @ pointing / slant, -1.0, 1.0)))
         pl = channel.fspl_db(slant, f)
-        los = np.ones(n, dtype=bool) if always_los else uniform < ntn.p_los(elev)
+        los = np.ones(n, dtype=bool) if ntn.los_only else uniform < ntn.p_los(elev)
         clutter = np.where(los, 0.0, ntn.clutter_db(elev))
         sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
         g_tx = reference_aperture_gain_dbi(off_axis, tx.pattern)
@@ -233,7 +245,7 @@ def reference_cell_budget(tx, pointing, users, cfg, rng):
         )
         g_tx = antenna.sector_gain_dbi(az_off, depression, tx.pattern)
     shadow = sigma * normal if cfg.channel.shadowing else np.zeros(n)
-    return pl, shadow, clutter, g_tx, los, uniform, normal
+    return pl, shadow, clutter, g_tx, los
 
 
 @pytest.mark.parametrize(
@@ -279,6 +291,63 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
     )
     for g, want in zip(got, (pl, sh, cl, gt, los)):
         assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"channel": {"shadowing": False}}, {"channel": {"ntn": {"los_only": True}}}],
+    ids=["shadowing", "no-shadowing", "los-only"],
+)
+@pytest.mark.parametrize("draws", ["users", "track", "one-receiver"])
+def test_site_groups_match_sites_alone(overrides, draws, monkeypatch):
+    # every group size from 1 to 12 sites gives the bits of each cell
+    # computed alone, with the sites' rows consecutive (the groups read
+    # their draws as slices) or scattered (as index arrays); a track's LOS
+    # thresholds, one per cell, broadcast over its samples
+    cfg = config_from_dict(overrides)
+    table = engine.build_combined_scenario(cfg).transmitters
+    n = 1 if draws == "one-receiver" else 120
+    users = geometry.drop_users(
+        n, np.random.default_rng(12), 19_000.0, height_m=cfg.ue.height_m
+    )
+    rng = np.random.default_rng(13)
+    uniform = rng.random((55, 1 if draws == "track" else n))
+    normal = rng.standard_normal((55, n)) if cfg.channel.shadowing else None
+    scattered = rng.permutation(np.arange(1, 37)).reshape(12, 3)
+    layouts = {
+        "consecutive": table,
+        "scattered": table[:1] + tuple(
+            tx._replace(rows=rows) for tx, rows in zip(table[1:], scattered)
+        ),
+    }
+    for layout, listed in layouts.items():
+        want = np.empty((55, n))
+        for tx in listed:
+            for row, pointing in zip(tx.rows, tx.pointing):
+                pl, sh, cl, gt, _ = reference_cell_links(
+                    tx,
+                    pointing,
+                    users,
+                    cfg,
+                    uniform[row],
+                    np.zeros(n) if normal is None else normal[row],
+                )
+                want[row] = pl + sh + cl - gt - cfg.ue.antenna_gain_dbi
+        for k in range(1, 13):
+            monkeypatch.setattr(network, "_group_cell_limit", lambda _, k=k: 3 * k)
+            got = np.empty((55, n))
+            kinds = []
+            for rows, coupling in network._link_coupling(
+                listed, users, uniform, normal, cfg
+            ):
+                got[rows] = coupling
+                kinds.append(type(rows))
+            assert np.array_equal(got, want), (layout, k)
+            sizes = [len(g) for g in network._budget_groups(listed)]
+            assert sizes == [1] + [k] * (12 // k) + [12 % k] * (12 % k > 0)
+            # the platform's rows are scattered; the sites' follow the layout
+            site_kind = slice if layout == "consecutive" else np.ndarray
+            assert kinds == [np.ndarray] + [site_kind] * (len(sizes) - 1)
 
 
 def test_ue_antenna_gain_comes_off_last_from_the_config():
@@ -340,7 +409,7 @@ def test_coupling_loss_center_user_deterministic_budget():
         [platform], users, [(np.random.default_rng(0), 1)], cfg
     )
     assert_allclose(coupling[0, 0], 108.0, atol=0.2)
-    budget = network.transmitter_budget(platform, users, cfg)
+    budget = network.transmitter_budget([platform], users, cfg)
     uniform = np.random.default_rng(0).random((19, 1))
     _, shadow, clutter, los = channel.resolve_links(budget.medians, uniform, None)
     assert los.all()
