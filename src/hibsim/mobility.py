@@ -96,9 +96,10 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
 
 
 class _TrackPower:
-    """Received DL power tx - coupling, `rx` (T, n_cells), along one track,
-    each macro site's cells left at -inf on the segments where the site
-    cannot reach the top two (see `_track_rx_power_dbm`).
+    """Received DL power tx - coupling, `rx` (T, n_cells), along one track;
+    on the long-term signal each macro site's cells are left at -inf on the
+    segments where the site cannot reach the top two (see
+    `_track_rx_power_dbm`).
 
     Every evaluated entry has the bits of a full evaluation: the budgets are
     elementwise over the samples, and each evaluation of a transmitter is one
@@ -123,18 +124,18 @@ class _TrackPower:
 
     def evaluate(self, i: int, segments: np.ndarray | None = None) -> None:
         """Write table entry i's cells into `rx` on a mask of segments, or
-        on the whole track (None), as a budget group of one."""
+        on the whole track (None), as a budget group of one. Only the
+        long-term signal, which draws no `unit`, is evaluated on segments."""
         tx = self.table[i]
-        rows, threshold, unit = tx.rows, self.threshold, self.unit
+        rows, threshold = tx.rows, self.threshold
         if segments is None:
             samples = slice(None)
         else:
             samples = np.flatnonzero(np.repeat(segments, self.lengths))
-            # the entry's own rows of the draws, on those samples only
+            # the entry's own rows of the thresholds
             threshold, tx = threshold[rows], tx._replace(rows=np.arange(rows.size))
-            unit = None if unit is None else unit[np.ix_(rows, samples)]
         ((_, coupling),) = network._link_coupling(
-            [tx], self.pos[samples], threshold, unit, self.cfg
+            [tx], self.pos[samples], threshold, self.unit, self.cfg
         )
         np.subtract(self.tx_power_dbm[rows, None], coupling, out=coupling)
         if segments is None:
@@ -165,8 +166,8 @@ class _TrackPower:
         to the segment. PL is the RMa LOS curve where any of the site's LOS
         thresholds lies below p_los there, else the NLOS curve: both curves
         rise with distance and p_los falls, so no sample of the segment has
-        a lower pathloss. The shadowed signal adds sigma_max * max|unit|
-        over the segment and the site's cells.
+        a lower pathloss. It holds no shadowing: only the long-term signal
+        is bounded.
         """
         cfg, rma = self.cfg, self.cfg.channel.rma
         sites_xy = np.array([self.table[i].position[:2] for i in sites])
@@ -186,13 +187,6 @@ class _TrackPower:
             for i, r in zip(sites, rows)
         ]
         bound += np.array(peak)[:, None] + cfg.ue.antenna_gain_dbi + _BOUND_SLACK_DB
-        if self.unit is not None:
-            swing = np.maximum(
-                np.maximum.reduceat(self.unit, self.starts, axis=1),
-                -np.minimum.reduceat(self.unit, self.starts, axis=1),
-            )
-            sigma_max = max(rma.sigma_los_near_db, rma.sigma_los_far_db, rma.sigma_nlos_db)
-            bound += sigma_max * np.array([swing[r].max(axis=0) for r in rows])
         return bound
 
 
@@ -257,22 +251,25 @@ def _track_rx_power_dbm(
     evaluated where it can reach the A3 rule's top two.
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
-    rule compares no other. The draws follow `network._draw_links`: per
-    cell in row order, one LOS threshold (none when the cell is always
-    LOS), then (shadowed only) T AR(1) innovations — one track stream
-    reproduces the track exactly, and the LOS pattern is identical across
-    the two decision signals. All draws are made before any budget, so the
-    pruning below changes no draw.
+    rule compares no other. The draws follow `network._draw_links`: one LOS
+    threshold per cell in row order, then (shadowed only) T AR(1)
+    innovations per cell — one track stream reproduces the track exactly,
+    and the shadowed signal holds the long-term signal's LOS thresholds.
+    All draws are made before any budget, so the pruning below changes no
+    draw.
 
-    The platform is evaluated on the whole track. Each macro site is bounded
-    from above on each segment of `SEGMENT_SAMPLES` samples
-    (`_TrackPower.site_bounds`). The sites among the two highest bounds of
-    any segment are evaluated on the whole track; L, a segment's least
-    second-largest power among the cells evaluated so far, is then a lower
-    bound on its runner-up. Every other site is evaluated, in one call, on
-    the segments where its bound reaches L, and left at -inf on the rest:
-    a skipped cell lies strictly below the runner-up, so the best cell, the
-    runner-up and their ties are those of a full evaluation.
+    The shadowed signal evaluates every transmitter on the whole track:
+    shadow swings widen a site's bound until it skips next to nothing. On
+    the long-term signal the platform is evaluated on the whole track, and
+    each macro site is bounded from above on each segment of
+    `SEGMENT_SAMPLES` samples (`_TrackPower.site_bounds`). The sites among
+    the two highest bounds of any segment are evaluated on the whole track;
+    L, a segment's least second-largest power among the cells evaluated so
+    far, is then a lower bound on its runner-up. Every other site is
+    evaluated, in one call, on the segments where its bound reaches L, and
+    left at -inf on the rest: a skipped cell lies strictly below the
+    runner-up, so the best cell, the runner-up and their ties are those of
+    a full evaluation.
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
@@ -280,9 +277,10 @@ def _track_rx_power_dbm(
         tx._replace(pointing=tx.pointing[tx.rows < n_c], rows=tx.rows[tx.rows < n_c])
         for tx in scenario.transmitters
     ]
-    threshold = np.zeros((n_c, 1))
+    threshold = np.empty((n_c, 1))
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
-    network._draw_links(rng, table, cfg.channel.ntn.los_only, threshold, unit)
+    network._draw_links(rng, threshold, unit)
+    track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
     if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
@@ -290,7 +288,9 @@ def _track_rx_power_dbm(
         unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
         for row in unit:
             row[:] = lfilter([1.0], [1.0, -rho], row)
-    track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
+        for i in range(len(table)):
+            track.evaluate(i)
+        return track
     sites = [i for i, tx in enumerate(table) if isinstance(tx.pattern, SectorPattern)]
     bound = track.site_bounds(sites)
     top = {sites[s] for s in np.argsort(-bound, axis=0)[:2].ravel()}

@@ -6,8 +6,9 @@ Coupling losses are computed as (n_cells, n_users) matrices so the same
 matrix serves association, downlink SINR, and uplink scheduling. Each
 physical transmitter is listed once and names the link-matrix row of each
 of its cells, so its rows need not be consecutive: the overlay platform
-holds row 0 and the rows after the macro sectors. Draws are made in row
-order, whatever the listing order. The budgets then come the platform,
+holds row 0 and the rows after the macro sectors. Each drop or track
+stream draws every row's LOS uniforms, in row order whatever the listing
+order, then every row's shadow normals. The budgets then come the platform,
 then site groups: consecutive macro sites that share one pattern and
 height take one vectorized pass, a lone site being a group of one. The
 link layer takes the scenario config whole and reads its constants from
@@ -106,24 +107,19 @@ def transmitter_budget(
     return TransmitterBudget(medians, g_tx)
 
 
-def _draw_links(
-    rng: np.random.Generator, transmitters, los_only: bool, uniform: np.ndarray, normal
-) -> None:
-    """The per-cell draw order of drops and tracks: cells in row order, each
-    filling its row of `uniform` with LOS uniforms, unless it is always LOS
-    (a platform's beams under `los_only`, whose p_los is 1, so their row
-    keeps the caller's zeros), then its row of `normal` with shadow normals
-    (none when `normal` is None). A row holds one drop's users, or one
-    track's LOS threshold and its samples' innovations; the transmitters
-    cover every row once."""
-    always_los = np.zeros(uniform.shape[0], dtype=bool)
-    for tx in transmitters:
-        always_los[tx.rows] = los_only and isinstance(tx.pattern, AperturePattern)
-    for i, los in enumerate(always_los):
-        if not los:
-            rng.random(out=uniform[i])
-        if normal is not None:
-            rng.standard_normal(out=normal[i])
+def _draw_links(rng: np.random.Generator, uniform: np.ndarray, normal) -> None:
+    """The draw order of one drop or track stream: every row's LOS uniforms
+    in one generator call, then every row's shadow normals in one more (none
+    when `normal` is None), each array filled in row-major order. A row
+    holds one cell's draws for a drop's users, or one track's LOS threshold
+    for a cell and its samples' innovations. An always-LOS cell (a platform
+    beam under `los_only`, p_los 1) draws like any other: it is LOS
+    whatever it draws. The arrays may be views, as a drop's columns of a
+    block are: numpy writes `out=` only to contiguous arrays, so the draws
+    come through a temporary."""
+    for out, draw in ((uniform, rng.random), (normal, rng.standard_normal)):
+        if out is not None:
+            out[...] = draw(out.shape)
 
 
 def _group_cell_limit(transmitters) -> int:
@@ -215,14 +211,12 @@ def coupling_loss_matrix(
     if sum(n for _, n in streams) != n_users:
         raise ValueError("stream user counts must add up to the users given")
     shape = (sum(len(tx.rows) for tx in transmitters), n_users)
-    uniform = np.zeros(shape)
+    uniform = np.empty(shape)
     normal = np.empty(shape) if cfg.channel.shadowing else None
-    los_only = cfg.channel.ntn.los_only
     lo = 0
     for rng, n in streams:
         cols = slice(lo, lo + n)
-        shadow = None if normal is None else normal[:, cols]
-        _draw_links(rng, transmitters, los_only, uniform[:, cols], shadow)
+        _draw_links(rng, uniform[:, cols], None if normal is None else normal[:, cols])
         lo += n
     coupling = np.empty(shape)
     for rows, link in _link_coupling(transmitters, users_xyz, uniform, normal, cfg):

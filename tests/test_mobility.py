@@ -265,10 +265,10 @@ def test_inbound_tracks_park_at_center():
 
 def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
     """Received power (T, n_cells) computed one serving cell at a time, in
-    row order, a cell being one (transmitter, pointing entry) pair:
-    geometry, medians, one LOS threshold (unless always LOS), then T AR(1)
-    innovations; tx - (pl + shadow + clutter - g_tx - g_rx), the drops'
-    coupling order."""
+    row order, a cell being one (transmitter, pointing entry) pair: every
+    cell's LOS threshold is drawn first, one per cell in row order; then
+    per cell geometry, medians and T AR(1) innovations; tx - (pl + shadow +
+    clutter - g_tx - g_rx), the drops' coupling order."""
     cfg = scenario.cfg
     ntn, rma = cfg.channel.ntn, cfg.channel.rma
     n_t = pos_xyz.shape[0]
@@ -283,6 +283,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
     )
     assert [row for row, _, _ in cells] == list(range(scenario.n_cells))
     rx = np.empty((n_t, len(cells)))
+    thresholds = [rng.random() for _ in cells]
     for i, (_, tx, pointing) in enumerate(cells):
         if isinstance(tx.pattern, AperturePattern):
             tx_power_dbm = cfg.hibs.tx_power_dbm
@@ -294,7 +295,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             off_axis = np.degrees(
                 np.arccos(np.clip(delta @ pointing / slant, -1.0, 1.0))
             )
-            los = np.ones(n_t, dtype=bool) if ntn.los_only else rng.random() < ntn.p_los(elev)
+            los = np.ones(n_t, dtype=bool) if ntn.los_only else thresholds[i] < ntn.p_los(elev)
             pl = channel.fspl_db(slant, cfg.carrier.frequency_hz)
             clutter = np.where(los, 0.0, ntn.clutter_db(elev))
             sigma = np.where(los, ntn.sigma_los_db, ntn.sigma_nlos_db)
@@ -309,7 +310,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             pl_los, pl_nlos, pre_bp, p_los, _ = channel.rma_median_pathloss(
                 d2d, cfg.carrier.frequency_hz, tx.position[2], cfg.ue.height_m, rma
             )
-            los = rng.random() < p_los
+            los = thresholds[i] < p_los
             pl = np.where(los, pl_los, pl_nlos)
             clutter = 0.0
             sigma = np.where(
@@ -353,12 +354,32 @@ def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
         assert core_rng.random() == rng.random()  # same number of draws
 
 
-@pytest.mark.parametrize("shadowed", [False, True])
-def test_site_bounds_hold_on_a_bent_track(shadowed):
+def test_shadowed_signal_holds_the_long_term_los_thresholds():
+    # a track stream draws every cell's LOS threshold before any shadowing
+    # innovation, so the shadowed signal adds shadowing to the long-term
+    # signal's LOS state: the thresholds are equal bit for bit
+    scenario = _scenario()
+    t = np.linspace(0.0, 1.0, 2_000)[:, None]
+    pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
+        [300.0, 80.0, 1.5]
+    )
+    for key in range(3):
+        threshold = [
+            _track_rx_power_dbm(
+                scenario, pos_xyz, engine.derive_rng(2, engine._MOBILITY, 0, key), 0.9, s
+            ).threshold
+            for s in (False, True)
+        ]
+        assert threshold[0].shape == (37, 1)
+        assert np.array_equal(threshold[0], threshold[1])
+
+
+def test_site_bounds_hold_on_a_bent_track():
     # a track weaving up to 400 m off its segments' chords, which pass 550 m
     # from the first macro site, its samples as close as 150 m: each site's
     # bound still covers every sample of each segment, in LOS and NLOS, and
     # the pruned power keeps the full evaluation's bits and its runner-up
+    # (the long-term signal: the shadowed one is not pruned)
     scenario = _scenario()
     t = np.arange(3_000)
     site_x = scenario.transmitters[1].position[0]
@@ -367,8 +388,8 @@ def test_site_bounds_hold_on_a_bent_track(shadowed):
     )
     for key in range(4):
         rng = engine.derive_rng(5, engine._MOBILITY, 0, key)
-        power = _track_rx_power_dbm(scenario, pos_xyz, copy.deepcopy(rng), 0.95, shadowed)
-        full = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.95, shadowed)
+        power = _track_rx_power_dbm(scenario, pos_xyz, copy.deepcopy(rng), 0.95, False)
+        full = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.95, False)
         sites = [i for i, tx in enumerate(power.table) if isinstance(tx.pattern, SectorPattern)]
         bound = power.site_bounds(sites)
         for s, i in enumerate(sites):

@@ -169,12 +169,9 @@ def test_coupling_loss_matrix_shapes_and_determinism():
     b = coupling_loss_matrix(platforms, users, [(np.random.default_rng(5), 40)], cfg)
     assert a.shape == (19, 40)
     assert np.array_equal(a, b)
-    # the same generator's draws, in the documented order: per cell, the LOS
-    # uniforms, then the shadowing normals
-    rng = np.random.default_rng(5)
-    uniform, normal = np.empty((19, 40)), np.empty((19, 40))
-    for i in range(19):
-        uniform[i], normal[i] = rng.random(40), rng.standard_normal(40)
+    # the same generator's draws, in the documented order: every cell's LOS
+    # uniforms, then every cell's shadowing normals
+    uniform, normal = reference_cell_draws(19, 40, cfg, np.random.default_rng(5))
     links = [
         _links_by_transmitter(platforms, users, cfg, uniform, normal) for _ in range(2)
     ]
@@ -195,17 +192,14 @@ def reference_aperture_gain_dbi(theta_deg, pattern):
     return pattern.peak_gain_dbi + rel_db
 
 
-def reference_cell_budget(tx, pointing, users, cfg, rng):
-    """The (pathloss, shadow, clutter, g_tx, los) row of the cell of
-    transmitter `tx` with one `pointing` entry (a boresight or an azimuth),
-    computed for that cell alone, from its own draws (n LOS uniforms unless
-    the cell is always LOS, then n shadowing normals). The draws come last,
-    as (uniform, normal), zero where none were drawn."""
-    n = users.shape[0]
-    always_los = cfg.channel.ntn.los_only and isinstance(tx.pattern, AperturePattern)
-    uniform = np.zeros(n) if always_los else rng.random(n)
-    normal = rng.standard_normal(n) if cfg.channel.shadowing else np.zeros(n)
-    return (*reference_cell_links(tx, pointing, users, cfg, uniform, normal), uniform, normal)
+def reference_cell_draws(n_cells, n, cfg, rng):
+    """(uniform, normal), each (n_cells, n), drawn one cell at a time in row
+    order: n LOS uniforms per cell, then, only when `cfg` turns shadowing
+    on, n shadowing normals per cell (zero otherwise)."""
+    uniform = np.stack([rng.random(n) for _ in range(n_cells)])
+    if not cfg.channel.shadowing:
+        return uniform, np.zeros((n_cells, n))
+    return uniform, np.stack([rng.standard_normal(n) for _ in range(n_cells)])
 
 
 def reference_cell_links(tx, pointing, users, cfg, uniform, normal):
@@ -279,10 +273,12 @@ def test_coupling_loss_matrix_matches_per_cell_reference(overrides, combined):
         key=lambda cell: cell[0],
     )
     assert [row for row, _, _ in cells] == list(range(55 if combined else 19))
+    uniform, normal = reference_cell_draws(len(cells), 150, cfg, rng)
     rows = [
-        reference_cell_budget(tx, pointing, users, cfg, rng) for _, tx, pointing in cells
+        reference_cell_links(tx, pointing, users, cfg, uniform[row], normal[row])
+        for row, tx, pointing in cells
     ]
-    pl, sh, cl, gt, los, uniform, normal = (np.stack(col) for col in zip(*rows))
+    pl, sh, cl, gt, los = (np.stack(col) for col in zip(*rows))
     assert np.array_equal(coupling, pl + sh + cl - gt - cfg.ue.antenna_gain_dbi)
     assert core_rng.random() == rng.random()  # same number of draws
     # the pieces: each transmitter's budget, resolved with the reference draws
