@@ -2,15 +2,20 @@
 
 The aperture beam follows the classic Airy form G(theta) ~ |2 J1(u)/u|^2 with
 u = k*a*sin(theta); the sector pattern is the parabolic azimuth/elevation
-attenuation model of TR 36.873 table 7.1-1.
+attenuation model of TR 36.873 table 7.1-1, read from the scenario's
+terrestrial config section.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # config imports network, which imports this module
+    from .config import TerrestrialConfig
 
 # Hankel asymptotic coefficients a_k for J1, a_k = a_{k-1} * (4 - (2k-1)^2) / (8k).
 _J1_P = (1.0, 0.1171875, -0.144195556640625, 0.6765925884246826, -6.883914268109947)
@@ -139,28 +144,18 @@ def make_aperture_pattern(
     )
 
 
-@dataclass(frozen=True)
-class SectorPattern:
-    """TR 36.873-style parabolic sector pattern (single element, no array)."""
+def sector_gain_dbi(az_off_deg, depression_deg, pattern: TerrestrialConfig):
+    """Gain (dBi) of a macro sector: the parabolic pattern of TR 36.873
+    table 7.1-1, single element, no array.
 
-    peak_gain_dbi: float = 17.0
-    h_hpbw_deg: float = 65.0
-    v_hpbw_deg: float = 10.0
-    front_back_db: float = 30.0  # A_max, also caps the combined attenuation
-    sla_db: float = 30.0  # vertical sidelobe limit
-    downtilt_deg: float = 6.0  # positive = boresight below horizon
-
-    def __post_init__(self):
-        if self.h_hpbw_deg <= 0.0 or self.v_hpbw_deg <= 0.0:
-            raise ValueError("beamwidths must be positive")
-
-
-def sector_gain_dbi(az_off_deg, depression_deg, pattern: SectorPattern):
-    """Gain (dBi) of a sector antenna.
-
-    `az_off_deg` is azimuth relative to boresight (wrapped to [-180, 180]);
-    `depression_deg` is the link's angle below the horizontal at the antenna,
-    positive downward, matched against the mechanical downtilt.
+    `pattern` is the scenario's terrestrial section, whose six sector keys
+    are the pattern read here: peak gain, horizontal and vertical half-power
+    beamwidths, front-to-back ratio (A_max, which also caps the combined
+    attenuation), vertical sidelobe limit and downtilt (positive = boresight
+    below the horizon). `az_off_deg` is azimuth relative to boresight
+    (wrapped to [-180, 180]); `depression_deg` is the link's angle below the
+    horizontal at the antenna, positive downward, matched against the
+    downtilt.
     """
     az = np.asarray(az_off_deg, dtype=float)
     el = np.asarray(depression_deg, dtype=float)

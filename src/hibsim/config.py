@@ -54,6 +54,11 @@ class TerrestrialConfig:
     encloses and splays the other two over the annulus; the gentle 3-degree
     tilt keeps usable gain out to the multi-kilometre edges of these large
     rural cells.
+
+    The six sector keys, `peak_gain_dbi` through `downtilt_deg`, are the
+    sector pattern (TR 36.873 table 7.1-1): every macro site carries this
+    section as its pattern, and `antenna.sector_gain_dbi` reads them from
+    it. `geometry.build_tn_ring_layout` reads the ring keys.
     """
 
     n_sites: int = 12

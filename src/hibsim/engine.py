@@ -76,18 +76,6 @@ def _hibs_pattern(cfg: ScenarioConfig) -> antenna.AperturePattern:
     )
 
 
-def _tn_pattern(cfg: ScenarioConfig) -> antenna.SectorPattern:
-    t = cfg.terrestrial
-    return antenna.SectorPattern(
-        peak_gain_dbi=t.peak_gain_dbi,
-        h_hpbw_deg=t.h_hpbw_deg,
-        v_hpbw_deg=t.v_hpbw_deg,
-        front_back_db=t.front_back_db,
-        sla_db=t.sla_db,
-        downtilt_deg=t.downtilt_deg,
-    )
-
-
 def _build_platform(cfg: ScenarioConfig):
     """(layout, transmitter) of the configured platform, its beams steered
     from the platform to the beam centers on the ground."""
@@ -131,19 +119,17 @@ def build_combined_scenario(cfg: ScenarioConfig) -> Scenario:
     validate_config(cfg)
     layout, platform = _build_platform(cfg)
     t = cfg.terrestrial
-    tn_layout = geometry.build_tn_ring_layout(
-        t.isd_m, t.n_sites, t.site_height_m, t.sector_rotation_deg
-    )
-    pattern = _tn_pattern(cfg)
-    azimuths = tn_layout.sector_azimuth_deg.reshape(tn_layout.n_sites, 3)
+    tn_layout = geometry.build_tn_ring_layout(t)
+    azimuths = tn_layout.sector_azimuth_deg
     n_sectors = azimuths.size
     # the center beam serves from row 0, the sectors from rows 1 on; the
     # beams kept on the air take the rows after the sectors
     n_beams = len(platform.pointing) if cfg.scheduler.overlay_cochannel_beams else 1
     rows = np.r_[0, n_sectors + 1 : n_sectors + n_beams]
     platform = platform._replace(pointing=platform.pointing[:n_beams], rows=rows)
+    # every site carries the terrestrial section as its sector pattern
     sites = tuple(
-        network.Transmitter(position, pattern, az, site_rows)
+        network.Transmitter(position, t, az, site_rows)
         for position, az, site_rows in zip(
             tn_layout.site_positions, azimuths, 1 + np.arange(n_sectors).reshape(-1, 3)
         )

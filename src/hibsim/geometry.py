@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import TerrestrialConfig
+
 
 @dataclass(frozen=True)
 class HibsLayout:
@@ -79,17 +84,13 @@ def build_hibs_layout(
 class TerrestrialLayout:
     """Ring of 3-sector macro sites around the service-area center.
 
-    `sector_azimuth_deg[k]` is the boresight azimuth (degrees CCW from +x) of
-    sector k; sectors 3i, 3i + 1 and 3i + 2 belong to site i.
+    `sector_azimuth_deg[i, k]` is the boresight azimuth (degrees CCW from
+    +x) of sector k of site i.
     """
 
     site_positions: np.ndarray = field(repr=False)  # (n_sites, 3)
-    sector_azimuth_deg: np.ndarray = field(repr=False)  # (3 * n_sites,)
+    sector_azimuth_deg: np.ndarray = field(repr=False)  # (n_sites, 3)
     ring_radius_m: float
-
-    @property
-    def n_sites(self) -> int:
-        return self.site_positions.shape[0]
 
 
 def ring_radius_for_isd(isd_m: float, n_sites: int) -> float:
@@ -102,31 +103,23 @@ def ring_radius_for_isd(isd_m: float, n_sites: int) -> float:
     return isd_m / (2.0 * math.sin(math.pi / n_sites))
 
 
-def build_tn_ring_layout(
-    isd_m: float = 9_000.0,
-    n_sites: int = 12,
-    site_height_m: float = 30.0,
-    sector_rotation_deg: float = 0.0,
-) -> TerrestrialLayout:
-    """Equally spaced sites on one ring, three sectors per site.
+def build_tn_ring_layout(t: TerrestrialConfig) -> TerrestrialLayout:
+    """The terrestrial section's sites, equally spaced on one ring, three
+    sectors per site.
 
     Sector boresights point at site_bearing + rotation + {0, 120, 240} deg,
     so with rotation 0 one sector of every site faces radially outward.
     """
-    if site_height_m <= 0.0:
+    if t.site_height_m <= 0.0:
         raise ValueError("site height must be positive")
-    radius = ring_radius_for_isd(isd_m, n_sites)
-    bearings = 360.0 * np.arange(n_sites) / n_sites
-    sites = np.zeros((n_sites, 3))
+    radius = ring_radius_for_isd(t.isd_m, t.n_sites)
+    bearings = 360.0 * np.arange(t.n_sites) / t.n_sites
+    sites = np.zeros((t.n_sites, 3))
     sites[:, 0] = radius * np.cos(np.radians(bearings))
     sites[:, 1] = radius * np.sin(np.radians(bearings))
-    sites[:, 2] = site_height_m
-    az = (bearings[:, None] + sector_rotation_deg + np.array([0.0, 120.0, 240.0])) % 360.0
-    return TerrestrialLayout(
-        site_positions=sites,
-        sector_azimuth_deg=az.ravel(),
-        ring_radius_m=radius,
-    )
+    sites[:, 2] = t.site_height_m
+    az = (bearings[:, None] + t.sector_rotation_deg + np.array([0.0, 120.0, 240.0])) % 360.0
+    return TerrestrialLayout(site_positions=sites, sector_azimuth_deg=az, ring_radius_m=radius)
 
 
 def drop_users(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, engine, geometry, network
-from .antenna import SectorPattern
+from .antenna import AperturePattern
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 
@@ -127,21 +127,18 @@ class _TrackPower:
         on the whole track (None), as a budget group of one. Only the
         long-term signal, which draws no `unit`, is evaluated on segments."""
         tx = self.table[i]
-        rows, threshold = tx.rows, self.threshold
         if segments is None:
             samples = slice(None)
         else:
             samples = np.flatnonzero(np.repeat(segments, self.lengths))
-            # the entry's own rows of the thresholds
-            threshold, tx = threshold[rows], tx._replace(rows=np.arange(rows.size))
         ((_, coupling),) = network._link_coupling(
-            [tx], self.pos[samples], threshold, self.unit, self.cfg
+            [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
-        np.subtract(self.tx_power_dbm[rows, None], coupling, out=coupling)
+        np.subtract(self.tx_power_dbm[tx.rows, None], coupling, out=coupling)
         if segments is None:
-            self.rx[:, rows] = coupling.T
+            self.rx[:, tx.rows] = coupling.T
         else:
-            self.rx[np.ix_(samples, rows)] = coupling.T
+            self.rx[np.ix_(samples, tx.rows)] = coupling.T
 
     def fill(self, cell: int, start: int) -> None:
         """Evaluate the cell's transmitter on the segments it skips from the
@@ -291,7 +288,7 @@ def _track_rx_power_dbm(
         for i in range(len(table)):
             track.evaluate(i)
         return track
-    sites = [i for i, tx in enumerate(table) if isinstance(tx.pattern, SectorPattern)]
+    sites = [i for i, tx in enumerate(table) if not isinstance(tx.pattern, AperturePattern)]
     bound = track.site_bounds(sites)
     top = {sites[s] for s in np.argsort(-bound, axis=0)[:2].ravel()}
     whole = [i for i in range(len(table)) if i not in sites or i in top]

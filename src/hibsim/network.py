@@ -24,20 +24,21 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import antenna, channel
-from .antenna import AperturePattern, SectorPattern
+from .antenna import AperturePattern
 
 if TYPE_CHECKING:  # config imports RateParams from here
-    from .config import ScenarioConfig
+    from .config import ScenarioConfig, TerrestrialConfig
 
 
 class Transmitter(NamedTuple):
     """One platform or macro site and its cells, one per `pointing` entry:
     unit beam boresights (n, 3) for a platform (an aperture pattern), sector
-    boresight azimuths in degrees (n,) for a site (a sector pattern). The
-    cell of `pointing[i]` is row `rows[i]` of the link matrices."""
+    boresight azimuths in degrees (n,) for a site (whose sector pattern is
+    the scenario's terrestrial section). The cell of `pointing[i]` is row
+    `rows[i]` of the link matrices."""
 
     position: np.ndarray  # (3,) antenna phase center
-    pattern: AperturePattern | SectorPattern
+    pattern: AperturePattern | TerrestrialConfig
     pointing: np.ndarray
     rows: np.ndarray  # (n,) int
 
@@ -142,7 +143,7 @@ def _budget_groups(transmitters) -> list[list[Transmitter]]:
         head = groups[-1][0] if groups else None
         if (
             head is not None
-            and isinstance(tx.pattern, SectorPattern)
+            and not isinstance(tx.pattern, AperturePattern)
             and tx.pattern == head.pattern
             and tx.position[2] == head.position[2]
             and len(tx.pointing) == len(head.pointing)

@@ -12,13 +12,13 @@ from hibsim.antenna import (
     FIRST_J1_ZERO,
     U_3DB,
     AperturePattern,
-    SectorPattern,
     aperture_gain_dbi,
     bessel_j1,
     make_aperture_pattern,
     sector_gain_dbi,
     solve_ka_for_beamwidth,
 )
+from hibsim.config import TerrestrialConfig
 
 # beamwidth of a 10 km footprint seen from 20 km: 2*atan(0.25)
 DEFAULT_BEAMWIDTH_DEG = 2.0 * math.degrees(math.atan(0.25))
@@ -86,6 +86,9 @@ SECTOR_AZ_GAIN_DBI = np.array(
         16.715976331360945,
     ]
 )
+# the sector pattern is the terrestrial config section; the frozen sector
+# grids were taken at a 6 deg downtilt
+SECTOR = TerrestrialConfig(downtilt_deg=6.0)
 
 
 def test_bessel_j1_against_scipy_reference():
@@ -265,20 +268,13 @@ def test_solve_ka_rejects_out_of_range():
         solve_ka_for_beamwidth(91.0)
 
 
-def test_sector_pattern_validation():
-    with pytest.raises(ValueError, match="beamwidths"):
-        SectorPattern(h_hpbw_deg=0.0)
-    with pytest.raises(ValueError, match="beamwidths"):
-        SectorPattern(v_hpbw_deg=-1.0)
-
-
 def test_sector_gain_boresight_peak():
-    pattern = SectorPattern()
+    pattern = SECTOR
     assert sector_gain_dbi(0.0, pattern.downtilt_deg, pattern) == 17.0
 
 
 def test_sector_gain_hpbw_edges_minus_12db():
-    pattern = SectorPattern()
+    pattern = SECTOR
     assert_allclose(sector_gain_dbi(65.0, pattern.downtilt_deg, pattern), 5.0)
     assert_allclose(sector_gain_dbi(-65.0, pattern.downtilt_deg, pattern), 5.0)
     # vertical cut: one half-power beamwidth off the tilt
@@ -288,12 +284,12 @@ def test_sector_gain_hpbw_edges_minus_12db():
 
 
 def test_sector_gain_back_lobe_cap():
-    pattern = SectorPattern()
+    pattern = SECTOR
     assert_allclose(sector_gain_dbi(180.0, pattern.downtilt_deg, pattern), -13.0)
 
 
 def test_sector_gain_azimuth_wrap():
-    pattern = SectorPattern()
+    pattern = SECTOR
     assert_allclose(
         sector_gain_dbi(370.0, pattern.downtilt_deg, pattern),
         sector_gain_dbi(10.0, pattern.downtilt_deg, pattern),
@@ -303,7 +299,7 @@ def test_sector_gain_azimuth_wrap():
 def test_sector_gain_wrap_matches_float_remainder():
     # the shift-by-360 wrap must give the bits of (az + 180) % 360 - 180,
     # inside site_geometry's (-540, 180] range, at its edges, and beyond
-    pattern = SectorPattern()
+    pattern = SECTOR
     edges = [-540.0, -360.0, -180.0, 0.0, -0.0, 180.0, 360.0, 539.999]
     az = np.concatenate(
         [
@@ -328,7 +324,7 @@ def test_sector_gain_wrap_matches_float_remainder():
 
 def test_sector_gain_frozen_azimuth_grid():
     assert_allclose(
-        sector_gain_dbi(SECTOR_AZ_GRID_DEG, 6.0, SectorPattern()),
+        sector_gain_dbi(SECTOR_AZ_GRID_DEG, 6.0, SECTOR),
         SECTOR_AZ_GAIN_DBI,
         atol=5e-10,
     )
@@ -337,14 +333,14 @@ def test_sector_gain_frozen_azimuth_grid():
 def test_sector_gain_frozen_depression_grid():
     dep = np.array([6.0, 1.0, 11.0, -4.0, 26.0, 90.0])
     assert_allclose(
-        sector_gain_dbi(0.0, dep, SectorPattern()),
+        sector_gain_dbi(0.0, dep, SECTOR),
         [17.0, 14.0, 14.0, 5.0, -13.0, -13.0],
         atol=5e-10,
     )
 
 
 def test_sector_gain_bounded_everywhere():
-    pattern = SectorPattern()
+    pattern = SECTOR
     rng = np.random.default_rng(11)
     az = rng.uniform(-360.0, 360.0, size=5_000)
     dep = rng.uniform(-90.0, 90.0, size=5_000)
@@ -354,7 +350,7 @@ def test_sector_gain_bounded_everywhere():
 
 
 def test_sector_gain_symmetric_in_azimuth():
-    pattern = SectorPattern()
+    pattern = SECTOR
     az = np.linspace(0.0, 180.0, 361)
     assert_allclose(
         sector_gain_dbi(az, 6.0, pattern), sector_gain_dbi(-az, 6.0, pattern)

@@ -231,6 +231,9 @@ def _python_built(data: dict, node=None):
         ),
         ({"rate": {"alpha": 0.0}}, "rate.alpha"),
         ({"rate": {"se_max_bpshz": -1.0}}, "rate.se_max_bpshz"),
+        # the sector beamwidths the antenna divides by
+        ({"terrestrial": {"h_hpbw_deg": 0.0}}, "terrestrial.h_hpbw_deg"),
+        ({"terrestrial": {"v_hpbw_deg": -1.0}}, "terrestrial.v_hpbw_deg"),
     ],
 )
 def test_validation_errors_name_the_key(data, key):
@@ -575,10 +578,12 @@ LIVE_KEYS = {
     "channel.rma.min_d2d_m": (2_000.0, "throughput-sweep"),
     "channel.rma.max_d2d_m": (30_000.0, "throughput-sweep"),
     "rate.alpha": (0.5, "throughput-sweep"),
-    "rate.sinr_min_db": (0.0, "throughput-sweep"),
-    # the key caps every user above it (4.8 bps/Hz by default); no user of
-    # this run's two drops reaches 2.5 bps/Hz, so the perturbed cap is lower
-    "rate.se_max_bpshz": (1.0, "throughput-sweep"),
+    # each rate threshold moves past every served user, so it bites on any
+    # draw: no user reaches a 60 dB cutoff, and every user above the -10 dB
+    # default cutoff gets at least 0.6 * log2(1.1) = 0.083 bps/Hz, above a
+    # 0.05 bps/Hz cap
+    "rate.sinr_min_db": (60.0, "throughput-sweep"),
+    "rate.se_max_bpshz": (0.05, "throughput-sweep"),
     "scheduler.ul_interference": ("none", "sinr-sweep"),
     "scheduler.overlay_cochannel_beams": (False, "throughput-sweep"),
     "mobility.speed_mps": (10.0, "mobility"),

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hibsim import geometry
+from hibsim.config import TerrestrialConfig
 from hibsim.geometry import (
     build_hibs_layout,
     build_tn_ring_layout,
@@ -159,9 +160,11 @@ def test_ring_radius_for_isd():
 
 
 def test_tn_ring_layout_counts_and_spacing():
-    layout = build_tn_ring_layout(isd_m=9_000.0, n_sites=12, site_height_m=30.0)
-    assert layout.n_sites == 12
-    assert layout.sector_azimuth_deg.shape == (36,)
+    layout = build_tn_ring_layout(
+        TerrestrialConfig(isd_m=9_000.0, n_sites=12, site_height_m=30.0)
+    )
+    assert layout.site_positions.shape == (12, 3)
+    assert layout.sector_azimuth_deg.shape == (12, 3)
     assert_allclose(layout.site_positions[:, 2], 30.0)
     # adjacent sites one chord apart, within 1 m
     closed = np.vstack([layout.site_positions, layout.site_positions[:1]])
@@ -170,16 +173,16 @@ def test_tn_ring_layout_counts_and_spacing():
 
 
 def test_tn_ring_layout_sector_azimuths():
-    layout = build_tn_ring_layout(sector_rotation_deg=0.0)
-    assert_allclose(layout.sector_azimuth_deg[:3], [0.0, 120.0, 240.0])
-    assert_allclose(layout.sector_azimuth_deg[3:6], [30.0, 150.0, 270.0])
-    rotated = build_tn_ring_layout(sector_rotation_deg=60.0)
-    assert_allclose(rotated.sector_azimuth_deg[:3], [60.0, 180.0, 300.0])
+    layout = build_tn_ring_layout(TerrestrialConfig(sector_rotation_deg=0.0))
+    assert_allclose(layout.sector_azimuth_deg[0], [0.0, 120.0, 240.0])
+    assert_allclose(layout.sector_azimuth_deg[1], [30.0, 150.0, 270.0])
+    rotated = build_tn_ring_layout(TerrestrialConfig(sector_rotation_deg=60.0))
+    assert_allclose(rotated.sector_azimuth_deg[0], [60.0, 180.0, 300.0])
 
 
 def test_tn_ring_layout_rejects_bad_height():
     with pytest.raises(ValueError, match="height"):
-        build_tn_ring_layout(site_height_m=0.0)
+        build_tn_ring_layout(TerrestrialConfig(site_height_m=0.0))
 
 
 def test_drop_users_count_zero():
@@ -229,7 +232,7 @@ def test_module_has_no_hidden_state():
     b = build_hibs_layout()
     assert np.array_equal(a.beam_centers, b.beam_centers)
     assert np.array_equal(a.ring_index, b.ring_index)
-    ta = geometry.build_tn_ring_layout()
-    tb = geometry.build_tn_ring_layout()
+    ta = geometry.build_tn_ring_layout(TerrestrialConfig())
+    tb = geometry.build_tn_ring_layout(TerrestrialConfig())
     assert np.array_equal(ta.site_positions, tb.site_positions)
     assert np.array_equal(ta.sector_azimuth_deg, tb.sector_azimuth_deg)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from hibsim import antenna, channel, engine, geometry, network
 from hibsim.antenna import AperturePattern, make_aperture_pattern
 from hibsim.channel import noise_power_dbm
-from hibsim.config import ScenarioConfig, config_from_dict
+from hibsim.config import ScenarioConfig, TerrestrialConfig, config_from_dict
 from hibsim.network import (
     RateParams,
     Transmitter,
@@ -51,7 +51,8 @@ def test_build_tn_cells_structure():
     sites = engine.build_combined_scenario(cfg).transmitters[1:]
     assert len(sites) == 12
     assert sum(len(site.pointing) for site in sites) == 36
-    assert all(isinstance(site.pattern, antenna.SectorPattern) for site in sites)
+    # the sector pattern is the terrestrial section itself, not a copy
+    assert all(site.pattern is cfg.terrestrial for site in sites)
     assert_allclose(sites[0].pointing, [60.0, 180.0, 300.0])
     assert_allclose(sites[0].position[2], 30.0)
 
@@ -87,11 +88,11 @@ def test_hibs_link_geometry_nadir():
 
 
 def test_tn_link_geometry():
-    layout = geometry.build_tn_ring_layout()
+    layout = geometry.build_tn_ring_layout(TerrestrialConfig(sector_rotation_deg=0.0))
     site = layout.site_positions[0]  # azimuth 0 sector
     user = np.array([[site[0] + 1_000.0, site[1], 1.5]])
     d2d, az_off, depression = network.site_geometry(
-        site[None], layout.sector_azimuth_deg[None, :3], user
+        site[None], layout.sector_azimuth_deg[:1], user
     )
     assert_allclose(d2d, [[1_000.0]])
     assert_allclose(az_off, [[[0.0], [-120.0], [-240.0]]])
