@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # config imports network, which imports this module
 _J1_P = (1.0, 0.1171875, -0.144195556640625, 0.6765925884246826, -6.883914268109947)
 _J1_Q = (0.375, -0.1025390625, 0.2775764465332031, -1.993531733751297)
 _SERIES_CUTOFF = 20.0
+_SERIES_TERMS = 59  # |term_60| < 1e-20 * J1 scale at x = 20
 
 FIRST_J1_ZERO = 3.8317059702075125  # u at the edge of the aperture main lobe
 # u where the main lobe |2 J1(u)/u|^2 is 3 dB down (within 0.01 dB), whatever
@@ -42,16 +43,7 @@ def bessel_j1(x):
 
     small = ax <= _SERIES_CUTOFF
     if np.any(small):
-        xs = ax[small]
-        half = 0.5 * xs
-        neg_q = -half * half
-        term = half.copy()
-        total = half.copy()
-        # |term_60| < 1e-20 * J1 scale at x = 20; plain summation suffices
-        for k in range(1, 60):
-            term *= neg_q / (k * (k + 1.0))
-            total += term
-        out[small] = total
+        out[small] = _j1_series(ax[small], _SERIES_TERMS)
 
     if np.any(~small):
         xl = ax[~small]
@@ -65,6 +57,42 @@ def bessel_j1(x):
 
     out = np.where(np.atleast_1d(arr) < 0.0, -out, out)  # J1 is odd
     return float(out[0]) if scalar else out.reshape(arr.shape)
+
+
+def _j1_series(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """J1 by its power series, sum over k = 0..n_terms of
+    (x/2) (-(x/2)^2)^k / (k! (k+1)!), each term from the last, summed in
+    order; plain summation suffices for |x| <= 20."""
+    half = 0.5 * x
+    neg_q = -half * half
+    term = half.copy()
+    total = half.copy()
+    for k in range(1, n_terms + 1):
+        term *= neg_q / (k * (k + 1.0))
+        total += term
+    return total
+
+
+def _main_lobe_terms(floor_db: float) -> int:
+    """Series terms after which no term changes a bit of J1(u) on the
+    aperture main lobe, 0 < u <= `FIRST_J1_ZERO`, wherever the gain lies
+    above a floor `floor_db` below the peak.
+
+    There q = (u/2)^2 <= 3.67 < 4, so past k = 1 the terms shrink, each
+    at most (u/2) c_k with c_k = 4^k / (k! (k+1)!). Where |2 J1(u)/u| >= A/2,
+    A = 10^(-floor_db/20) the floor's amplitude, the sum is at least
+    (u/2) A/4 in size, and a term below (u/2) A 2^-58 lies below a quarter
+    of its spacing, which leaves its bits unchanged: so the sum stops
+    before the first k with c_k below A 2^-58. Elsewhere the sum, full or
+    cut, lies below the floor, which sets the gain. The sum's own rounding,
+    about (u/2) 2^-45, must stay below (u/2) A/4: below A = 2^-40 (about
+    240 dB) the full series is kept.
+    """
+    amp = 10.0 ** (-floor_db / 20.0)
+    if amp < 2.0**-40:
+        return _SERIES_TERMS
+    c = (4.0**k / (math.factorial(k) * math.factorial(k + 1)) for k in range(1, 61))
+    return min(next(k for k, c_k in enumerate(c) if c_k < amp * 2.0**-58), _SERIES_TERMS)
 
 
 @dataclass(frozen=True)
@@ -101,22 +129,36 @@ def aperture_gain_dbi(theta_off_axis_deg, pattern: AperturePattern):
     peak - floor_db; past the first null the clamp is the whole story unless
     the pattern asks for literal sidelobes. Symmetric in theta; exact peak at
     boresight.
+
+    Without literal sidelobes every link past the null takes the floor
+    gain, one constant per call, and sin, J1 and log10 run on the main
+    lobe only: angles plainly past the null are told by the angle itself,
+    and J1 sums `_main_lobe_terms` of its series. Every gain has the bits
+    of the full evaluation, which `bessel_sidelobes` keeps.
     """
     theta = np.asarray(theta_off_axis_deg, dtype=float)
     scalar = theta.ndim == 0
-    u = pattern.ka * np.sin(np.radians(np.atleast_1d(theta)))
-    au = np.abs(u)
+    flat = np.atleast_1d(theta).reshape(-1)
+    floor_lin = 10.0 ** (-pattern.floor_db / 10.0)
+    floor_gain = pattern.peak_gain_dbi + 10.0 * np.log10(np.full(1, floor_lin))
+    gain = np.full(flat.shape, floor_gain[0])
+    # the u past which the gain is floored, and the angles past it with a
+    # margin far above the rounding of u: |theta| in (lo, 180 - lo)
+    u_floor = math.inf if pattern.bessel_sidelobes else FIRST_J1_ZERO
+    s_floor = u_floor / pattern.ka * (1.0 + 1e-9)
+    lo = math.degrees(math.asin(s_floor)) if s_floor < 1.0 else 90.0
+    a = np.abs(flat)
+    links = np.flatnonzero(~((a > lo) & (a < 180.0 - lo)))
+    au = np.abs(pattern.ka * np.sin(np.radians(flat[links])))
+    lobe = ~(au > u_floor)
+    links, au = links[lobe], au[lobe]
     rel = np.ones_like(au)
     big = au > 1e-9
-    if not pattern.bessel_sidelobes:
-        past_null = au > FIRST_J1_ZERO
-        rel[past_null] = 0.0
-        big &= ~past_null  # floored anyway: spend J1 on the main lobe only
     ub = au[big]
-    rel[big] = (2.0 * bessel_j1(ub) / ub) ** 2
-    floor_lin = 10.0 ** (-pattern.floor_db / 10.0)
-    rel_db = 10.0 * np.log10(np.maximum(rel, floor_lin))
-    gain = pattern.peak_gain_dbi + rel_db
+    lobe_terms = _main_lobe_terms(pattern.floor_db)
+    j1 = bessel_j1(ub) if pattern.bessel_sidelobes else _j1_series(ub, lobe_terms)
+    rel[big] = (2.0 * j1 / ub) ** 2
+    gain[links] = pattern.peak_gain_dbi + 10.0 * np.log10(np.maximum(rel, floor_lin))
     return float(gain[0]) if scalar else gain.reshape(theta.shape)
 
 

@@ -96,10 +96,11 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
 
 
 class _TrackPower:
-    """Received DL power tx - coupling, `rx` (T, n_cells), along one track;
-    on the long-term signal each macro site's cells are left at -inf on the
-    segments where the site cannot reach the top two (see
-    `_track_rx_power_dbm`).
+    """Received DL power tx - coupling, `rx` (n_cells, T) in C order: one
+    contiguous row of samples per cell, so a transmitter writes whole rows
+    and the scans below read them. On the long-term signal each macro
+    site's cells are left at -inf on the segments where the site cannot
+    reach the top two (see `_track_rx_power_dbm`).
 
     Every evaluated entry has the bits of a full evaluation: the budgets are
     elementwise over the samples, and each evaluation of a transmitter is one
@@ -113,9 +114,7 @@ class _TrackPower:
         self.table, self.pos, self.threshold, self.unit = table, pos_xyz, threshold, unit
         n_t = pos_xyz.shape[0]
         self.starts = np.arange(0, n_t, SEGMENT_SAMPLES)
-        self.lengths = np.diff(np.r_[self.starts, n_t])
-        # row per sample: `_best_two` scans along rows
-        self.rx = np.full((n_t, scenario.n_cells), -np.inf)
+        self.rx = np.full((scenario.n_cells, n_t), -np.inf)
         self.tx_of_cell = np.empty(scenario.n_cells, dtype=np.int64)
         for i, tx in enumerate(table):
             self.tx_of_cell[tx.rows] = i
@@ -130,15 +129,15 @@ class _TrackPower:
         if segments is None:
             samples = slice(None)
         else:
-            samples = np.flatnonzero(np.repeat(segments, self.lengths))
+            samples = np.flatnonzero(np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)])
         ((_, coupling),) = network._link_coupling(
             [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
         np.subtract(self.tx_power_dbm[tx.rows, None], coupling, out=coupling)
         if segments is None:
-            self.rx[:, tx.rows] = coupling.T
+            self.rx[tx.rows] = coupling
         else:
-            self.rx[np.ix_(samples, tx.rows)] = coupling.T
+            self.rx[tx.rows[:, None], samples] = coupling
 
     def fill(self, cell: int, start: int) -> None:
         """Evaluate the cell's transmitter on the segments it skips from the
@@ -154,6 +153,21 @@ class _TrackPower:
             skipped &= ~need
             if not skipped.any():
                 del self.skipped[i]
+
+    def spans(self) -> list[tuple[int, int, int]]:
+        """(row, start, stop) for every cell evaluated on some sample,
+        ascending by row: the cell is -inf outside its samples start to
+        stop, and the cells not listed on the whole track. Row 0, the
+        platform's, spans the track."""
+        n_t, no_skip = self.rx.shape[1], np.zeros(self.starts.size, dtype=bool)
+        spans = []
+        for i, tx in enumerate(self.table):
+            segments = np.flatnonzero(~self.skipped.get(i, no_skip))
+            if segments.size:
+                start = int(segments[0]) * SEGMENT_SAMPLES
+                stop = min(int(segments[-1] + 1) * SEGMENT_SAMPLES, n_t)
+                spans += [(row, start, stop) for row in tx.rows.tolist()]
+        return sorted(spans)
 
     def site_bounds(self, sites: list[int]) -> np.ndarray:
         """(sites, segments): an upper bound on the received power of every
@@ -224,16 +238,16 @@ def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.nd
     return np.hypot(d[0], d[1])
 
 
-def _second_largest(rx: np.ndarray, cols) -> np.ndarray:
-    """Per sample of a (T, n_cells) track: the second-largest value among
+def _second_largest(rx: np.ndarray, rows) -> np.ndarray:
+    """Per sample of an (n_cells, T) track: the second-largest value among
     the given cells (a tie with the largest counts twice), by a running top
-    two over those columns alone, at a fraction of `_best_two`'s cost."""
-    first = np.full(rx.shape[0], -np.inf)
+    two over those rows alone, at a fraction of `_best_two`'s cost."""
+    first = np.full(rx.shape[1], -np.inf)
     second, low = first.copy(), np.empty_like(first)
-    for c in cols:
-        np.minimum(first, rx[:, c], out=low)
+    for c in rows:
+        np.minimum(first, rx[c], out=low)
         np.maximum(second, low, out=second)
-        np.maximum(first, rx[:, c], out=first)
+        np.maximum(first, rx[c], out=first)
     return second
 
 
@@ -244,7 +258,7 @@ def _track_rx_power_dbm(
     rho: float,
     shadowed: bool,
 ) -> _TrackPower:
-    """Received DL power tx - coupling, (T, n_cells), along one track,
+    """Received DL power tx - coupling, (n_cells, T), along one track,
     evaluated where it can reach the A3 rule's top two.
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
@@ -294,8 +308,8 @@ def _track_rx_power_dbm(
     whole = [i for i in range(len(table)) if i not in sites or i in top]
     for i in whole:
         track.evaluate(i)
-    cols = np.concatenate([table[i].rows for i in whole])
-    floor = np.minimum.reduceat(_second_largest(track.rx, cols), track.starts)
+    rows = np.concatenate([table[i].rows for i in whole])
+    floor = np.minimum.reduceat(_second_largest(track.rx, rows), track.starts)
     for s, i in enumerate(sites):
         if i in top:
             continue
@@ -309,18 +323,35 @@ def _track_rx_power_dbm(
     return track
 
 
-def _best_two(rx: np.ndarray):
-    """Per sample of a (T, n_cells) track: (best, best cell, runner-up,
-    runner-up cell), ties to the lowest cell index as argmax breaks them.
-    The best cells are masked in place for the second scan, then restored."""
-    t = np.arange(rx.shape[0])
-    best_cell = np.argmax(rx, axis=1)
-    best = rx[t, best_cell]
-    rx[t, best_cell] = -np.inf
-    second_cell = np.argmax(rx, axis=1)
-    second = rx[t, second_cell]
-    rx[t, best_cell] = best
+def _best_two(rx: np.ndarray, spans):
+    """Per sample of an (n_cells, T) track: (best, best cell, runner-up,
+    runner-up cell), ties to the lowest cell index as `argmax` down the
+    cells breaks them. `spans` lists (row, start, stop), ascending by row
+    and from (0, 0, T), for every row that may hold a value above -inf;
+    each is -inf outside its samples start to stop, and the rows not listed
+    are not read. The best cells are masked in place for the second level
+    (`_top`), then restored."""
+    t = np.arange(rx.shape[1])
+    best, best_cell = _top(rx, spans)
+    rx[best_cell, t] = -np.inf
+    second, second_cell = _top(rx, spans)
+    rx[best_cell, t] = best
     return best, best_cell, second, second_cell
+
+
+def _top(rx: np.ndarray, spans):
+    """Per sample: the maximum down the rows of `rx`, read on `spans` as
+    `_best_two` states, and the lowest row that holds it. The rows are
+    scanned for their level from the highest down, a lower row overwriting
+    a higher, and row 0 last on every sample: it holds the level of a
+    sample where every row is -inf."""
+    level = rx[0].copy()
+    for c, a, b in spans[1:]:
+        np.maximum(level[a:b], rx[c, a:b], out=level[a:b])
+    cell = np.zeros(level.size, dtype=np.intp)
+    for c, a, b in reversed(spans):
+        np.copyto(cell[a:b], c, where=rx[c, a:b] == level[a:b])
+    return level, cell
 
 
 def _a3_trigger(best, best_cell, second, serving_rx, serving, start, offset_db, k):
@@ -389,7 +420,7 @@ def _track_events(
 
     # the strongest cell other than the serving one is the runner-up
     # where the serving cell is best, else the best
-    best, best_cell, second, second_cell = _best_two(rx)
+    best, best_cell, second, second_cell = _best_two(rx, track.spans())
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
@@ -398,7 +429,7 @@ def _track_events(
     while start < pos.shape[0]:
         track.fill(serving, start)
         t_idx = _a3_trigger(
-            best, best_cell, second, rx[:, serving], serving, start, offset_db, k_need
+            best, best_cell, second, rx[serving], serving, start, offset_db, k_need
         )
         if t_idx < 0:
             break

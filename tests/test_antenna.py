@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import j0 as scipy_j0
@@ -9,11 +11,13 @@ from scipy.special import j1 as scipy_j1
 from scipy.special import jn as scipy_jn
 
 from hibsim.antenna import (
+    _SERIES_TERMS,
     FIRST_J1_ZERO,
     U_3DB,
     AperturePattern,
     aperture_gain_dbi,
     bessel_j1,
+    _main_lobe_terms,
     make_aperture_pattern,
     sector_gain_dbi,
     solve_ka_for_beamwidth,
@@ -182,6 +186,78 @@ def test_aperture_gain_matches_independent_formula():
     rel = (2.0 * scipy_j1(u) / u) ** 2
     expected = 16.5 + 10.0 * np.log10(np.maximum(rel, 1e-3))
     assert_allclose(aperture_gain_dbi(theta, pattern), expected, atol=1e-6)
+
+
+def reference_aperture_gain_dbi(theta_off_axis_deg, pattern):
+    """The aperture gain evaluated in full: u on every link, and J1 from the
+    59-term series of `bessel_j1` on the main lobe (on every link with
+    literal sidelobes), the past-null links set to 0 before the floor."""
+    theta = np.asarray(theta_off_axis_deg, dtype=float)
+    au = np.abs(pattern.ka * np.sin(np.radians(np.atleast_1d(theta))))
+    rel = np.ones_like(au)
+    big = au > 1e-9
+    if not pattern.bessel_sidelobes:
+        past_null = au > FIRST_J1_ZERO
+        rel[past_null] = 0.0
+        big &= ~past_null
+    ub = au[big]
+    rel[big] = (2.0 * bessel_j1(ub) / ub) ** 2
+    floor_lin = 10.0 ** (-pattern.floor_db / 10.0)
+    gain = pattern.peak_gain_dbi + 10.0 * np.log10(np.maximum(rel, floor_lin))
+    return gain.reshape(theta.shape)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("floor_db", [30.0, 60.0, 200.0])
+@pytest.mark.parametrize("beamwidth_deg", [5.0, 28.07, 60.0])
+def test_main_lobe_series_keeps_every_bit_on_a_dense_grid(beamwidth_deg, floor_db):
+    # J1 summed to `_main_lobe_terms` on the main lobe only, and the floor
+    # gain set as one constant, against the full evaluation; literal
+    # sidelobes keep the 59-term series (on every tenth angle)
+    theta = np.linspace(0.0, 90.0, 3_000_001)
+    for sidelobes, grid in ((False, theta), (True, theta[::10])):
+        pattern = make_aperture_pattern(
+            beamwidth_deg, floor_db=floor_db, bessel_sidelobes=sidelobes
+        )
+        assert _same_bits(
+            aperture_gain_dbi(grid, pattern), reference_aperture_gain_dbi(grid, pattern)
+        )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    beamwidth_deg=st.sampled_from([5.0, 28.07, 60.0]) | st.floats(1.0, 90.0),
+    floor_db=st.sampled_from([30.0, 60.0, 200.0]) | st.floats(0.5, 400.0),
+    sidelobes=st.booleans(),
+    theta=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=20),
+    near_null=st.lists(st.floats(-1e-6, 1e-6), max_size=10),
+)
+def test_main_lobe_series_keeps_every_bit(
+    beamwidth_deg, floor_db, sidelobes, theta, near_null
+):
+    # any angle, the first null to within a few ulps among them, at any floor
+    pattern = make_aperture_pattern(
+        beamwidth_deg, floor_db=floor_db, bessel_sidelobes=sidelobes
+    )
+    null_deg = math.degrees(math.asin(min(1.0, FIRST_J1_ZERO / pattern.ka)))
+    theta = np.array(theta + [null_deg + d for d in near_null] + [180.0 - null_deg])
+    assert _same_bits(
+        aperture_gain_dbi(theta, pattern), reference_aperture_gain_dbi(theta, pattern)
+    )
+    for t in theta[:3]:
+        assert _same_bits(aperture_gain_dbi(t, pattern), reference_aperture_gain_dbi(t, pattern))
+
+
+def test_main_lobe_terms_follow_the_floor():
+    # a deeper floor asks for more terms; past 2^-40 in amplitude (about
+    # 240 dB) the sum's own rounding nears the floored level and the full
+    # series is kept
+    terms = [_main_lobe_terms(f) for f in (10.0, 30.0, 60.0, 200.0)]
+    assert terms == sorted(terms) and terms[-1] < _SERIES_TERMS
+    assert _main_lobe_terms(250.0) == _main_lobe_terms(1_000.0) == _SERIES_TERMS
 
 
 def test_aperture_sidelobe_modes_differ_only_past_first_null():

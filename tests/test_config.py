@@ -148,92 +148,218 @@ def _python_built(data: dict, node=None):
     return dataclasses.replace(node, **changes)
 
 
+# The cases of a table are named by their own `id`, so a row inserted
+# anywhere renames no other case; the ids of the first rows keep the names
+# their position once gave them.
 @pytest.mark.parametrize(
     "data, key",
     [
-        ({"carrier": {"bandwidth_hz": -1.0}}, "carrier.bandwidth_hz"),
-        ({"carrier": {"frequency_hz": 0.0}}, "carrier.frequency_hz"),
-        ({"hibs": {"n_rings": -1}}, "hibs.n_rings"),
-        ({"hibs": {"pattern_sidelobes": "airy"}}, "hibs.pattern_sidelobes"),
-        ({"hibs": {"footprint_diameter_m": 100e3}}, "hibs.footprint_diameter_m"),
-        ({"terrestrial": {"n_sites": 1}}, "terrestrial.n_sites"),
-        ({"ue": {"height_m": 40.0}}, "ue.height_m"),
-        ({"scheduler": {"ul_interference": "mute"}}, "scheduler.ul_interference"),
-        ({"mobility": {"decision_signal": "raw"}}, "mobility.decision_signal"),
-        ({"mobility": {"tn_spawn_near": 0.9}}, "mobility.tn_spawn_near"),
-        (
+        pytest.param(
+            {"carrier": {"bandwidth_hz": -1.0}},
+            "carrier.bandwidth_hz",
+            id="data0-carrier.bandwidth_hz",
+        ),
+        pytest.param(
+            {"carrier": {"frequency_hz": 0.0}},
+            "carrier.frequency_hz",
+            id="data1-carrier.frequency_hz",
+        ),
+        pytest.param({"hibs": {"n_rings": -1}}, "hibs.n_rings", id="data2-hibs.n_rings"),
+        pytest.param(
+            {"hibs": {"pattern_sidelobes": "airy"}},
+            "hibs.pattern_sidelobes",
+            id="data3-hibs.pattern_sidelobes",
+        ),
+        pytest.param(
+            {"hibs": {"footprint_diameter_m": 100e3}},
+            "hibs.footprint_diameter_m",
+            id="data4-hibs.footprint_diameter_m",
+        ),
+        pytest.param(
+            {"terrestrial": {"n_sites": 1}},
+            "terrestrial.n_sites",
+            id="data5-terrestrial.n_sites",
+        ),
+        pytest.param({"ue": {"height_m": 40.0}}, "ue.height_m", id="data6-ue.height_m"),
+        pytest.param(
+            {"scheduler": {"ul_interference": "mute"}},
+            "scheduler.ul_interference",
+            id="data7-scheduler.ul_interference",
+        ),
+        pytest.param(
+            {"mobility": {"decision_signal": "raw"}},
+            "mobility.decision_signal",
+            id="data8-mobility.decision_signal",
+        ),
+        pytest.param(
+            {"mobility": {"tn_spawn_near": 0.9}},
+            "mobility.tn_spawn_near",
+            id="data9-mobility.tn_spawn_near",
+        ),
+        pytest.param(
             {"mobility": {"tn_spawn_near": 1.4, "tn_spawn_far": 1.2}},
             "mobility.tn_spawn_far",
+            id="data10-mobility.tn_spawn_far",
         ),
-        (
+        pytest.param(
             {"mobility": {"measurement_period_s": 0.0}},
             "mobility.measurement_period_s",
+            id="data11-mobility.measurement_period_s",
         ),
-        (
+        pytest.param(
             {"mobility": {"time_to_trigger_s": 0.1}},
             "mobility.time_to_trigger_s",
+            id="data12-mobility.time_to_trigger_s",
         ),
-        ({"band_check": {"region": "R4"}}, "band_check.region"),
-        ({"ue": {"tx_power_dbm": math.nan}}, "ue.tx_power_dbm"),
-        ({"hibs": {"tx_power_dbm": math.nan}}, "hibs.tx_power_dbm"),
-        ({"hibs": {"peak_gain_dbi": math.nan}}, "hibs.peak_gain_dbi"),
-        ({"carrier": {"frequency_hz": math.inf}}, "carrier.frequency_hz"),
-        ({"ue": {"antenna_gain_dbi": 10**400}}, "ue.antenna_gain_dbi"),
-        ({"rate": {"sinr_min_db": -math.inf}}, "rate.sinr_min_db"),
-        (
+        pytest.param(
+            {"band_check": {"region": "R4"}},
+            "band_check.region",
+            id="data13-band_check.region",
+        ),
+        pytest.param(
+            {"ue": {"tx_power_dbm": math.nan}},
+            "ue.tx_power_dbm",
+            id="data14-ue.tx_power_dbm",
+        ),
+        pytest.param(
+            {"hibs": {"tx_power_dbm": math.nan}},
+            "hibs.tx_power_dbm",
+            id="data15-hibs.tx_power_dbm",
+        ),
+        pytest.param(
+            {"hibs": {"peak_gain_dbi": math.nan}},
+            "hibs.peak_gain_dbi",
+            id="data16-hibs.peak_gain_dbi",
+        ),
+        pytest.param(
+            {"carrier": {"frequency_hz": math.inf}},
+            "carrier.frequency_hz",
+            id="data17-carrier.frequency_hz",
+        ),
+        pytest.param(
+            {"ue": {"antenna_gain_dbi": 10**400}},
+            "ue.antenna_gain_dbi",
+            id="data18-ue.antenna_gain_dbi",
+        ),
+        pytest.param(
+            {"rate": {"sinr_min_db": -math.inf}},
+            "rate.sinr_min_db",
+            id="data19-rate.sinr_min_db",
+        ),
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {math.nan: 0.5, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
+            id="data20-channel.ntn.p_los_table",
         ),
         # outside the RMa antenna-height ranges of TR 38.901 table 7.4.1-1
-        ({"terrestrial": {"site_height_m": 9.0}}, "terrestrial.site_height_m"),
-        ({"terrestrial": {"site_height_m": 151.0}}, "terrestrial.site_height_m"),
-        ({"ue": {"height_m": 0.5}}, "ue.height_m"),
-        ({"ue": {"height_m": 10.5}}, "ue.height_m"),
+        pytest.param(
+            {"terrestrial": {"site_height_m": 9.0}},
+            "terrestrial.site_height_m",
+            id="data21-terrestrial.site_height_m",
+        ),
+        pytest.param(
+            {"terrestrial": {"site_height_m": 151.0}},
+            "terrestrial.site_height_m",
+            id="data22-terrestrial.site_height_m",
+        ),
+        pytest.param({"ue": {"height_m": 0.5}}, "ue.height_m", id="data23-ue.height_m"),
+        pytest.param({"ue": {"height_m": 10.5}}, "ue.height_m", id="data24-ue.height_m"),
         # np.interp would hold p_los at the table's end values past them
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {40.0: 0.8, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
+            id="data25-channel.ntn.p_los_table",
         ),
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {10.0: 0.25, 80.0: 0.99}}}},
             "channel.ntn.p_los_table",
+            id="data26-channel.ntn.p_los_table",
         ),
-        ({"channel": {"ntn": {"p_los_table": {}}}}, "channel.ntn.p_los_table"),
+        pytest.param(
+            {"channel": {"ntn": {"p_los_table": {}}}},
+            "channel.ntn.p_los_table",
+            id="data27-channel.ntn.p_los_table",
+        ),
         # an elevation beyond the float range once crashed the loader
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {10**400: 0.5, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
+            id="data28-channel.ntn.p_los_table",
         ),
         # the channel and rate rules, once checked as each class was built
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {30.0: 0.7, 10.0: 0.25}}}},
             "channel.ntn.p_los_table",
+            id="data29-channel.ntn.p_los_table",
         ),
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {10.0: 1.25, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
+            id="data30-channel.ntn.p_los_table",
         ),
-        (
+        pytest.param(
             {"channel": {"ntn": {"p_los_table": {10.0: -0.1, 90.0: 1.0}}}},
             "channel.ntn.p_los_table",
+            id="data31-channel.ntn.p_los_table",
         ),
-        ({"channel": {"ntn": {"sigma_los_db": -1.0}}}, "channel.ntn.sigma_los_db"),
-        ({"channel": {"ntn": {"sigma_nlos_db": -1.0}}}, "channel.ntn.sigma_nlos_db"),
+        pytest.param(
+            {"channel": {"ntn": {"sigma_los_db": -1.0}}},
+            "channel.ntn.sigma_los_db",
+            id="data32-channel.ntn.sigma_los_db",
+        ),
+        pytest.param(
+            {"channel": {"ntn": {"sigma_nlos_db": -1.0}}},
+            "channel.ntn.sigma_nlos_db",
+            id="data33-channel.ntn.sigma_nlos_db",
+        ),
         # outside the RMa street and building ranges of TR 38.901 table 7.4.1-1
-        ({"channel": {"rma": {"building_height_m": 3.0}}}, "channel.rma.building_height_m"),
-        ({"channel": {"rma": {"building_height_m": 60.0}}}, "channel.rma.building_height_m"),
-        ({"channel": {"rma": {"street_width_m": 1.0}}}, "channel.rma.street_width_m"),
-        ({"channel": {"rma": {"street_width_m": 51.0}}}, "channel.rma.street_width_m"),
-        ({"channel": {"rma": {"min_d2d_m": 0.0}}}, "channel.rma.min_d2d_m"),
-        (
+        pytest.param(
+            {"channel": {"rma": {"building_height_m": 3.0}}},
+            "channel.rma.building_height_m",
+            id="data34-channel.rma.building_height_m",
+        ),
+        pytest.param(
+            {"channel": {"rma": {"building_height_m": 60.0}}},
+            "channel.rma.building_height_m",
+            id="data35-channel.rma.building_height_m",
+        ),
+        pytest.param(
+            {"channel": {"rma": {"street_width_m": 1.0}}},
+            "channel.rma.street_width_m",
+            id="data36-channel.rma.street_width_m",
+        ),
+        pytest.param(
+            {"channel": {"rma": {"street_width_m": 51.0}}},
+            "channel.rma.street_width_m",
+            id="data37-channel.rma.street_width_m",
+        ),
+        pytest.param(
+            {"channel": {"rma": {"min_d2d_m": 0.0}}},
+            "channel.rma.min_d2d_m",
+            id="data38-channel.rma.min_d2d_m",
+        ),
+        pytest.param(
             {"channel": {"rma": {"min_d2d_m": 100.0, "max_d2d_m": 50.0}}},
             "channel.rma.max_d2d_m",
+            id="data39-channel.rma.max_d2d_m",
         ),
-        ({"rate": {"alpha": 0.0}}, "rate.alpha"),
-        ({"rate": {"se_max_bpshz": -1.0}}, "rate.se_max_bpshz"),
+        pytest.param({"rate": {"alpha": 0.0}}, "rate.alpha", id="data40-rate.alpha"),
+        pytest.param(
+            {"rate": {"se_max_bpshz": -1.0}},
+            "rate.se_max_bpshz",
+            id="data41-rate.se_max_bpshz",
+        ),
         # the sector beamwidths the antenna divides by
-        ({"terrestrial": {"h_hpbw_deg": 0.0}}, "terrestrial.h_hpbw_deg"),
-        ({"terrestrial": {"v_hpbw_deg": -1.0}}, "terrestrial.v_hpbw_deg"),
+        pytest.param(
+            {"terrestrial": {"h_hpbw_deg": 0.0}},
+            "terrestrial.h_hpbw_deg",
+            id="data42-terrestrial.h_hpbw_deg",
+        ),
+        pytest.param(
+            {"terrestrial": {"v_hpbw_deg": -1.0}},
+            "terrestrial.v_hpbw_deg",
+            id="data43-terrestrial.v_hpbw_deg",
+        ),
     ],
 )
 def test_validation_errors_name_the_key(data, key):
@@ -348,11 +474,27 @@ WIDE_BEAM_GRID = {
 @pytest.mark.parametrize(
     "data, where",
     [
-        ({"hibs": {"altitude_m": 5_000.0}}, "platform service disk"),
-        ({"hibs": WIDE_BEAM_GRID}, "uplink phantoms"),
-        ({"terrestrial": {"isd_m": 60_000.0}}, "inbound mobility spawn band"),
-        ({"mobility": {"outbound_stop_margin_m": 120_000.0}}, "outbound mobility stop"),
-        ({"mobility": {"hibs_spawn_radius_m": 150_000.0}}, "outbound mobility spawn disk"),
+        pytest.param(
+            {"hibs": {"altitude_m": 5_000.0}},
+            "platform service disk",
+            id="data0-platform service disk",
+        ),
+        pytest.param({"hibs": WIDE_BEAM_GRID}, "uplink phantoms", id="data1-uplink phantoms"),
+        pytest.param(
+            {"terrestrial": {"isd_m": 60_000.0}},
+            "inbound mobility spawn band",
+            id="data2-inbound mobility spawn band",
+        ),
+        pytest.param(
+            {"mobility": {"outbound_stop_margin_m": 120_000.0}},
+            "outbound mobility stop",
+            id="data3-outbound mobility stop",
+        ),
+        pytest.param(
+            {"mobility": {"hibs_spawn_radius_m": 150_000.0}},
+            "outbound mobility spawn disk",
+            id="data4-outbound mobility spawn disk",
+        ),
     ],
 )
 def test_platform_elevation_floor_names_the_altitude(data, where):
@@ -413,11 +555,31 @@ def test_rma_window_edge():
 @pytest.mark.parametrize(
     "data, fragment",
     [
-        ({"carrier": {"frequency_hz": "fast"}}, "expected a number"),
-        ({"hibs": {"n_rings": 2.5}}, "expected an integer"),
-        ({"channel": {"shadowing": "yes"}}, "expected true/false"),
-        ({"hibs": {"pattern_sidelobes": 3}}, "expected a string"),
-        ({"carrier": "wideband"}, "expected a mapping"),
+        pytest.param(
+            {"carrier": {"frequency_hz": "fast"}},
+            "expected a number",
+            id="data0-expected a number",
+        ),
+        pytest.param(
+            {"hibs": {"n_rings": 2.5}},
+            "expected an integer",
+            id="data1-expected an integer",
+        ),
+        pytest.param(
+            {"channel": {"shadowing": "yes"}},
+            "expected true/false",
+            id="data2-expected true/false",
+        ),
+        pytest.param(
+            {"hibs": {"pattern_sidelobes": 3}},
+            "expected a string",
+            id="data3-expected a string",
+        ),
+        pytest.param(
+            {"carrier": "wideband"},
+            "expected a mapping",
+            id="data4-expected a mapping",
+        ),
     ],
 )
 def test_type_errors(data, fragment):

@@ -37,6 +37,12 @@ from hibsim.mobility import (
 RING_RADIUS_M = 17386.66487320323
 
 
+def _whole(rx):
+    """`_best_two`'s spans for an (n_cells, T) track held in full: every
+    row on every sample."""
+    return [(row, 0, rx.shape[1]) for row in range(rx.shape[0])]
+
+
 def _cfg(**mobility):
     return config_from_dict({"mobility": mobility})
 
@@ -75,17 +81,18 @@ def test_a3_trigger_equals_one_scan_of_the_rest(k):
     # the windowed search finds what one scan of every sample from the
     # start on finds, runs straddling window edges included
     rng = np.random.default_rng(k)
-    rx = np.round(np.cumsum(rng.normal(size=(3_000, 5)), axis=0), 0)  # long runs, ties
-    best, best_cell, second, _ = _best_two(rx)
+    rx = np.round(np.cumsum(rng.normal(size=(3_000, 5)), axis=0), 0).T  # long runs, ties
+    rx = np.ascontiguousarray(rx)  # (cells, samples), as a track holds it
+    best, best_cell, second, _ = _best_two(rx, _whole(rx))
     for serving in range(5):
         for start in [1, 63, 64, 500, 2_990]:
             for offset_db in [-1.0, 0.0, 0.5, 2.0]:
                 is_best = best_cell[start:] == serving
                 rival = np.where(is_best, second[start:], best[start:])
-                rel = _first_sustained(rival > rx[start:, serving] + offset_db, k)
+                rel = _first_sustained(rival > rx[serving, start:] + offset_db, k)
                 want = start + rel if rel >= 0 else -1
                 got = _a3_trigger(
-                    best, best_cell, second, rx[:, serving], serving, start, offset_db, k
+                    best, best_cell, second, rx[serving], serving, start, offset_db, k
                 )
                 assert got == want
 
@@ -93,17 +100,62 @@ def test_a3_trigger_equals_one_scan_of_the_rest(k):
 def test_best_two_gives_the_strongest_other_cell():
     # per sample and serving cell: the strongest other cell and its level,
     # ties to the lowest index, as masking the serving cell and taking
-    # argmax over the row would give
-    rx = np.round(np.random.default_rng(8).normal(size=(400, 7)), 0)  # many ties
-    best, best_cell, second, second_cell = _best_two(rx)
+    # argmax down the sample's column would give
+    rx = np.round(np.random.default_rng(8).normal(size=(7, 400)), 0)  # many ties
+    best, best_cell, second, second_cell = _best_two(rx, _whole(rx))
     for serving in range(7):
         others = rx.copy()
-        others[:, serving] = -np.inf
+        others[serving] = -np.inf
         is_best = best_cell == serving
-        assert np.array_equal(np.where(is_best, second, best), others.max(axis=1))
+        assert np.array_equal(np.where(is_best, second, best), others.max(axis=0))
         assert np.array_equal(
-            np.where(is_best, second_cell, best_cell), np.argmax(others, axis=1)
+            np.where(is_best, second_cell, best_cell), np.argmax(others, axis=0)
         )
+
+
+def reference_best_two(rx):
+    """`_best_two` by masked `argmax` down the cells of an (n_cells, T)
+    track."""
+    t = np.arange(rx.shape[1])
+    best_cell = np.argmax(rx, axis=0)
+    others = rx.copy()
+    others[best_cell, t] = -np.inf
+    second_cell = np.argmax(others, axis=0)
+    return rx[best_cell, t], best_cell, others[second_cell, t], second_cell
+
+
+@st.composite
+def _pruned_tracks(draw):
+    """(rx, spans): an (n_cells, T) track of a few levels, so ties are
+    common, with each row but row 0 -inf outside a span of samples, empty
+    for some rows, and -inf samples inside the spans too."""
+    n_c, n_t = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    levels = st.sampled_from([-np.inf, -3.0, 0.0, 1.5, 2.0])
+    rx = np.array(draw(st.lists(levels, min_size=n_c * n_t, max_size=n_c * n_t)))
+    rx = rx.reshape(n_c, n_t)
+    spans = [(0, 0, n_t)]
+    for row in range(1, n_c):
+        a = draw(st.integers(0, n_t))
+        b = draw(st.integers(a, n_t))
+        rx[row, :a] = rx[row, b:] = -np.inf
+        if a < b:
+            spans.append((row, a, b))
+        elif draw(st.booleans()):
+            spans.append((row, a, b))  # an empty span reads nothing
+    return rx, spans
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(track=_pruned_tracks())
+def test_best_two_equals_masked_argmax_down_the_cells(track):
+    # rows that are -inf on every sample go unread, and samples where every
+    # cell, or every cell but the best, is -inf resolve to row 0 as argmax
+    # does; the matrix comes back unchanged
+    rx, spans = track
+    before = rx.copy()
+    for got, want in zip(_best_two(rx, spans), reference_best_two(before)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(rx, before)
 
 
 def test_run_mobility_rejects_nonpositive_duration(default_cfg):
@@ -264,7 +316,7 @@ def test_inbound_tracks_park_at_center():
 
 
 def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
-    """Received power (T, n_cells) computed one serving cell at a time, in
+    """Received power (n_cells, T) computed one serving cell at a time, in
     row order, a cell being one (transmitter, pointing entry) pair: every
     cell's LOS threshold is drawn first, one per cell in row order; then
     per cell geometry, medians and T AR(1) innovations; tx - (pl + shadow +
@@ -282,7 +334,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
         key=lambda cell: cell[0],
     )
     assert [row for row, _, _ in cells] == list(range(scenario.n_cells))
-    rx = np.empty((n_t, len(cells)))
+    rx = np.empty((len(cells), n_t))
     thresholds = [rng.random() for _ in cells]
     for i, (_, tx, pointing) in enumerate(cells):
         if isinstance(tx.pattern, AperturePattern):
@@ -325,7 +377,7 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
             innov[1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
             shadow = sigma * lfilter([1.0], [1.0, -rho], innov)
         coupling = pl + shadow + clutter - g_tx - cfg.ue.antenna_gain_dbi
-        rx[:, i] = tx_power_dbm - coupling
+        rx[i] = tx_power_dbm - coupling
     return rx
 
 
@@ -345,13 +397,37 @@ def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
         rng = engine.derive_rng(4, engine._MOBILITY, 9)
         got = _track_rx_power_dbm(scenario, pos_xyz, core_rng, 0.9, shadowed).rx
         want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
-        assert got.shape == (n_t, 37)
+        assert got.shape == (37, n_t)
         evaluated = got > -np.inf
         assert np.array_equal(got[evaluated], want[evaluated])
         # a skipped cell lies strictly below its sample's runner-up
-        _, _, runner_up, _ = _best_two(want)
-        assert np.all((want < runner_up[:, None])[~evaluated])
+        _, _, runner_up, _ = reference_best_two(want)
+        assert np.all((want < runner_up)[~evaluated])
         assert core_rng.random() == rng.random()  # same number of draws
+
+
+def test_spans_hold_each_cell_s_evaluated_samples_tightly():
+    # `_best_two` reads a cell on its span alone: row 0 spans the track,
+    # every cell is -inf outside its span and evaluated at both ends of it,
+    # and a cell not listed is -inf on the whole track
+    scenario = _scenario()
+    t = np.linspace(0.0, 1.0, 6_000)[:, None]
+    pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
+        [300.0, 80.0, 1.5]
+    )
+    for key in range(3):
+        rng = engine.derive_rng(3, engine._MOBILITY, 0, key)
+        power = _track_rx_power_dbm(scenario, pos_xyz, rng, 0.97, False)
+        spans, rx = power.spans(), power.rx
+        assert [row for row, _, _ in spans] == sorted({row for row, _, _ in spans})
+        assert spans[0] == (0, 0, rx.shape[1])
+        assert any(stop - start < rx.shape[1] for _, start, stop in spans)
+        listed = set()
+        for row, start, stop in spans:
+            listed.add(row)
+            assert np.isfinite(rx[row, [start, stop - 1]]).all()
+            assert np.isneginf(rx[row, :start]).all() and np.isneginf(rx[row, stop:]).all()
+        assert np.isneginf(rx[sorted(set(range(rx.shape[0])) - listed)]).all()
 
 
 def test_shadowed_signal_holds_the_long_term_los_thresholds():
@@ -395,12 +471,12 @@ def test_site_bounds_hold_on_a_bent_track():
         ]
         bound = power.site_bounds(sites)
         for s, i in enumerate(sites):
-            site_max = full[:, power.table[i].rows].max(axis=1)
+            site_max = full[power.table[i].rows].max(axis=0)
             assert np.all(np.maximum.reduceat(site_max, power.starts) <= bound[s])
         evaluated = power.rx > -np.inf
         assert np.array_equal(power.rx[evaluated], full[evaluated])
-        _, _, runner_up, _ = _best_two(full)
-        assert np.all((full < runner_up[:, None])[~evaluated])
+        _, _, runner_up, _ = reference_best_two(full)
+        assert np.all((full < runner_up)[~evaluated])
 
 
 @functools.cache
@@ -425,6 +501,9 @@ class _FullTrack:
 
     def fill(self, cell, start):
         pass
+
+    def spans(self):
+        return _whole(self.rx)
 
 
 def _full_track_events(scenario, seed, offset_db, track):
@@ -475,8 +554,8 @@ def test_a3_loop_reads_the_values_of_a_full_evaluation(signal):
             seen.update(power=power, full=full, fill=fill)
             return power
 
-        def best_two(rx):
-            seen["best_two"] = _best_two(rx)
+        def best_two(rx, spans):
+            seen["best_two"] = _best_two(rx, spans)
             return seen["best_two"]
 
         reads = []
@@ -486,17 +565,17 @@ def test_a3_loop_reads_the_values_of_a_full_evaluation(signal):
             events = _track_events(scenario, 1, 3.0, track)
         assert events == _full_track_events(scenario, 1, 3.0, track)
         rx, full, fill = seen["power"].rx, seen["full"], seen["fill"]
-        for got, want in zip(seen["best_two"], _best_two(full)):
+        for got, want in zip(seen["best_two"], reference_best_two(full)):
             assert np.array_equal(got, want)
         assert reads and reads[0][1] == 1
         for cell, start in reads:
-            assert np.array_equal(rx[start:, cell], full[start:, cell])
+            assert np.array_equal(rx[cell, start:], full[cell, start:])
         if signal == "longterm":
             assert np.isneginf(rx).any()  # the pruning is on
         # a fill from inside a segment covers that segment too
-        for cell in range(rx.shape[1]):
+        for cell in range(rx.shape[0]):
             fill(cell, 700)
-        assert np.array_equal(rx[700:], full[700:])
+        assert np.array_equal(rx[:, 700:], full[:, 700:])
 
 
 def test_default_tracks_evaluate_a_fifth_of_the_site_samples():
@@ -534,7 +613,7 @@ def _peak_traced_bytes(fn):
 
 @pytest.mark.parametrize("shadowed, bound", [(False, 2.0), (True, 3.0)])
 def test_track_rx_power_live_memory(shadowed, bound):
-    # The (T, cells) received power is the one array a track needs whole;
+    # The (cells, T) received power is the one array a track needs whole;
     # the shadowed signal also holds its (cells, T) innovations, drawn up
     # front in cell order. Everything else lives one transmitter at a time
     # (at most 3 of the 37 cells' rows, plus the track's geometry), so the
@@ -553,7 +632,7 @@ def test_track_rx_power_live_memory(shadowed, bound):
 
     track()  # first-call work (the scipy.signal import) is not the track's
     rx, peak = _peak_traced_bytes(track)
-    assert rx.shape == (11_000, 37)
+    assert rx.shape == (37, 11_000)
     assert peak <= bound * rx.nbytes, peak / rx.nbytes
 
 
