@@ -8,6 +8,7 @@ default output directory comes from $HIBSIM_OUT_DIR, falling back to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -149,12 +150,10 @@ def main(argv=None) -> int:
             )
             written = output.emit_throughput_sweep(result, cfg, out_dir)
         else:
-            result = mobility.run_mobility(
-                cfg,
-                seed=args.seed,
-                threads=args.threads,
-                a3_offset_db=args.a3_offset_db,
-            )
+            if args.a3_offset_db is not None:  # the summary records the offset run
+                m = dataclasses.replace(cfg.mobility, a3_offset_db=args.a3_offset_db)
+                cfg = dataclasses.replace(cfg, mobility=m)
+            result = mobility.run_mobility(cfg, seed=args.seed, threads=args.threads)
             written = output.emit_mobility(result, cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,6 +93,8 @@ def test_mobility_command(tmp_path):
     doc = _files(str(out))
     assert doc["experiment"] == "mobility"
     assert doc["results"]["a3_offset_db"] == 6.0
+    # the flag lands in the recorded config too, so feeding it back reruns it
+    assert doc["config"]["mobility"]["a3_offset_db"] == 6.0
     assert doc["results"]["n_users"] == 4
     assert os.path.exists(out / "handover.csv")
 
@@ -247,6 +249,14 @@ def test_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
     code = main(["coupling-loss", *SMALL, "--out", str(tmp_path)])
     assert code == 2
     assert "error: drop failed" in capsys.readouterr().err
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a folder\n")
+    code = main(["coupling-loss", *SMALL, "--users-per-drop", "5", "--out", str(blocker)])
+    assert code == 2
+    assert f"error: cannot write {blocker / 'coupling_loss.csv'}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-4"])

@@ -1,10 +1,23 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _SCRIPT)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+import pytest
+
+from hibsim.cli import main as hibsim_main
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+output_digests = _load("output_digests")
 
 # 10 code lines: the import, the class line, `size = 1`, the four lines of
 # the multi-line `def`, the two lines of the string that is not a docstring,
@@ -46,3 +59,37 @@ def test_main_prints_a_total_for_the_package(capsys):
     counts = [int(count) for count, _ in rows]
     assert counts[-1] == sum(counts[:-1]) > 0
     assert "engine.py" in [name for _, name in rows]
+
+
+def test_output_digests_hash_what_the_cli_writes(tmp_path):
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text("mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 300.0\n")
+    commands = {
+        "coupling-loss": ["--drops", "2", "--users-per-drop", "10"],
+        "sinr-sweep": ["--drops", "2", "--densities", "1"],
+        "throughput-sweep": ["--drops", "2", "--densities", "1"],
+        "mobility": ["--config", str(tiny)],
+    }
+    lines = output_digests.digests(2, 1, commands)
+    assert [line.split("  ")[1] for line in lines] == [
+        "coupling-loss/coupling_loss.csv",
+        "coupling-loss/summary.json",
+        "sinr-sweep/sinr.csv",
+        "sinr-sweep/summary.json",
+        "throughput-sweep/throughput.csv",
+        "throughput-sweep/summary.json",
+        "mobility/handover.csv",
+        "mobility/summary.json",
+    ]
+    assert output_digests.digests(2, 1, commands) == lines
+
+    # each digest is the sha256 of the file the same CLI run writes
+    for command, extra in commands.items():
+        out = tmp_path / command
+        assert hibsim_main([command, "--seed", "2", "--out", str(out), *extra]) == 0
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert f"{digest}  {command}/{path.name}" in lines
+
+    with pytest.raises(RuntimeError, match="exited 1.*--drops: must be at least 1"):
+        output_digests.digests(2, 1, {"sinr-sweep": ["--drops", "0"]})
