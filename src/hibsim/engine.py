@@ -201,11 +201,28 @@ def _block_budgets(scenario: Scenario, drops: list):
     return drop_budgets(scenario, users, streams), drop
 
 
-def _active_by_drop(serving: np.ndarray, drop: np.ndarray, n_drops: int, n_cells: int):
-    """(n_drops, n_cells) mask of the cells with at least one user, per drop."""
-    return network.active_cells(drop * n_cells + serving, n_drops * n_cells).reshape(
-        n_drops, n_cells
-    )
+def _serve_block(scenario: Scenario, block: list):
+    """The step the SINR and throughput sweeps share: a block's link budgets
+    (`_block_budgets`), each user's serving cell among rows 0 to n_cells - 1,
+    each drop's active cells (those with a user), and each user's DL SINR
+    with its drop's active cells and every row after the serving cells on
+    the air, over the noise of the UE's noise figure across the carrier.
+
+    Returns (coupling, drop, serving, active (drops, n_cells), dl), or None
+    when the block has no users.
+    """
+    coupling, drop = _block_budgets(scenario, block)
+    if coupling is None:
+        return None
+    cfg, n_d, n_serv = scenario.cfg, len(block), scenario.n_cells
+    serving = network.associate(coupling[:n_serv])
+    active = network.active_cells(drop * n_serv + serving, n_d * n_serv).reshape(n_d, n_serv)
+    # non-serving rows never empty out: they are on the air by construction
+    on_air = np.ones(coupling.shape, dtype=bool)
+    on_air[:n_serv] = active[drop].T
+    noise_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
+    dl = network.dl_sinr_db(coupling, serving, scenario.tx_power_dbm, on_air, noise_dbm)
+    return coupling, drop, serving, active, dl
 
 
 # Start method of the worker pool where the platform offers it: fork starts
@@ -225,9 +242,10 @@ def _pool_size(threads: int, n_keys: int) -> int:
 
 
 def _require_integer(name: str, value, least: int) -> None:
-    """The rule for the two integer arguments of every run, `threads` (least
-    1) and `seed` (least 0): a bool, a float, a string or a value below the
-    least raises ValueError naming the argument."""
+    """The rule for the integer arguments of every run, `threads` (least 1)
+    and `seed` (least 0), and of the drop sweeps, `n_drops` and
+    `users_per_drop` (least 1): a bool, a float, a string or a value below
+    the least raises ValueError naming the argument."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -256,10 +274,15 @@ def _map_ordered(worker, keys, threads: int) -> list:
         return list(pool.map(worker, keys, chunksize=chunk))
 
 
-def _map_blocks(worker, drops: list, links: list[int], threads: int) -> list:
-    """Run worker over blocks of consecutive drops, results in drop order."""
+def _map_blocks(worker, scenario: Scenario, drops: list, threads: int, phantoms: int = 0) -> list:
+    """Run worker(scenario, block) over blocks of consecutive drops, results
+    in drop order. A drop holds a link per row of the scenario and each of
+    its users and `phantoms` (UL interferers drawn per drop), an empty drop
+    none."""
+    rows = scenario.tx_power_dbm.size
+    links = [rows * (n + phantoms) if n else 0 for _, n in drops]
     blocks = [drops[b.start : b.stop] for b in _drop_blocks(links)]
-    return _map_ordered(worker, blocks, threads)
+    return _map_ordered(functools.partial(worker, scenario), blocks, threads)
 
 
 def _by_density(pieces: list[np.ndarray], drops: list, n_drops: int) -> list[np.ndarray]:
@@ -289,20 +312,16 @@ class CouplingLossResult:
 def run_coupling_loss(
     cfg: ScenarioConfig,
     seed: int = 1,
-    n_drops: int = 500,
+    n_drops: int = 100,
     users_per_drop: int = 200,
     threads: int = 1,
 ) -> CouplingLossResult:
     """Serving-beam coupling-loss statistics over the platform-only layout."""
-    if n_drops <= 0 or users_per_drop <= 0:
-        raise ValueError("n_drops and users_per_drop must be positive")
+    _require_integer("n_drops", n_drops, 1)
+    _require_integer("users_per_drop", users_per_drop, 1)
     scenario = build_hibs_scenario(cfg)
     drops = [(derive_rng(seed, _COUPLING, d), users_per_drop) for d in range(n_drops)]
-
-    links = [scenario.n_cells * users_per_drop] * n_drops
-    results = _map_blocks(
-        functools.partial(_coupling_block, scenario), drops, links, threads
-    )
+    results = _map_blocks(_coupling_block, scenario, drops, threads)
     cl = np.concatenate([c for c, _ in results])
     ring = np.concatenate([r for _, r in results])
     by_ring = {r: cl[ring == r] for r in sorted(set(scenario.ring.tolist()))}
@@ -403,21 +422,18 @@ def _full_load_ul_interference_mw(scenario: Scenario, rngs: list) -> np.ndarray:
     return (total - own).T
 
 
-def _sinr_block(
-    scenario: Scenario, noise_dl_dbm: float, noise_ul_mw: float, block: list
-):
+def _sinr_block(scenario: Scenario, block: list):
     """DL and UL SINR samples of each user of a block, in drop order."""
     cfg = scenario.cfg
-    n_cells = scenario.n_cells
     ul_mode = cfg.scheduler.ul_interference
     block = [(rng, n) for rng, n in block if n]  # empty drops yield nothing
-    coupling, drop = _block_budgets(scenario, block)
-    if coupling is None:
+    served = _serve_block(scenario, block)
+    if served is None:
         return np.empty(0), np.empty(0)
-    serving = network.associate(coupling)
-    active = _active_by_drop(serving, drop, len(block), n_cells)
-    dl = network.dl_sinr_db(
-        coupling, serving, scenario.tx_power_dbm, active[drop].T, noise_dl_dbm
+    coupling, drop, serving, active, dl = served
+    # every beam receives on the platform's one noise figure
+    noise_ul_mw = 10.0 ** (
+        noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.hibs.noise_figure_db) / 10.0
     )
     if ul_mode == "coscheduled":
         edges = np.cumsum([0] + [n for _, n in block])
@@ -437,7 +453,7 @@ def _sinr_block(
         if ul_mode == "full_load":
             i_mw = _full_load_ul_interference_mw(scenario, [rng for rng, _ in block])
         else:  # "none": pure uplink SNR
-            i_mw = np.zeros((len(block), n_cells))
+            i_mw = np.zeros(active.shape)
         s_dbm = cfg.ue.tx_power_dbm - coupling[serving, np.arange(serving.size)]
         denom = i_mw[drop, serving] + noise_ul_mw
         ul = s_dbm - 10.0 * np.log10(denom)
@@ -452,23 +468,13 @@ def run_sinr_sweep(
     threads: int = 1,
 ) -> SinrSweepResult:
     """DL and UL SINR distributions vs mean users per cell, platform only."""
-    if n_drops <= 0:
-        raise ValueError("n_drops must be positive")
+    _require_integer("n_drops", n_drops, 1)
     densities = _check_densities(densities)
     scenario = build_hibs_scenario(cfg)
-    n_cells = scenario.n_cells
-    noise_dl_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
-    # every beam receives on the platform's one noise figure
-    noise_ul_mw = 10.0 ** (
-        noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.hibs.noise_figure_db) / 10.0
-    )
-
-    drops = _poisson_drops(seed, _SINR, densities, n_drops, n_cells)
+    drops = _poisson_drops(seed, _SINR, densities, n_drops, scenario.n_cells)
     full_load = cfg.scheduler.ul_interference == "full_load"
     phantoms = scenario.beam_centers.shape[0] if full_load else 0
-    links = [n_cells * (n + phantoms) if n else 0 for _, n in drops]
-    worker = functools.partial(_sinr_block, scenario, noise_dl_dbm, noise_ul_mw)
-    results = _map_blocks(worker, drops, links, threads)
+    results = _map_blocks(_sinr_block, scenario, drops, threads, phantoms)
     dl = _by_density([r[0] for r in results], drops, n_drops)
     ul = _by_density([r[1] for r in results], drops, n_drops)
     return SinrSweepResult(
@@ -510,21 +516,15 @@ class ThroughputSweepResult:
         return max(p.tn_se_bpshz for p in self.points)
 
 
-def _throughput_block(scenario: Scenario, noise_dl_dbm: float, block: list):
+def _throughput_block(scenario: Scenario, block: list):
     """(drops, serving cells) round-robin cell throughput of a block, and each
     user's throughput and serving cell, in drop order."""
     cfg = scenario.cfg
     n_d, n_serv = len(block), scenario.n_cells
-    coupling, drop = _block_budgets(scenario, block)
-    if coupling is None:
+    served = _serve_block(scenario, block)
+    if served is None:
         return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
-    serving = network.associate(coupling[:n_serv])
-    # non-serving beams never empty out: they are on-air by construction
-    active = np.ones(coupling.shape, dtype=bool)
-    active[:n_serv] = _active_by_drop(serving, drop, n_d, n_serv)[drop].T
-    dl = network.dl_sinr_db(
-        coupling, serving, scenario.tx_power_dbm, active, noise_dl_dbm
-    )
+    _, drop, serving, _, dl = served
     # round robin per (drop, cell): each drop's cells are cells of their own
     cell_bps, user_bps, _ = network.round_robin_throughput_bps(
         dl, drop * n_serv + serving, n_d * n_serv, cfg.carrier.bandwidth_hz, cfg.rate
@@ -546,18 +546,13 @@ def run_throughput_sweep(
     up everyone the sector ring does not cover — that coverage split, not the
     beam's own link budget, is what drags its per-user numbers at load.
     """
-    if n_drops <= 0:
-        raise ValueError("n_drops must be positive")
+    _require_integer("n_drops", n_drops, 1)
     densities = _check_densities(densities)
     scenario = build_combined_scenario(cfg)
-    noise_dl_dbm = noise_power_dbm(cfg.carrier.bandwidth_hz, cfg.ue.noise_figure_db)
     bw = cfg.carrier.bandwidth_hz
     hibs_mask = scenario.ring >= 0
-    n_serv = scenario.n_cells
-    drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, n_serv)
-    rows = scenario.tx_power_dbm.size
-    worker = functools.partial(_throughput_block, scenario, noise_dl_dbm)
-    results = _map_blocks(worker, drops, [rows * n for _, n in drops], threads)
+    drops = _poisson_drops(seed, _THROUGHPUT, densities, n_drops, scenario.n_cells)
+    results = _map_blocks(_throughput_block, scenario, drops, threads)
     cell_bps_all = np.concatenate([r[0] for r in results])  # (drops, n_cells)
     user_bps_all = _by_density([r[1] for r in results], drops, n_drops)
     serving_all = _by_density([r[2] for r in results], drops, n_drops)

@@ -102,11 +102,12 @@ class _TrackPower:
     site's cells are left at -inf on the segments where the site cannot
     reach the top two (see `_track_rx_power_dbm`).
 
-    Every evaluated entry has the bits of a full evaluation: the budgets are
-    elementwise over the samples, and each evaluation of a transmitter is one
-    `network._link_coupling` call on the samples it covers. `fill` adds a
-    cell's skipped samples for the A3 rule, which reads the serving cell's
-    power after it leaves the top two.
+    `evaluated` (table entries, segments) records where each transmitter's
+    cells hold their budgets. Every evaluated entry has the bits of a full
+    evaluation: the budgets are elementwise over the samples, and each
+    evaluation of a transmitter is one `network._link_coupling` call on the
+    samples it covers. `fill` adds a cell's skipped samples for the A3 rule,
+    which reads the serving cell's power after it leaves the top two.
     """
 
     def __init__(self, scenario: Scenario, table, pos_xyz, threshold, unit):
@@ -118,51 +119,40 @@ class _TrackPower:
         self.tx_of_cell = np.empty(scenario.n_cells, dtype=np.int64)
         for i, tx in enumerate(table):
             self.tx_of_cell[tx.rows] = i
-        # table index -> mask of the segments it is not evaluated on
-        self.skipped: dict[int, np.ndarray] = {}
+        self.evaluated = np.zeros((len(table), self.starts.size), dtype=bool)
 
-    def evaluate(self, i: int, segments: np.ndarray | None = None) -> None:
-        """Write table entry i's cells into `rx` on a mask of segments, or
-        on the whole track (None), as a budget group of one. Only the
-        long-term signal, which draws no `unit`, is evaluated on segments."""
+    def evaluate(self, i: int, segments: np.ndarray) -> None:
+        """Write table entry i's cells into `rx` on the segments of a mask
+        they are not evaluated on yet, as a budget group of one. Only the
+        long-term signal, which draws no `unit`, is evaluated on part of
+        the track."""
+        segments = segments & ~self.evaluated[i]
+        if not segments.any():
+            return
+        self.evaluated[i] |= segments
         tx = self.table[i]
-        if segments is None:
-            samples = slice(None)
-        else:
-            samples = np.flatnonzero(np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)])
+        samples = np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)]
+        # the whole track is read and written in place, without a gather
+        samples = slice(None) if samples.all() else np.flatnonzero(samples)
         ((_, coupling),) = network._link_coupling(
             [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
-        np.subtract(self.tx_power_dbm[tx.rows, None], coupling, out=coupling)
-        if segments is None:
-            self.rx[tx.rows] = coupling
-        else:
-            self.rx[tx.rows[:, None], samples] = coupling
+        for row, loss in zip(tx.rows.tolist(), coupling):
+            self.rx[row, samples] = self.tx_power_dbm[row] - loss
 
     def fill(self, cell: int, start: int) -> None:
         """Evaluate the cell's transmitter on the segments it skips from the
         one holding sample `start` on."""
-        i = int(self.tx_of_cell[cell])
-        skipped = self.skipped.get(i)
-        if skipped is None:  # evaluated on every sample
-            return
-        need = skipped.copy()
-        need[: start // SEGMENT_SAMPLES] = False
-        if need.any():
-            self.evaluate(i, need)
-            skipped &= ~need
-            if not skipped.any():
-                del self.skipped[i]
+        self.evaluate(int(self.tx_of_cell[cell]), self.starts + SEGMENT_SAMPLES > start)
 
     def spans(self) -> list[tuple[int, int, int]]:
         """(row, start, stop) for every cell evaluated on some sample,
         ascending by row: the cell is -inf outside its samples start to
         stop, and the cells not listed on the whole track. Row 0, the
         platform's, spans the track."""
-        n_t, no_skip = self.rx.shape[1], np.zeros(self.starts.size, dtype=bool)
-        spans = []
-        for i, tx in enumerate(self.table):
-            segments = np.flatnonzero(~self.skipped.get(i, no_skip))
+        n_t, spans = self.rx.shape[1], []
+        for tx, evaluated in zip(self.table, self.evaluated):
+            segments = np.flatnonzero(evaluated)
             if segments.size:
                 start = int(segments[0]) * SEGMENT_SAMPLES
                 stop = min(int(segments[-1] + 1) * SEGMENT_SAMPLES, n_t)
@@ -292,6 +282,7 @@ def _track_rx_power_dbm(
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
     network._draw_links(rng, threshold, unit)
     track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
+    whole = np.ones(track.starts.size, dtype=bool)
     if unit is not None:
         from scipy.signal import lfilter  # costly import, needed here only
 
@@ -300,26 +291,19 @@ def _track_rx_power_dbm(
         for row in unit:
             row[:] = lfilter([1.0], [1.0, -rho], row)
         for i in range(len(table)):
-            track.evaluate(i)
+            track.evaluate(i, whole)
         return track
     sites = [i for i, tx in enumerate(table) if not isinstance(tx.pattern, AperturePattern)]
     bound = track.site_bounds(sites)
     top = {sites[s] for s in np.argsort(-bound, axis=0)[:2].ravel()}
-    whole = [i for i in range(len(table)) if i not in sites or i in top]
-    for i in whole:
-        track.evaluate(i)
-    rows = np.concatenate([table[i].rows for i in whole])
+    first = [i for i in range(len(table)) if i not in sites or i in top]
+    for i in first:
+        track.evaluate(i, whole)
+    rows = np.concatenate([table[i].rows for i in first])
     floor = np.minimum.reduceat(_second_largest(track.rx, rows), track.starts)
     for s, i in enumerate(sites):
-        if i in top:
-            continue
-        need = bound[s] >= floor
-        if need.all():
-            track.evaluate(i)
-            continue
-        if need.any():
-            track.evaluate(i, need)
-        track.skipped[i] = ~need
+        if i not in top:
+            track.evaluate(i, bound[s] >= floor)
     return track
 
 

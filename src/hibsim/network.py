@@ -161,9 +161,8 @@ def _link_coupling(
     transmitters, rx_xyz: np.ndarray, uniform: np.ndarray, normal, cfg: ScenarioConfig
 ):
     """(rows, coupling) per budget group: the platform, then site groups
-    (`_budget_groups`), in listing order. `rows` indexes the group's rows of
-    the draws and link matrices: a slice where they are consecutive, so the
-    group reads its draws without a copy, else an index array.
+    (`_budget_groups`), in listing order. `rows`, an index array, holds the
+    group's rows of the draws and link matrices.
 
     Each group's budget is resolved with its rows of the draws, reshaped to
     its gains' shape, into the coupling loss pl + shadow + clutter - g_tx -
@@ -173,12 +172,7 @@ def _link_coupling(
     before the next one is computed.
     """
     for group in _budget_groups(transmitters):
-        listed = [row for tx in group for row in tx.rows.tolist()]
-        first, n_rows = listed[0], len(listed)
-        if listed == list(range(first, first + n_rows)):
-            rows = slice(first, first + n_rows)
-        else:
-            rows = np.array(listed)
+        rows = np.concatenate([tx.rows for tx in group])
         budget = transmitter_budget(group, rx_xyz, cfg)
         shape = (*budget.g_tx_dbi.shape[:-1], -1)
         coupling, shadow, clutter, _ = channel.resolve_links(

@@ -4,7 +4,8 @@ Numbers are written with repr(float(x)) — the shortest digit string that
 round-trips to the exact binary value — so downstream tooling can diff runs
 byte for byte. No timestamps or hostnames anywhere in the outputs, for the
 same reason. The CSVs are streamed: each block of samples (one ring, or one
-density and direction) is formatted and written before the next is built.
+density and direction) is formatted and written in slices of at most
+`_SLICE_VALUES` values, each before the next is built.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ def _median_or_none(samples) -> float | None:
     return median(samples) if samples.size else None
 
 
-def _block(prefix: str, values) -> str:
+# values formatted at once: their floats, line strings and joined text stay
+# a small part of any file however large its blocks
+_SLICE_VALUES = 2048
+
+
+def _block(prefix: str, values):
     """One line `prefix` + repr(v) per value of a 1-D array, each ending in
-    a newline; no values give no text."""
-    if not values.size:
-        return ""
-    return prefix + ("\n" + prefix).join(map(repr, values.tolist())) + "\n"
+    a newline, as one text chunk per slice of `_SLICE_VALUES` values; no
+    values give no chunk."""
+    joiner = "\n" + prefix
+    for lo in range(0, values.size, _SLICE_VALUES):
+        text = joiner.join(map(repr, values[lo : lo + _SLICE_VALUES].tolist()))
+        yield prefix + text + "\n"
 
 
 def _write(path: str, chunks) -> None:
@@ -82,7 +90,9 @@ def emit_coupling_loss(
     outermost = max(by_ring)
     if outermost > 0 and by_ring[0].size and by_ring[outermost].size:
         results["outer_ring_center_gap_db"] = median(by_ring[outermost]) - median(by_ring[0])
-    blocks = (_block(f"{ring_label(r)},", by_ring[r]) for r in sorted(by_ring))
+    blocks = (
+        chunk for r in sorted(by_ring) for chunk in _block(f"{ring_label(r)},", by_ring[r])
+    )
     return _emit(
         out_dir, "coupling_loss.csv", "ring,sample_db", blocks,
         "coupling_loss", result.seed, cfg, results,
@@ -99,9 +109,10 @@ def emit_sinr_sweep(
         "n_drops": result.n_drops,
     }
     blocks = (
-        _block(f"{_num(d)},{direction},", by_density[d])
+        chunk
         for d in result.densities
         for direction, by_density in (("dl", result.dl_by_density), ("ul", result.ul_by_density))
+        for chunk in _block(f"{_num(d)},{direction},", by_density[d])
     )
     return _emit(
         out_dir, "sinr.csv", "density,direction,sinr_db", blocks,

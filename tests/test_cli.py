@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from hibsim import engine, mobility, network
-from hibsim.cli import _parse_densities, main
+from hibsim.cli import _build_parser, _parse_densities, main
 from hibsim.config import ConfigError, load_config
 
 SMALL = ["--seed", "2", "--drops", "2"]
@@ -30,6 +31,31 @@ def test_parse_densities():
     for text in ("nan", "inf", "1,nan", "2,-inf", "1e400"):
         with pytest.raises(ConfigError, match="--densities"):
             _parse_densities(text)
+
+
+@pytest.mark.parametrize(
+    "command, run",
+    [
+        ("coupling-loss", engine.run_coupling_loss),
+        ("sinr-sweep", engine.run_sinr_sweep),
+        ("throughput-sweep", engine.run_throughput_sweep),
+        ("mobility", mobility.run_mobility),
+    ],
+)
+def test_cli_defaults_are_the_library_defaults(command, run):
+    # a command run without a flag and a library call without the argument
+    # run the same experiment (coupling-loss once took 100 drops from the
+    # command line and 500 from the library)
+    args = vars(_build_parser().parse_args([command]))
+    if "densities" in args:
+        args["densities"] = _parse_densities(args["densities"])
+    params = inspect.signature(run).parameters
+    names = {"seed": "seed", "threads": "threads", "drops": "n_drops"}
+    names.update(users_per_drop="users_per_drop", densities="densities")
+    shared = [flag for flag in names if flag in args]
+    assert {"seed", "threads"} <= set(shared)
+    for flag in shared:
+        assert args[flag] == params[names[flag]].default, flag
 
 
 def test_coupling_loss_command(tmp_path, capsys):

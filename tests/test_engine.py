@@ -161,10 +161,34 @@ def test_run_coupling_loss_threads_equal(default_cfg):
 
 
 def test_run_coupling_loss_rejects_bad_sizes(default_cfg):
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="n_drops must be an integer >= 1"):
         run_coupling_loss(default_cfg, n_drops=0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="users_per_drop must be an integer >= 1"):
         run_coupling_loss(default_cfg, users_per_drop=0)
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", 0])
+@pytest.mark.parametrize(
+    "run, size",
+    [
+        (functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5), "n_drops"),
+        (functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5), "users_per_drop"),
+        (functools.partial(run_sinr_sweep, n_drops=2, densities=(1.0,)), "n_drops"),
+        (functools.partial(run_throughput_sweep, n_drops=2, densities=(1.0,)), "n_drops"),
+    ],
+    ids=["coupling-loss-drops", "coupling-loss-users", "sinr-sweep", "throughput-sweep"],
+)
+def test_drop_sweeps_reject_a_bad_size_before_the_scenario(run, size, value, monkeypatch):
+    # a bool ran as one drop and was written to summary.json; a float or a
+    # string failed mid-setup with a TypeError. Every size meets the rule
+    # `seed` and `threads` follow, before a scenario is built.
+    def no_scenario(_):
+        raise AssertionError("built a scenario before checking the sizes")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    with pytest.raises(ValueError, match=rf"^{size} must be an integer >= 1, got {value!r}$"):
+        run(ScenarioConfig(), **{size: value})
 
 
 @pytest.mark.parametrize(

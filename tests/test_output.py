@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from hibsim import output
 from hibsim.config import ScenarioConfig
 from hibsim.engine import run_coupling_loss, run_sinr_sweep, run_throughput_sweep
 from hibsim.mobility import HIBS_TO_TN, TN_TO_HIBS, HandoverEvent, MobilityResult
@@ -225,13 +227,22 @@ def test_summary_json_ends_with_newline(tmp_path, sinr_result):
         elements=st.floats()  # NaN, +-inf and subnormals included
         | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
     ),
+    slice_values=st.sampled_from([1, 3, 7, output._SLICE_VALUES]),
 )
-@example(prefix="ring1,", values=np.array([]))
-@example(prefix="0.1,ul,", values=np.array([-0.0, 0.0, 5e-324, -np.inf, np.inf, -1e308, 1e300]))
-def test_block_text_equals_one_f_string_per_value(prefix, values):
-    # a whole block is formatted by one join; it must give the bytes the
-    # per-value f-string gives, and nothing at all for no values
-    assert _block(prefix, values) == "".join(f"{prefix}{v!r}\n" for v in values.tolist())
+@example(prefix="ring1,", values=np.array([]), slice_values=output._SLICE_VALUES)
+@example(
+    prefix="0.1,ul,",
+    values=np.array([-0.0, 0.0, 5e-324, -np.inf, np.inf, -1e308, 1e300]),
+    slice_values=3,
+)
+def test_block_text_equals_one_f_string_per_value(prefix, values, slice_values):
+    # each slice of a block is formatted by one join; the chunks must give
+    # the bytes the per-value f-string gives, and nothing at all for no
+    # values, whatever the slice size
+    with mock.patch.object(output, "_SLICE_VALUES", slice_values):
+        chunks = list(_block(prefix, values))
+    assert "".join(chunks) == "".join(f"{prefix}{v!r}\n" for v in values.tolist())
+    assert len(chunks) == -(-values.size // slice_values)
 
 
 def test_emit_sinr_sweep_empty_block(tmp_path):
@@ -250,20 +261,24 @@ def test_emit_sinr_sweep_empty_block(tmp_path):
 
 
 def test_emit_sinr_sweep_live_memory(tmp_path):
-    # the CSV is written one (density, direction) block at a time, so the
-    # emitter holds at most one block (density 20 dl or ul, about a quarter
-    # of the file) as floats, line strings and joined text: measured 1.05x
-    # the file. Holding the previous block while the next is built read
-    # 1.31x; building one string per sample and joining them all, 5.1x.
-    result = run_sinr_sweep(CFG, seed=1)
-    tracemalloc.start()
-    try:
-        paths = emit_sinr_sweep(result, CFG, str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = os.path.getsize(paths[0])
-    assert peak <= 1.5 * size, peak / size
+    # at the default sizes each CSV is written one slice of `_SLICE_VALUES`
+    # values at a time, so an emitter holds one slice as floats, line
+    # strings and joined text: measured 0.25x (sinr.csv) and 0.95x
+    # (coupling_loss.csv, where the median of the largest ring, a sorted
+    # copy with its plotting positions, sets the peak) the file.
+    # Formatting whole blocks read 1.05x and 3.62x, as the ring-2 block of
+    # coupling loss holds most of its samples; building one string per
+    # sample and joining them all, 5.1x (sinr.csv).
+    for run, emit in ((run_sinr_sweep, emit_sinr_sweep), (run_coupling_loss, emit_coupling_loss)):
+        result = run(CFG, seed=1)
+        tracemalloc.start()
+        try:
+            paths = emit(result, CFG, str(tmp_path / emit.__name__))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(paths[0])
+        assert peak <= 1.5 * size, (emit.__name__, peak / size)
 
 
 def test_unwritable_out_dir_raises_naming_the_path(tmp_path, coupling_result):

@@ -93,3 +93,32 @@ def test_output_digests_hash_what_the_cli_writes(tmp_path):
 
     with pytest.raises(RuntimeError, match="exited 1.*--drops: must be at least 1"):
         output_digests.digests(2, 1, {"sinr-sweep": ["--drops", "0"]})
+
+
+def test_output_digests_pass_the_config_to_every_command(tmp_path):
+    # each command reads the one scenario file: its digests are those of
+    # the CLI runs given that file, and differ from the defaults' for
+    # every command the file changes
+    cfg = tmp_path / "no_shadowing.yaml"
+    cfg.write_text(
+        "channel:\n  shadowing: false\n"
+        "mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 300.0\n"
+    )
+    commands = {
+        "coupling-loss": ["--drops", "2", "--users-per-drop", "10"],
+        "sinr-sweep": ["--drops", "2", "--densities", "1"],
+        "throughput-sweep": ["--drops", "2", "--densities", "1"],
+        "mobility": [],
+    }
+    lines = output_digests.digests(2, 1, commands, config=str(cfg))
+    assert len(lines) == 8
+    for command, extra in commands.items():
+        out = tmp_path / command
+        argv = [command, "--seed", "2", "--config", str(cfg), "--out", str(out), *extra]
+        assert hibsim_main(argv) == 0
+        for path in sorted(out.iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert f"{digest}  {command}/{path.name}" in lines
+    drop_commands = {c: a for c, a in commands.items() if c != "mobility"}
+    default = output_digests.digests(2, 1, drop_commands)
+    assert not set(default) & set(lines)

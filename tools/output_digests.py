@@ -6,7 +6,9 @@ is printed per file:
 
     <sha256>  <command>/<file>
 
-    python3 tools/output_digests.py [--threads N] [--seed S]
+    python3 tools/output_digests.py [--threads N] [--seed S] [--config PATH]
+
+`--config` hands one YAML scenario file to every command.
 
 Two source trees that print the same lines wrote the same bytes. The
 package is imported from the `src` beside this script's folder, so a
@@ -36,14 +38,21 @@ COMMANDS: dict[str, list[str]] = {
 }
 
 
-def digests(seed: int, threads: int, commands: dict[str, list[str]] = COMMANDS) -> list[str]:
-    """Run each command and return `<sha256>  <command>/<file>` per file
-    written, in command order, then file order."""
+def digests(
+    seed: int,
+    threads: int,
+    commands: dict[str, list[str]] = COMMANDS,
+    config: str | None = None,
+) -> list[str]:
+    """Run each command, with `--config config` when given, and return
+    `<sha256>  <command>/<file>` per file written, in command order, then
+    file order."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for command, extra in commands.items():
             out = Path(tmp) / command
             argv = [command, "--seed", str(seed), "--threads", str(threads), "--out", str(out)]
+            argv += [] if config is None else ["--config", config]
             printed, errors = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
                 code = cli.main(argv + extra)
@@ -61,8 +70,9 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+    parser.add_argument("--config", help="YAML scenario file passed to every command")
     args = parser.parse_args(argv)
-    for line in digests(args.seed, args.threads):
+    for line in digests(args.seed, args.threads, config=args.config):
         print(line)
     return 0
 
