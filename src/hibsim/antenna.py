@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # config imports network, which imports this module
-    from .config import TerrestrialConfig
+from .config import TerrestrialConfig
 
 # Hankel asymptotic coefficients a_k for J1, a_k = a_{k-1} * (4 - (2k-1)^2) / (8k).
 _J1_P = (1.0, 0.1171875, -0.144195556640625, 0.6765925884246826, -6.883914268109947)

@@ -18,25 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_ELEVATION_DEG, NtnParams, RmaParams
+
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-# The platform channel covers elevations from here up to zenith; a config
-# that places receivers lower is rejected before any run.
-MIN_ELEVATION_DEG = 10.0
-
-# Elevation-binned LOS probability for a rural platform-to-ground path,
-# TR 38.811 table 6.6.1-1 flavor: (elevation_deg, p_los).
-DEFAULT_P_LOS_TABLE = (
-    (10.0, 0.25),
-    (20.0, 0.55),
-    (30.0, 0.70),
-    (40.0, 0.80),
-    (50.0, 0.85),
-    (60.0, 0.90),
-    (70.0, 0.95),
-    (80.0, 0.99),
-    (90.0, 1.00),
-)
 
 
 def fspl_db(distance_m, frequency_hz):
@@ -57,35 +41,6 @@ def noise_power_dbm(
     if bandwidth_hz <= 0.0:
         raise ValueError("bandwidth must be positive")
     return thermal_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-
-
-@dataclass(frozen=True)
-class NtnParams:
-    """Platform-to-ground rural channel knobs.
-
-    Pathloss is free space at the slant range in both LOS and NLOS; NLOS adds
-    an elevation-dependent clutter loss, linear from `clutter_low_db` at 10
-    deg elevation down to `clutter_high_db` at zenith. `los_only` forces the
-    LOS branch everywhere (clean-sky variant). `config.validate_config`
-    checks the LOS table and the sigmas.
-    """
-
-    p_los_table: tuple = DEFAULT_P_LOS_TABLE
-    clutter_low_db: float = 19.0  # at 10 deg elevation
-    clutter_high_db: float = 10.0  # at 90 deg elevation
-    sigma_los_db: float = 4.0
-    sigma_nlos_db: float = 8.0
-    los_only: bool = False
-
-    def p_los(self, elevation_deg):
-        e = np.asarray(elevation_deg, dtype=float)
-        xs = np.array([x for x, _ in self.p_los_table])
-        ps = np.array([p for _, p in self.p_los_table])
-        return np.interp(e, xs, ps)
-
-    def clutter_db(self, elevation_deg):
-        e = np.asarray(elevation_deg, dtype=float)
-        return np.interp(e, [10.0, 90.0], [self.clutter_low_db, self.clutter_high_db])
 
 
 @dataclass(frozen=True)
@@ -156,22 +111,6 @@ def resolve_links(medians: LinkMedians, uniform, normal):
         shadow = np.where(los, medians.sigma_los_db, medians.sigma_nlos_db)
         shadow *= normal
     return pl, shadow, clutter, los
-
-
-@dataclass(frozen=True)
-class RmaParams:
-    """TR 38.901 RMa scenario constants (table 7.4.1-1 row RMa).
-
-    `config.validate_config` checks them against the model's validity window.
-    """
-
-    street_width_m: float = 20.0
-    building_height_m: float = 5.0
-    sigma_los_near_db: float = 4.0  # before the breakpoint
-    sigma_los_far_db: float = 6.0  # beyond the breakpoint
-    sigma_nlos_db: float = 8.0
-    min_d2d_m: float = 10.0
-    max_d2d_m: float = 21_000.0
 
 
 def _rma_pl1_db(d3d_m, log_d3d, f_ghz, h_m):

@@ -24,9 +24,10 @@ def _parse_densities(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"--densities: cannot parse {text!r}") from None
-    if not values or not all(0 < v < math.inf for v in values):
-        raise ConfigError("--densities: need a comma list of positive finite numbers")
-    return values
+    try:
+        return engine._check_densities(values)
+    except ValueError as exc:
+        raise ConfigError(f"--densities: {exc}") from None
 
 
 def _check_flags(args: argparse.Namespace) -> None:

@@ -1,7 +1,10 @@
-"""Scenario configuration: defaults, YAML round-trip, and validation.
+"""Scenario configuration: every section of the config tree, its defaults,
+YAML round-trip, and validation.
 
 The YAML mirrors the dataclass tree one-to-one; unknown keys are hard errors
 (silent typos in simulation configs are how wrong plots get published).
+Each key's own window is stated on its field's type as a `_Rule`;
+`validate_config` checks those, then the rules that relate keys.
 Spectrum sanity checks against the ITU RR identifications for platform base
 stations live here too, since they are pure config concerns.
 """
@@ -10,40 +13,85 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import typing
 from dataclasses import dataclass, field
+from typing import Annotated
 
+import numpy as np
 import yaml
 
-from .channel import MIN_ELEVATION_DEG, NtnParams, RmaParams
 from .geometry import beamwidth_3db_deg, ring_radius_for_isd, service_disk_radius_m
-from .network import RateParams
 
 
 class ConfigError(Exception):
     """Bad configuration input; message names the offending key."""
 
 
+class _Rule(typing.NamedTuple):
+    """A key's own window, stated on its field's type as `Annotated`
+    metadata: `holds(value)` must be true, else the key fails with
+    `message`."""
+
+    holds: typing.Callable[[typing.Any], bool]
+    message: str
+
+
+def _at_least(least) -> _Rule:
+    return _Rule(lambda v: v >= least, f"must be >= {least!r}")
+
+
+def _rma_range(lo: float, hi: float) -> _Rule:
+    """An antenna height, street or building range of TR 38.901 table 7.4.1-1."""
+    return _Rule(
+        lambda v: lo <= v <= hi,
+        f"must lie in [{lo:g}, {hi:g}] m, the range the RMa model covers",
+    )
+
+
+_Positive = Annotated[float, _Rule(lambda v: v > 0, "must be positive")]
+_NonNegative = Annotated[float, _at_least(0)]
+_Count = Annotated[int, _at_least(0)]
+
+# The platform channel covers elevations from here up to zenith; a config
+# that places receivers lower is rejected before any run.
+MIN_ELEVATION_DEG = 10.0
+
+# Elevation-binned LOS probability for a rural platform-to-ground path,
+# TR 38.811 table 6.6.1-1 flavor: (elevation_deg, p_los).
+DEFAULT_P_LOS_TABLE = (
+    (10.0, 0.25),
+    (20.0, 0.55),
+    (30.0, 0.70),
+    (40.0, 0.80),
+    (50.0, 0.85),
+    (60.0, 0.90),
+    (70.0, 0.95),
+    (80.0, 0.99),
+    (90.0, 1.00),
+)
+
+
 @dataclass(frozen=True)
 class CarrierConfig:
-    frequency_hz: float = 2.0e9
-    bandwidth_hz: float = 20e6
+    frequency_hz: _Positive = 2.0e9
+    bandwidth_hz: _Positive = 20e6
 
 
 @dataclass(frozen=True)
 class HibsConfig:
     """Platform segment: one stratospheric platform over the area center."""
 
-    altitude_m: float = 20_000.0
-    footprint_diameter_m: float = 10_000.0  # innermost beam, sets the beamwidth
-    n_rings: int = 2  # 2 hex rings -> 19 beams
-    service_area_km2: float = 4_000.0
+    altitude_m: _Positive = 20_000.0
+    footprint_diameter_m: _Positive = 10_000.0  # innermost beam, sets the beamwidth
+    n_rings: _Count = 2  # 2 hex rings -> 19 beams
+    service_area_km2: _Positive = 4_000.0
     peak_gain_dbi: float = 16.5
-    pattern_floor_db: float = 30.0
+    pattern_floor_db: _Positive = 30.0
     # "floor" = main lobe only, "bessel" = Airy rings
     pattern_sidelobes: typing.Literal["floor", "bessel"] = "floor"
     tx_power_dbm: float = 49.0  # per beam
-    noise_figure_db: float = 5.0
+    noise_figure_db: _NonNegative = 5.0
 
 
 @dataclass(frozen=True)
@@ -61,13 +109,13 @@ class TerrestrialConfig:
     it. `geometry.build_tn_ring_layout` reads the ring keys.
     """
 
-    n_sites: int = 12
-    isd_m: float = 9_000.0
-    site_height_m: float = 30.0
+    n_sites: Annotated[int, _at_least(2)] = 12
+    isd_m: _Positive = 9_000.0
+    site_height_m: Annotated[float, _rma_range(10.0, 150.0)] = 30.0
     sector_rotation_deg: float = 60.0
     peak_gain_dbi: float = 17.0
-    h_hpbw_deg: float = 65.0
-    v_hpbw_deg: float = 10.0
+    h_hpbw_deg: _Positive = 65.0
+    v_hpbw_deg: _Positive = 10.0
     front_back_db: float = 30.0
     sla_db: float = 30.0
     downtilt_deg: float = 3.0
@@ -76,10 +124,53 @@ class TerrestrialConfig:
 
 @dataclass(frozen=True)
 class UeConfig:
-    height_m: float = 1.5
+    height_m: Annotated[float, _rma_range(1.0, 10.0)] = 1.5
     tx_power_dbm: float = 23.0
     antenna_gain_dbi: float = 0.0
-    noise_figure_db: float = 9.0
+    noise_figure_db: _NonNegative = 9.0
+
+
+@dataclass(frozen=True)
+class NtnParams:
+    """Platform-to-ground rural channel knobs.
+
+    Pathloss is free space at the slant range in both LOS and NLOS; NLOS adds
+    an elevation-dependent clutter loss, linear from `clutter_low_db` at 10
+    deg elevation down to `clutter_high_db` at zenith. `los_only` forces the
+    LOS branch everywhere (clean-sky variant). The LOS table must span
+    [MIN_ELEVATION_DEG, 90] deg, its probabilities in [0, 1].
+    """
+
+    p_los_table: tuple = DEFAULT_P_LOS_TABLE
+    clutter_low_db: float = 19.0  # at 10 deg elevation
+    clutter_high_db: float = 10.0  # at 90 deg elevation
+    sigma_los_db: _NonNegative = 4.0
+    sigma_nlos_db: _NonNegative = 8.0
+    los_only: bool = False
+
+    def p_los(self, elevation_deg):
+        e = np.asarray(elevation_deg, dtype=float)
+        xs = np.array([x for x, _ in self.p_los_table])
+        ps = np.array([p for _, p in self.p_los_table])
+        return np.interp(e, xs, ps)
+
+    def clutter_db(self, elevation_deg):
+        e = np.asarray(elevation_deg, dtype=float)
+        return np.interp(e, [10.0, 90.0], [self.clutter_low_db, self.clutter_high_db])
+
+
+@dataclass(frozen=True)
+class RmaParams:
+    """TR 38.901 RMa scenario constants (table 7.4.1-1 row RMa), held to the
+    model's validity window."""
+
+    street_width_m: Annotated[float, _rma_range(5.0, 50.0)] = 20.0
+    building_height_m: Annotated[float, _rma_range(5.0, 50.0)] = 5.0
+    sigma_los_near_db: float = 4.0  # before the breakpoint
+    sigma_los_far_db: float = 6.0  # beyond the breakpoint
+    sigma_nlos_db: float = 8.0
+    min_d2d_m: _Positive = 10.0
+    max_d2d_m: float = 21_000.0  # above min_d2d_m
 
 
 @dataclass(frozen=True)
@@ -106,19 +197,20 @@ class MobilityConfig:
     handovers, burying the geometric crossing pattern in ping-pong.
     """
 
-    speed_mps: float = 30.0 / 3.6
-    measurement_period_s: float = 0.2
+    speed_mps: _Positive = 30.0 / 3.6
+    measurement_period_s: _Positive = 0.2
     a3_offset_db: float = 3.0
     time_to_trigger_s: float = 0.64
-    sim_duration_s: float = 2_400.0
+    sim_duration_s: _Positive = 2_400.0
     decision_signal: typing.Literal["longterm", "shadowed"] = "longterm"
-    shadow_decorrelation_m: float = 50.0
-    tn_spawn_near: float = 1.05  # inbound spawn band, in site-ring radii
+    shadow_decorrelation_m: _Positive = 50.0
+    # inbound spawn band, in site-ring radii
+    tn_spawn_near: Annotated[float, _at_least(1.0)] = 1.05
     tn_spawn_far: float = 1.30
-    hibs_spawn_radius_m: float = 2_000.0  # outbound users start near the center
-    outbound_stop_margin_m: float = 1_000.0
-    n_inbound: int = 120
-    n_outbound: int = 120
+    hibs_spawn_radius_m: _Positive = 2_000.0  # outbound users start near the center
+    outbound_stop_margin_m: _NonNegative = 1_000.0
+    n_inbound: _Count = 120
+    n_outbound: _Count = 120
 
 
 @dataclass(frozen=True)
@@ -142,6 +234,15 @@ class SchedulerConfig:
 
     ul_interference: typing.Literal["full_load", "coscheduled", "none"] = "full_load"
     overlay_cochannel_beams: bool = True
+
+
+@dataclass(frozen=True)
+class RateParams:
+    """Truncated Shannon link-to-rate mapping."""
+
+    alpha: _Positive = 0.6  # implementation-loss scaling on log2(1 + sinr)
+    sinr_min_db: float = -10.0  # below this the link gets nothing
+    se_max_bpshz: _Positive = 4.8  # highest MCS ceiling
 
 
 @dataclass(frozen=True)
@@ -242,6 +343,21 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """SafeLoader that also reads `2.0e9` and `20e6` as floats: PyYAML
+    follows YAML 1.1, whose floats need a dot and a signed exponent."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    # a dot or an exponent, either sign optional; plain integers stay integers
+    re.compile(
+        r"^(?=.*[.eE])[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)?$"
+    ),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -249,7 +365,7 @@ def load_config(path: str) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -284,109 +400,50 @@ def _check_p_los_table(pairs, key: str):
 
 
 def _check_numbers(node, prefix: str):
-    """The type and number checks of the YAML path, walking the dataclass
-    tree, so a config built in Python meets them too: every scalar leaf of
-    its field's type (a bool, an integer, a string, one of a `Literal`'s
-    choices or a finite number), and the LOS table by its rule."""
-    hints = typing.get_type_hints(type(node))
+    """The type and window checks of every leaf, walking the dataclass tree,
+    so a config built in Python meets them too: each scalar leaf of its
+    field's type (a bool, an integer, a string, one of a `Literal`'s choices
+    or a finite number), then within each window that type annotates, and
+    the LOS table by its rule."""
+    hints = typing.get_type_hints(type(node), include_extras=True)
     for f in dataclasses.fields(node):
-        value, key = getattr(node, f.name), prefix + f.name
+        value, key, hint = getattr(node, f.name), prefix + f.name, hints[f.name]
         if dataclasses.is_dataclass(value):
             _check_numbers(value, key + ".")
         elif f.name == "p_los_table":
             _check_p_los_table(value, key)
         else:
-            _coerce_scalar(value, hints[f.name], key)
+            annotated = typing.get_origin(hint) is Annotated
+            ftype, *rules = typing.get_args(hint) if annotated else (hint,)
+            _coerce_scalar(value, ftype, key)
+            for holds, message in rules:
+                _require(holds(value), key, message)
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Every rule on a scenario config, whether read from YAML or built in
-    Python; a violation raises ConfigError naming its full dotted key."""
+    Python; a violation raises ConfigError naming its full dotted key. Each
+    key's own window is stated on its field; the rules here relate keys."""
     _check_numbers(cfg, "")
-    c = cfg.carrier
-    _require(c.frequency_hz > 0, "carrier.frequency_hz", "must be positive")
-    _require(c.bandwidth_hz > 0, "carrier.bandwidth_hz", "must be positive")
-    h = cfg.hibs
-    _require(h.altitude_m > 0, "hibs.altitude_m", "must be positive")
-    _require(h.footprint_diameter_m > 0, "hibs.footprint_diameter_m", "must be positive")
-    _require(h.n_rings >= 0, "hibs.n_rings", "must be >= 0")
-    _require(h.service_area_km2 > 0, "hibs.service_area_km2", "must be positive")
-    _require(h.pattern_floor_db > 0, "hibs.pattern_floor_db", "must be positive")
-    _require(h.noise_figure_db >= 0, "hibs.noise_figure_db", "must be >= 0")
+    h, t, m, rma = cfg.hibs, cfg.terrestrial, cfg.mobility, cfg.channel.rma
     bw_deg = beamwidth_3db_deg(h.footprint_diameter_m, h.altitude_m)
     _require(
         1.0 <= bw_deg <= 90.0,
         "hibs.footprint_diameter_m",
         f"implies a 3 dB beamwidth of {bw_deg:.2f} deg, outside [1, 90]",
     )
-    t = cfg.terrestrial
-    _require(t.n_sites >= 2, "terrestrial.n_sites", "must be >= 2")
-    _require(t.isd_m > 0, "terrestrial.isd_m", "must be positive")
-    # antenna heights: the RMa applicability ranges of TR 38.901 table 7.4.1-1
-    _require(
-        10.0 <= t.site_height_m <= 150.0,
-        "terrestrial.site_height_m",
-        "must lie in [10, 150] m, the range the RMa model covers",
-    )
-    _require(t.h_hpbw_deg > 0, "terrestrial.h_hpbw_deg", "must be positive")
-    _require(t.v_hpbw_deg > 0, "terrestrial.v_hpbw_deg", "must be positive")
-    u = cfg.ue
-    _require(u.height_m < t.site_height_m, "ue.height_m", "must be below the site height")
-    _require(
-        1.0 <= u.height_m <= 10.0,
-        "ue.height_m",
-        "must lie in [1, 10] m, the range the RMa model covers",
-    )
-    _require(u.noise_figure_db >= 0, "ue.noise_figure_db", "must be >= 0")
-    ntn = cfg.channel.ntn
-    _require(ntn.sigma_los_db >= 0, "channel.ntn.sigma_los_db", "must be >= 0")
-    _require(ntn.sigma_nlos_db >= 0, "channel.ntn.sigma_nlos_db", "must be >= 0")
-    rma = cfg.channel.rma
-    # the street and building ranges of TR 38.901 table 7.4.1-1
-    _require(
-        5.0 <= rma.building_height_m <= 50.0,
-        "channel.rma.building_height_m",
-        "must lie in [5, 50] m, the range the RMa model covers",
-    )
-    _require(
-        5.0 <= rma.street_width_m <= 50.0,
-        "channel.rma.street_width_m",
-        "must lie in [5, 50] m, the range the RMa model covers",
-    )
-    _require(rma.min_d2d_m > 0, "channel.rma.min_d2d_m", "must be positive")
+    _require(cfg.ue.height_m < t.site_height_m, "ue.height_m", "must be below the site height")
     _require(rma.max_d2d_m > rma.min_d2d_m, "channel.rma.max_d2d_m", "must be > min_d2d_m")
-    _require(cfg.rate.alpha > 0, "rate.alpha", "must be positive")
-    _require(cfg.rate.se_max_bpshz > 0, "rate.se_max_bpshz", "must be positive")
-    m = cfg.mobility
-    _require(m.speed_mps > 0, "mobility.speed_mps", "must be positive")
-    _require(
-        m.measurement_period_s > 0, "mobility.measurement_period_s", "must be positive"
-    )
     _require(
         m.measurement_period_s <= m.time_to_trigger_s,
         "mobility.time_to_trigger_s",
         "must be >= measurement_period_s",
     )
-    _require(m.sim_duration_s > 0, "mobility.sim_duration_s", "must be positive")
-    _require(
-        m.shadow_decorrelation_m > 0,
-        "mobility.shadow_decorrelation_m",
-        "must be positive",
-    )
-    _require(m.tn_spawn_near >= 1.0, "mobility.tn_spawn_near", "must be >= 1.0")
     _require(
         m.tn_spawn_far >= m.tn_spawn_near,
         "mobility.tn_spawn_far",
         "must be >= tn_spawn_near",
     )
-    _require(m.hibs_spawn_radius_m > 0, "mobility.hibs_spawn_radius_m", "must be positive")
-    _require(
-        m.outbound_stop_margin_m >= 0,
-        "mobility.outbound_stop_margin_m",
-        "must be >= 0",
-    )
-    _require(m.n_inbound >= 0, "mobility.n_inbound", "must be >= 0")
-    _require(m.n_outbound >= 0, "mobility.n_outbound", "must be >= 0")
     _require(
         cfg.band_check.region in HIBS_DL_BANDS_MHZ,
         "band_check.region",
@@ -485,10 +542,6 @@ WRC23_CANDIDATE_BANDS_MHZ = {
 }
 
 
-def _in_bands(f_mhz: float, bands) -> bool:
-    return any(lo <= f_mhz <= hi for lo, hi in bands)
-
-
 def validate_band(frequency_hz: float, region: str = "R1", direction: str = "DL") -> str | None:
     """Check a carrier against the platform-station identifications.
 
@@ -506,7 +559,7 @@ def validate_band(frequency_hz: float, region: str = "R1", direction: str = "DL"
     permitted = (
         HIBS_DL_BANDS_MHZ[region] if direction == "DL" else HIBS_UL_BANDS_MHZ[region]
     )
-    if _in_bands(f_mhz, permitted):
+    if any(lo <= f_mhz <= hi for lo, hi in permitted):
         return None
     for lo, hi in WRC23_CANDIDATE_BANDS_MHZ[region]:
         if lo <= f_mhz <= hi:
@@ -515,9 +568,7 @@ def validate_band(frequency_hz: float, region: str = "R1", direction: str = "DL"
                 f"{region} ({direction}); it falls in the WRC-23 AI 1.4 candidate "
                 f"band {lo:g}-{hi:g} MHz"
             )
-    nearest = min(
-        permitted, key=lambda b: 0.0 if b[0] <= f_mhz <= b[1] else min(abs(f_mhz - b[0]), abs(f_mhz - b[1]))
-    )
+    nearest = min(permitted, key=lambda b: min(abs(f_mhz - b[0]), abs(f_mhz - b[1])))
     return (
         f"{f_mhz:g} MHz is outside the platform-station bands for {region} "
         f"({direction}); nearest permitted band is {nearest[0]:g}-{nearest[1]:g} MHz"

@@ -317,6 +317,7 @@ def run_coupling_loss(
     threads: int = 1,
 ) -> CouplingLossResult:
     """Serving-beam coupling-loss statistics over the platform-only layout."""
+    _require_integer("seed", seed, 0)
     _require_integer("n_drops", n_drops, 1)
     _require_integer("users_per_drop", users_per_drop, 1)
     scenario = build_hibs_scenario(cfg)
@@ -345,9 +346,14 @@ class SinrSweepResult:
 
 
 def _check_densities(densities) -> tuple[float, ...]:
+    """The densities as floats: a non-empty list of positive finite values,
+    none repeated, since a sweep keys its results by density."""
     densities = tuple(float(d) for d in densities)
     if not densities or not all(0 < d < math.inf for d in densities):
         raise ValueError("densities must be a non-empty list of positive finite values")
+    for i, d in enumerate(densities):
+        if d in densities[:i]:
+            raise ValueError(f"densities must not repeat a value, got {d!r} twice")
     return densities
 
 
@@ -468,6 +474,7 @@ def run_sinr_sweep(
     threads: int = 1,
 ) -> SinrSweepResult:
     """DL and UL SINR distributions vs mean users per cell, platform only."""
+    _require_integer("seed", seed, 0)
     _require_integer("n_drops", n_drops, 1)
     densities = _check_densities(densities)
     scenario = build_hibs_scenario(cfg)
@@ -546,6 +553,7 @@ def run_throughput_sweep(
     up everyone the sector ring does not cover — that coverage split, not the
     beam's own link budget, is what drags its per-user numbers at load.
     """
+    _require_integer("seed", seed, 0)
     _require_integer("n_drops", n_drops, 1)
     densities = _check_densities(densities)
     scenario = build_combined_scenario(cfg)

@@ -444,6 +444,7 @@ def run_mobility(
     channels are identical across offsets); a non-finite override raises
     ValueError before any track.
     """
+    engine._require_integer("seed", seed, 0)
     m = cfg.mobility
     scenario = build_combined_scenario(cfg)
     offset = m.a3_offset_db if a3_offset_db is None else float(a3_offset_db)

@@ -18,16 +18,13 @@ RMa channel parameters, and whether shadowing is on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import antenna, channel
 from .antenna import AperturePattern
-
-if TYPE_CHECKING:  # config imports RateParams from here
-    from .config import ScenarioConfig, TerrestrialConfig
+from .config import RateParams, ScenarioConfig, TerrestrialConfig
 
 
 class Transmitter(NamedTuple):
@@ -265,16 +262,6 @@ def dl_sinr_db(
     interference = _sum_over_cells(rx_lin_mw) - s
     noise_mw = 10.0 ** (noise_dbm / 10.0)
     return 10.0 * np.log10(s / (interference + noise_mw))
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Truncated Shannon link-to-rate mapping; `config.validate_config`
-    checks that `alpha` and `se_max_bpshz` are positive."""
-
-    alpha: float = 0.6  # implementation-loss scaling on log2(1 + sinr)
-    sinr_min_db: float = -10.0  # below this the link gets nothing
-    se_max_bpshz: float = 4.8  # highest MCS ceiling
 
 
 def spectral_efficiency_bpshz(sinr_db, params: RateParams = RateParams()):

@@ -81,15 +81,16 @@ def emit_coupling_loss(
     result: CouplingLossResult, cfg: ScenarioConfig, out_dir: str
 ) -> list[str]:
     by_ring = result.samples_by_ring
+    medians = {r: _median_or_none(s) for r, s in by_ring.items()}
     results = {
-        **{f"median_{ring_label(r)}_db": _median_or_none(s) for r, s in by_ring.items()},
+        **{f"median_{ring_label(r)}_db": m for r, m in medians.items()},
         "n_samples": {ring_label(r): int(s.size) for r, s in by_ring.items()},
         "n_drops": result.n_drops,
         "users_per_drop": result.users_per_drop,
     }
     outermost = max(by_ring)
-    if outermost > 0 and by_ring[0].size and by_ring[outermost].size:
-        results["outer_ring_center_gap_db"] = median(by_ring[outermost]) - median(by_ring[0])
+    if outermost > 0 and medians[0] is not None and medians[outermost] is not None:
+        results["outer_ring_center_gap_db"] = medians[outermost] - medians[0]
     blocks = (
         chunk for r in sorted(by_ring) for chunk in _block(f"{ring_label(r)},", by_ring[r])
     )

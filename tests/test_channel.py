@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hibsim.channel import (
-    DEFAULT_P_LOS_TABLE,
     SPEED_OF_LIGHT_M_S,
     NtnParams,
     fspl_db,
@@ -15,6 +14,7 @@ from hibsim.channel import (
     rma_link_medians,
     rma_median_pathloss,
 )
+from hibsim.config import DEFAULT_P_LOS_TABLE
 
 FSPL_GRID_D_M = np.array([1.0, 100.0, 1_000.0, 20_000.0, 40_000.0])
 FSPL_GRID_DB = np.array(

@@ -201,6 +201,19 @@ def test_bad_densities_exit_1(tmp_path, capsys):
     assert "--densities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sinr-sweep", "throughput-sweep"])
+def test_repeated_density_exits_1_and_writes_nothing(command, tmp_path, capsys):
+    # a repeat once wrote the second density's samples twice and listed one
+    # density in summary.json
+    out = tmp_path / "out"
+    code = main([command, *SMALL, "--densities", "1,1", "--out", str(out)])
+    assert code == 1
+    assert "error: --densities: densities must not repeat a value, got 1.0 twice" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", ["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"]
 )

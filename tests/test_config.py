@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import re
 
 import pytest
@@ -102,6 +103,52 @@ def test_yaml_file_roundtrip(tmp_path, default_cfg):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(config_to_dict(default_cfg), sort_keys=False))
     assert load_config(str(path)) == default_cfg
+
+
+def _load_text(tmp_path, text: str):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    return load_config(str(path))
+
+
+def test_yaml_reads_an_unsigned_exponent_as_a_number(tmp_path):
+    # YAML 1.1 wants a dot and a signed exponent, so PyYAML reads 2.14e9 as
+    # a string; a scenario file reads it as the number it means
+    cfg = _load_text(tmp_path, "carrier:\n  frequency_hz: 2.14e9\n  bandwidth_hz: 20e6\n")
+    assert (cfg.carrier.frequency_hz, cfg.carrier.bandwidth_hz) == (2.14e9, 20e6)
+    assert type(cfg.carrier.bandwidth_hz) is float
+    with pytest.raises(ConfigError) as exc:
+        _load_text(tmp_path, "terrestrial:\n  n_sites: 1.2e1\n")
+    assert str(exc.value) == "scenario.terrestrial.n_sites: expected an integer, got 12.0"
+    with pytest.raises(ConfigError) as exc:
+        _load_text(tmp_path, "ue:\n  tx_power_dbm: 1e400\n")
+    assert str(exc.value) == "scenario.ue.tx_power_dbm: must be finite, got inf"
+    # plain integers stay integers, and PyYAML's own loader is left as it was
+    assert _load_text(tmp_path, "terrestrial:\n  n_sites: 6\n").terrestrial.n_sites == 6
+    assert yaml.safe_load("f: 2.0e9") == {"f": "2.0e9"}
+
+
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """Dotted key -> value of each leaf of a config mapping; the LOS table
+    is one leaf."""
+    leaves = {}
+    for key, value in tree.items():
+        if isinstance(value, dict) and key != "p_los_table":
+            leaves.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+def test_readme_configuration_block_states_the_defaults(tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    defaults = _leaves(config_to_dict(ScenarioConfig()))
+    assert _leaves(yaml.safe_load(block)).keys() == defaults.keys()
+    loaded = _leaves(config_to_dict(_load_text(tmp_path, block)))
+    for key, value in defaults.items():
+        # the README rounds the 30 km/h speed to 8.3333 m/s
+        assert loaded[key] == pytest.approx(value, rel=1e-4), key
 
 
 def test_empty_yaml_file_gives_defaults(tmp_path, default_cfg):
@@ -372,6 +419,87 @@ def test_validation_errors_name_the_key(data, key):
         validate_config(cfg)
 
 
+_POSITIVE, _AT_LEAST_0 = "must be positive", "must be >= 0"
+_RMA_RANGE = "m, the range the RMa model covers"
+
+
+# one case per key that has a window of its own, with the window's message
+_WINDOWS = [
+    ({"carrier": {"frequency_hz": 0.0}}, f"carrier.frequency_hz: {_POSITIVE}"),
+    ({"carrier": {"bandwidth_hz": -1.0}}, f"carrier.bandwidth_hz: {_POSITIVE}"),
+    ({"hibs": {"altitude_m": -1.0}}, f"hibs.altitude_m: {_POSITIVE}"),
+    ({"hibs": {"footprint_diameter_m": 0.0}}, f"hibs.footprint_diameter_m: {_POSITIVE}"),
+    ({"hibs": {"n_rings": -1}}, f"hibs.n_rings: {_AT_LEAST_0}"),
+    ({"hibs": {"service_area_km2": 0.0}}, f"hibs.service_area_km2: {_POSITIVE}"),
+    ({"hibs": {"pattern_floor_db": 0.0}}, f"hibs.pattern_floor_db: {_POSITIVE}"),
+    ({"hibs": {"noise_figure_db": -1.0}}, f"hibs.noise_figure_db: {_AT_LEAST_0}"),
+    ({"terrestrial": {"n_sites": 1}}, "terrestrial.n_sites: must be >= 2"),
+    ({"terrestrial": {"isd_m": 0.0}}, f"terrestrial.isd_m: {_POSITIVE}"),
+    (
+        {"terrestrial": {"site_height_m": 9.0}},
+        f"terrestrial.site_height_m: must lie in [10, 150] {_RMA_RANGE}",
+    ),
+    ({"terrestrial": {"h_hpbw_deg": 0.0}}, f"terrestrial.h_hpbw_deg: {_POSITIVE}"),
+    ({"terrestrial": {"v_hpbw_deg": -1.0}}, f"terrestrial.v_hpbw_deg: {_POSITIVE}"),
+    ({"ue": {"height_m": 0.5}}, f"ue.height_m: must lie in [1, 10] {_RMA_RANGE}"),
+    ({"ue": {"noise_figure_db": -1.0}}, f"ue.noise_figure_db: {_AT_LEAST_0}"),
+    (
+        {"channel": {"ntn": {"sigma_los_db": -1.0}}},
+        f"channel.ntn.sigma_los_db: {_AT_LEAST_0}",
+    ),
+    (
+        {"channel": {"ntn": {"sigma_nlos_db": -1.0}}},
+        f"channel.ntn.sigma_nlos_db: {_AT_LEAST_0}",
+    ),
+    (
+        {"channel": {"rma": {"building_height_m": 3.0}}},
+        f"channel.rma.building_height_m: must lie in [5, 50] {_RMA_RANGE}",
+    ),
+    (
+        {"channel": {"rma": {"street_width_m": 1.0}}},
+        f"channel.rma.street_width_m: must lie in [5, 50] {_RMA_RANGE}",
+    ),
+    ({"channel": {"rma": {"min_d2d_m": 0.0}}}, f"channel.rma.min_d2d_m: {_POSITIVE}"),
+    ({"rate": {"alpha": 0.0}}, f"rate.alpha: {_POSITIVE}"),
+    ({"rate": {"se_max_bpshz": -1.0}}, f"rate.se_max_bpshz: {_POSITIVE}"),
+    ({"mobility": {"speed_mps": 0.0}}, f"mobility.speed_mps: {_POSITIVE}"),
+    (
+        {"mobility": {"measurement_period_s": 0.0}},
+        f"mobility.measurement_period_s: {_POSITIVE}",
+    ),
+    ({"mobility": {"sim_duration_s": 0.0}}, f"mobility.sim_duration_s: {_POSITIVE}"),
+    (
+        {"mobility": {"shadow_decorrelation_m": 0.0}},
+        f"mobility.shadow_decorrelation_m: {_POSITIVE}",
+    ),
+    ({"mobility": {"tn_spawn_near": 0.9}}, "mobility.tn_spawn_near: must be >= 1.0"),
+    (
+        {"mobility": {"hibs_spawn_radius_m": 0.0}},
+        f"mobility.hibs_spawn_radius_m: {_POSITIVE}",
+    ),
+    (
+        {"mobility": {"outbound_stop_margin_m": -1.0}},
+        f"mobility.outbound_stop_margin_m: {_AT_LEAST_0}",
+    ),
+    ({"mobility": {"n_inbound": -1}}, f"mobility.n_inbound: {_AT_LEAST_0}"),
+    ({"mobility": {"n_outbound": -1}}, f"mobility.n_outbound: {_AT_LEAST_0}"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, message", [pytest.param(d, m, id=m.partition(":")[0]) for d, m in _WINDOWS]
+)
+def test_single_key_windows_keep_their_messages(data, message):
+    # the whole message, read through config_from_dict and from a config
+    # built in Python alike
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_python_built(data))
+    assert str(exc.value) == message
+
+
 def _with_ntn(**ntn):
     return ScenarioConfig(channel=ChannelConfig(ntn=NtnParams(**ntn)))
 
@@ -523,8 +651,15 @@ def test_platform_elevation_floor_edge():
 
 
 def test_ue_height_must_be_below_site_height():
-    with pytest.raises(ConfigError, match="below the site height"):
+    # a key's own window is checked before any rule relating it to another
+    # key, so a UE above the site is reported outside the RMa range
+    with pytest.raises(ConfigError) as exc:
         config_from_dict({"ue": {"height_m": 31.0}})
+    assert str(exc.value) == "ue.height_m: must lie in [1, 10] m, the range the RMa model covers"
+    # within both windows, only equal heights of 10 m break the rule
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"ue": {"height_m": 10.0}, "terrestrial": {"site_height_m": 10.0}})
+    assert str(exc.value) == "ue.height_m: must be below the site height"
 
 
 @pytest.mark.parametrize("isd_m, reach_km", [(12_000.0, "23.2"), (30_000.0, "58.0")])

@@ -285,6 +285,45 @@ def test_runs_reject_a_bad_seed_before_any_draw(run, seed, monkeypatch):
         run(ScenarioConfig(), seed=seed)
 
 
+@pytest.mark.parametrize("seed", ["abc", -1, 2.5, True])
+@pytest.mark.parametrize(
+    "run",
+    [
+        functools.partial(run_coupling_loss, n_drops=2, users_per_drop=5),
+        functools.partial(run_sinr_sweep, n_drops=2, densities=(1.0,)),
+        functools.partial(run_throughput_sweep, n_drops=2, densities=(1.0,)),
+        mobility.run_mobility,
+    ],
+    ids=["coupling-loss", "sinr-sweep", "throughput-sweep", "mobility"],
+)
+def test_runs_reject_a_bad_seed_before_the_scenario(run, seed, monkeypatch):
+    # a run without tracks never derived a generator, so mobility took any
+    # seed and wrote it to summary.json; with tracks on two workers a bad
+    # seed started the pool and failed inside a worker
+    def no_scenario(_):
+        raise AssertionError("built a scenario before checking the seed")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    monkeypatch.setattr(mobility, "build_combined_scenario", no_scenario)
+    cfg = ScenarioConfig(mobility=MobilityConfig(n_inbound=0, n_outbound=0))
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+        run(cfg, seed=seed)
+
+
+@pytest.mark.parametrize("run", [run_sinr_sweep, run_throughput_sweep])
+def test_sweeps_reject_a_repeated_density(run, monkeypatch):
+    # results are keyed by density, so a repeat kept the last one's samples
+    # under both and listed one density
+    def no_scenario(_):
+        raise AssertionError("built a scenario before checking the densities")
+
+    monkeypatch.setattr(engine, "build_hibs_scenario", no_scenario)
+    monkeypatch.setattr(engine, "build_combined_scenario", no_scenario)
+    with pytest.raises(ValueError, match=r"^densities must not repeat a value, got 1\.0 twice$"):
+        run(ScenarioConfig(), n_drops=2, densities=(1.0, 2.0, 1))
+
+
 def test_run_sinr_sweep_small(default_cfg):
     res = run_sinr_sweep(default_cfg, seed=9, n_drops=4, densities=(0.5, 2.0))
     assert res.densities == (0.5, 2.0)
