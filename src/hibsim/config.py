@@ -12,6 +12,7 @@ stations live here too, since they are pure config concerns.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 import typing
@@ -309,10 +310,18 @@ def _float_pairs(pairs, key: str) -> list[tuple[float, float]]:
         raise ConfigError(f"{key}: {exc}") from None
 
 
+@functools.cache
+def _hints(cls, include_extras: bool = False) -> dict:
+    """A config class's field types, read once per class: the hints of a
+    frozen module-level class never change, and reading them compiles
+    every annotation string anew."""
+    return typing.get_type_hints(cls, include_extras=include_extras)
+
+
 def _build_dataclass(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     known = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
@@ -405,7 +414,7 @@ def _check_numbers(node, prefix: str):
     field's type (a bool, an integer, a string, one of a `Literal`'s choices
     or a finite number), then within each window that type annotates, and
     the LOS table by its rule."""
-    hints = typing.get_type_hints(type(node), include_extras=True)
+    hints = _hints(type(node), include_extras=True)
     for f in dataclasses.fields(node):
         value, key, hint = getattr(node, f.name), prefix + f.name, hints[f.name]
         if dataclasses.is_dataclass(value):

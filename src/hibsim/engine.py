@@ -347,7 +347,13 @@ class SinrSweepResult:
 
 def _check_densities(densities) -> tuple[float, ...]:
     """The densities as floats: a non-empty list of positive finite values,
-    none repeated, since a sweep keys its results by density."""
+    none repeated, since a sweep keys its results by density. A string, or
+    a str, bytes or bool element, is no density: `float` would read "12"
+    as two densities and True as 1."""
+    given = densities
+    densities = (given,) if isinstance(given, (str, bytes)) else tuple(given)
+    if any(isinstance(d, (str, bytes, bool, np.bool_)) for d in densities):
+        raise ValueError(f"densities must be a list of numbers, got {given!r}")
     densities = tuple(float(d) for d in densities)
     if not densities or not all(0 < d < math.inf for d in densities):
         raise ValueError("densities must be a non-empty list of positive finite values")

@@ -39,11 +39,13 @@ HIBS_TO_TN = "hibs_to_tn"
 # ("drive into the platform-only zone") is complete there.
 CENTER_PARK_RADIUS_M = 500.0
 
-# Macro sites are bounded, and skipped where they cannot reach the A3 rule's
-# top two, on segments of this many track samples (853 m at the defaults).
+# Macro sectors are bounded, and their sites evaluated where the A3 loop
+# pulls them, on segments of this many track samples (853 m at the
+# defaults).
 SEGMENT_SAMPLES = 512
-# A site's bound takes its least distance to a segment less this margin,
-# and adds this slack, far above the rounding of the budget sums.
+# A sector's bound takes its site's least distance to a segment less the
+# segment's stray and this margin, and adds this slack, far above the
+# rounding of the budget sums.
 _DISTANCE_MARGIN_M = 1.0
 _BOUND_SLACK_DB = 1e-6
 
@@ -98,16 +100,18 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
 class _TrackPower:
     """Received DL power tx - coupling, `rx` (n_cells, T) in C order: one
     contiguous row of samples per cell, so a transmitter writes whole rows
-    and the scans below read them. On the long-term signal each macro
-    site's cells are left at -inf on the segments where the site cannot
-    reach the top two (see `_track_rx_power_dbm`).
+    and the A3 loop reads them. A cell is -inf on the segments of
+    `SEGMENT_SAMPLES` samples where its transmitter is not evaluated.
 
     `evaluated` (table entries, segments) records where each transmitter's
     cells hold their budgets. Every evaluated entry has the bits of a full
     evaluation: the budgets are elementwise over the samples, and each
     evaluation of a transmitter is one `network._link_coupling` call on the
-    samples it covers. `fill` adds a cell's skipped samples for the A3 rule,
-    which reads the serving cell's power after it leaves the top two.
+    samples it covers. `bound` (cells, segments) bounds each cell's power
+    on each segment from above, +inf where no bound is known; `pull` reads
+    it. `scanned` (cells, segments) marks where each cell, as the serving
+    cell, has pulled its rivals (`rival`): at the one A3 offset a track's
+    loop runs at.
     """
 
     def __init__(self, scenario: Scenario, table, pos_xyz, threshold, unit):
@@ -120,83 +124,125 @@ class _TrackPower:
         for i, tx in enumerate(table):
             self.tx_of_cell[tx.rows] = i
         self.evaluated = np.zeros((len(table), self.starts.size), dtype=bool)
+        self.bound = np.full((scenario.n_cells, self.starts.size), np.inf)
+        self.scanned = np.zeros_like(self.bound, dtype=bool)
 
     def evaluate(self, i: int, segments: np.ndarray) -> None:
         """Write table entry i's cells into `rx` on the segments of a mask
         they are not evaluated on yet, as a budget group of one. Only the
         long-term signal, which draws no `unit`, is evaluated on part of
         the track."""
-        segments = segments & ~self.evaluated[i]
+        segments = segments > self.evaluated[i]
         if not segments.any():
             return
         self.evaluated[i] |= segments
+        runs = np.flatnonzero(segments)
         tx = self.table[i]
-        samples = np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)]
-        # the whole track is read and written in place, without a gather
-        samples = slice(None) if samples.all() else np.flatnonzero(samples)
+        if runs[-1] - runs[0] == runs.size - 1:
+            # one run of segments is read and written in place, without a gather
+            samples = slice(runs[0] * SEGMENT_SAMPLES, (runs[-1] + 1) * SEGMENT_SAMPLES)
+        else:
+            samples = np.flatnonzero(np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)])
         ((_, coupling),) = network._link_coupling(
             [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
         for row, loss in zip(tx.rows.tolist(), coupling):
             self.rx[row, samples] = self.tx_power_dbm[row] - loss
 
-    def fill(self, cell: int, start: int) -> None:
-        """Evaluate the cell's transmitter on the segments it skips from the
-        one holding sample `start` on."""
-        self.evaluate(int(self.tx_of_cell[cell]), self.starts + SEGMENT_SAMPLES > start)
+    def pull(self, level: np.ndarray) -> None:
+        """Evaluate each transmitter on the segments where the bound of one
+        of its cells reaches that segment's `level`: every cell left at -inf
+        there lies strictly below the level on each of its samples."""
+        reach = self.bound >= level
+        for i in np.unique(self.tx_of_cell[reach.any(axis=1)]).tolist():
+            self.evaluate(i, reach[self.table[i].rows].any(axis=0))
 
-    def spans(self) -> list[tuple[int, int, int]]:
-        """(row, start, stop) for every cell evaluated on some sample,
-        ascending by row: the cell is -inf outside its samples start to
-        stop, and the cells not listed on the whole track. Row 0, the
-        platform's, spans the track."""
-        n_t, spans = self.rx.shape[1], []
-        for tx, evaluated in zip(self.table, self.evaluated):
-            segments = np.flatnonzero(evaluated)
-            if segments.size:
-                start = int(segments[0]) * SEGMENT_SAMPLES
-                stop = min(int(segments[-1] + 1) * SEGMENT_SAMPLES, n_t)
-                spans += [(row, start, stop) for row in tx.rows.tolist()]
-        return sorted(spans)
+    def rival(self, serving: int, lo: int, hi: int, offset_db: float) -> np.ndarray:
+        """The strongest cell other than the serving one, per sample from lo
+        to hi, among the cells evaluated there.
 
-    def site_bounds(self, sites: list[int]) -> np.ndarray:
-        """(sites, segments): an upper bound on the received power of every
-        cell of each listed site on each segment.
+        On each segment of those samples that the serving cell has not
+        scanned yet, its transmitter is evaluated, then every transmitter pulled
+        whose cells' bounds reach the serving cell's least power on the
+        segment plus the offset. A cell that is not pulled lies strictly
+        below the serving cell plus the offset, so on every sample where a
+        full evaluation's rival beats the serving cell by more than the
+        offset, the two rivals are the same and every cell tied with it is
+        evaluated; on every other sample this rival does not beat it
+        either."""
+        first, stop = lo // SEGMENT_SAMPLES, -(-hi // SEGMENT_SAMPLES)
+        new = np.zeros(self.starts.size, dtype=bool)
+        new[first:stop] = ~self.scanned[serving, first:stop]
+        if new.any():
+            self.evaluate(int(self.tx_of_cell[serving]), new)
+            least = np.minimum.reduceat(self.rx[serving], self.starts) + offset_db
+            self.pull(np.where(new, least, np.inf))
+            self.scanned[serving] |= new
+        rival = self.rx[:serving, lo:hi].max(axis=0, initial=-np.inf)
+        return np.maximum(rival, self.rx[serving + 1 :, lo:hi].max(axis=0, initial=-np.inf))
 
-        The bound is tx + peak gain + g_rx - PL at the site's least distance
-        to the segment. PL is the RMa LOS curve where any of the site's LOS
-        thresholds lies below p_los there, else the NLOS curve: both curves
-        rise with distance and p_los falls, so no sample of the segment has
-        a lower pathloss. It holds no shadowing: only the long-term signal
-        is bounded.
+    def site_bounds(self) -> np.ndarray:
+        """(cells, segments): an upper bound on the received power of each
+        macro sector on each segment, +inf on the platform's cells.
+
+        The bound is tx + peak - a_h(delta) - PL + g_rx. `delta` is the
+        least azimuth offset from the sector's boresight to the arc of
+        azimuths the segment's chord spans from the mast, less asin(e / D)
+        for a chord D from the mast: every sample lies within e, its stray
+        and `_DISTANCE_MARGIN_M`, of the chord, and so within that angle of
+        the arc. It is 0 where the chord passes within e of the mast. a_h
+        is the pattern's horizontal attenuation at `delta`, with the
+        vertical term at its least (0, or `sla_db` if that is negative).
+        PL is taken at D - e, a lower bound on the distance of every
+        sample: the RMa LOS curve where the sector's LOS threshold lies
+        below p_los there, else the NLOS curve. Both curves rise with
+        distance and p_los falls, so no sample has a lower pathloss. It
+        holds no shadowing: only the long-term signal is bounded.
         """
-        cfg, rma = self.cfg, self.cfg.channel.rma
-        sites_xy = np.array([self.table[i].position[:2] for i in sites])
+        cfg, tn = self.cfg, self.cfg.terrestrial
+        sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
+        a, ab, inv, stray = _chords(self.pos)
+        # (2, sites, segments): the chords' starts seen from each mast
+        to_a = a[:, None] - np.array([tx.position[:2] for tx in sites]).T[..., None]
+        az_a, az_b = (np.degrees(np.arctan2(v[1], v[0])) for v in (to_a, to_a + ab[:, None]))
+        span = _wrapped(az_b - az_a)
+        e = stray + _DISTANCE_MARGIN_M
+        chord = _chord_distance(-to_a, ab[:, None], inv)
+        least = chord - e
+        widen = np.degrees(np.arcsin(e / np.maximum(chord, e)))
+        widen[least <= 0.0] = 180.0
+        boresight = np.array([tx.pointing for tx in sites])  # (sites, sectors)
+        delta = np.abs(_wrapped(boresight[..., None] - (az_a + 0.5 * span)[:, None]))
+        delta -= (0.5 * np.abs(span) + widen)[:, None]
+        np.maximum(delta, 0.0, out=delta)
+        a_h = np.minimum(12.0 * (delta / tn.h_hpbw_deg) ** 2, tn.front_back_db)
+        a_h = np.minimum(a_h + min(tn.sla_db, 0.0), tn.front_back_db)
         pl_los, pl_nlos, _, p_los, _ = channel.rma_median_pathloss(
-            _least_distance_m(self.pos, sites_xy),  # clamped from below
+            least,  # clamped from below
             cfg.carrier.frequency_hz,
-            cfg.terrestrial.site_height_m,
+            tn.site_height_m,
             cfg.ue.height_m,
-            rma,
+            cfg.channel.rma,
         )
-        rows = [self.table[i].rows for i in sites]
-        least_threshold = np.array([self.threshold[r].min() for r in rows])
-        bound = np.where(least_threshold[:, None] < p_los, pl_los, pl_nlos)
-        np.negative(bound, out=bound)
-        peak = [
-            self.tx_power_dbm[r].max() + self.table[i].pattern.peak_gain_dbi
-            for i, r in zip(sites, rows)
-        ]
-        bound += np.array(peak)[:, None] + cfg.ue.antenna_gain_dbi + _BOUND_SLACK_DB
+        rows = np.array([tx.rows for tx in sites])
+        pl = np.where(self.threshold[rows] < p_los[:, None], pl_los[:, None], pl_nlos[:, None])
+        g_rx = cfg.ue.antenna_gain_dbi + _BOUND_SLACK_DB
+        bound = np.full_like(self.bound, np.inf)
+        bound[rows] = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + g_rx)[..., None] - a_h - pl
         return bound
 
 
-def _least_distance_m(pos_xyz: np.ndarray, points_xy: np.ndarray) -> np.ndarray:
-    """(points, segments): a lower bound on the 2D distance from each point
-    to every sample of each segment of `SEGMENT_SAMPLES` samples. It is the
-    distance to the segment's chord, from its first sample to its last, less
-    the farthest any of its samples strays from the chord (zero on a
-    straight track, up to rounding) and `_DISTANCE_MARGIN_M`."""
+def _wrapped(deg: np.ndarray) -> np.ndarray:
+    """Angles in degrees, wrapped to [-180, 180)."""
+    return (deg + 180.0) % 360.0 - 180.0
+
+
+def _chords(pos_xyz: np.ndarray):
+    """(a, ab, inv_ab2, stray) of the segments of `SEGMENT_SAMPLES` samples:
+    each one's chord, from its first sample to its last, as its start and
+    its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a chord of one
+    point), and the farthest any of its samples strays from it (zero on a
+    straight track, up to rounding)."""
     n_t = pos_xyz.shape[0]
     n_seg = -(-n_t // SEGMENT_SAMPLES)
     # x and y by segment, the last segment padded with the last sample
@@ -209,10 +255,7 @@ def _least_distance_m(pos_xyz: np.ndarray, points_xy: np.ndarray) -> np.ndarray:
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
     inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > 0.0)
     q -= a[..., None]
-    stray = _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
-    d2d = _chord_distance(points_xy.T[..., None] - a[:, None], ab[:, None], inv)
-    d2d -= stray + _DISTANCE_MARGIN_M
-    return d2d
+    return a, ab, inv, _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
 
 
 def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.ndarray:
@@ -228,19 +271,6 @@ def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.nd
     return np.hypot(d[0], d[1])
 
 
-def _second_largest(rx: np.ndarray, rows) -> np.ndarray:
-    """Per sample of an (n_cells, T) track: the second-largest value among
-    the given cells (a tie with the largest counts twice), by a running top
-    two over those rows alone, at a fraction of `_best_two`'s cost."""
-    first = np.full(rx.shape[1], -np.inf)
-    second, low = first.copy(), np.empty_like(first)
-    for c in rows:
-        np.minimum(first, rx[c], out=low)
-        np.maximum(second, low, out=second)
-        np.maximum(first, rx[c], out=first)
-    return second
-
-
 def _track_rx_power_dbm(
     scenario: Scenario,
     pos_xyz: np.ndarray,
@@ -248,29 +278,22 @@ def _track_rx_power_dbm(
     rho: float,
     shadowed: bool,
 ) -> _TrackPower:
-    """Received DL power tx - coupling, (n_cells, T), along one track,
-    evaluated where it can reach the A3 rule's top two.
+    """Received DL power tx - coupling, (n_cells, T), along one track: the
+    platform on the whole track, each macro site where the A3 loop pulls
+    it (`_TrackPower.rival`).
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
     rule compares no other. The draws follow `network._draw_links`: one LOS
     threshold per cell in row order, then (shadowed only) T AR(1)
     innovations per cell — one track stream reproduces the track exactly,
     and the shadowed signal holds the long-term signal's LOS thresholds.
-    All draws are made before any budget, so the pruning below changes no
+    All draws are made before any budget, so what is evaluated changes no
     draw.
 
-    The shadowed signal evaluates every transmitter on the whole track:
-    shadow swings widen a site's bound until it skips next to nothing. On
-    the long-term signal the platform is evaluated on the whole track, and
-    each macro site is bounded from above on each segment of
-    `SEGMENT_SAMPLES` samples (`_TrackPower.site_bounds`). The sites among
-    the two highest bounds of any segment are evaluated on the whole track;
-    L, a segment's least second-largest power among the cells evaluated so
-    far, is then a lower bound on its runner-up. Every other site is
-    evaluated, in one call, on the segments where its bound reaches L, and
-    left at -inf on the rest: a skipped cell lies strictly below the
-    runner-up, so the best cell, the runner-up and their ties are those of
-    a full evaluation.
+    The shadowed signal evaluates every transmitter on the whole track and
+    keeps no bound: shadow swings have none, so the loop's pulls find
+    nothing left to evaluate. On the long-term signal each macro sector is
+    bounded on each segment (`_TrackPower.site_bounds`).
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
@@ -293,67 +316,33 @@ def _track_rx_power_dbm(
         for i in range(len(table)):
             track.evaluate(i, whole)
         return track
-    sites = [i for i, tx in enumerate(table) if not isinstance(tx.pattern, AperturePattern)]
-    bound = track.site_bounds(sites)
-    top = {sites[s] for s in np.argsort(-bound, axis=0)[:2].ravel()}
-    first = [i for i in range(len(table)) if i not in sites or i in top]
-    for i in first:
-        track.evaluate(i, whole)
-    rows = np.concatenate([table[i].rows for i in first])
-    floor = np.minimum.reduceat(_second_largest(track.rx, rows), track.starts)
-    for s, i in enumerate(sites):
-        if i not in top:
-            track.evaluate(i, bound[s] >= floor)
+    for i, tx in enumerate(table):
+        if isinstance(tx.pattern, AperturePattern):
+            track.evaluate(i, whole)
+    track.bound = track.site_bounds()
     return track
 
 
-def _best_two(rx: np.ndarray, spans):
-    """Per sample of an (n_cells, T) track: (best, best cell, runner-up,
-    runner-up cell), ties to the lowest cell index as `argmax` down the
-    cells breaks them. `spans` lists (row, start, stop), ascending by row
-    and from (0, 0, T), for every row that may hold a value above -inf;
-    each is -inf outside its samples start to stop, and the rows not listed
-    are not read. The best cells are masked in place for the second level
-    (`_top`), then restored."""
-    t = np.arange(rx.shape[1])
-    best, best_cell = _top(rx, spans)
-    rx[best_cell, t] = -np.inf
-    second, second_cell = _top(rx, spans)
-    rx[best_cell, t] = best
-    return best, best_cell, second, second_cell
-
-
-def _top(rx: np.ndarray, spans):
-    """Per sample: the maximum down the rows of `rx`, read on `spans` as
-    `_best_two` states, and the lowest row that holds it. The rows are
-    scanned for their level from the highest down, a lower row overwriting
-    a higher, and row 0 last on every sample: it holds the level of a
-    sample where every row is -inf."""
-    level = rx[0].copy()
-    for c, a, b in spans[1:]:
-        np.maximum(level[a:b], rx[c, a:b], out=level[a:b])
-    cell = np.zeros(level.size, dtype=np.intp)
-    for c, a, b in reversed(spans):
-        np.copyto(cell[a:b], c, where=rx[c, a:b] == level[a:b])
-    return level, cell
-
-
-def _a3_trigger(best, best_cell, second, serving_rx, serving, start, offset_db, k):
-    """The first sample from `start` on that ends k consecutive samples on
-    which the strongest cell other than the serving one beats the serving
-    cell by more than the offset, or -1. The samples are scanned in windows
-    of doubling length, each overlapping the last by k - 1, so a trigger
-    soon after `start` costs little however long the track."""
-    n_t, lo, width = best.size, start, 64
+def _a3_trigger(track: _TrackPower, serving: int, start: int, offset_db: float, k: int):
+    """(sample, cell): the first sample from `start` on that ends k
+    consecutive samples on which the strongest cell other than the serving
+    one beats the serving cell by more than the offset, and that cell (the
+    lowest row of a tie); or (-1, -1). The samples are scanned in windows
+    of doubling length, the first `SEGMENT_SAMPLES` long, each overlapping
+    the last by k - 1, so a trigger soon after `start` costs little however
+    long the track. Each window evaluates what it reads
+    (`_TrackPower.rival`)."""
+    rx, n_t, lo, width = track.rx, track.rx.shape[1], start, SEGMENT_SAMPLES
     while True:
         hi = min(lo + width, n_t)
-        is_best = best_cell[lo:hi] == serving
-        rival = np.where(is_best, second[lo:hi], best[lo:hi])
-        rel = _first_sustained(rival > serving_rx[lo:hi] + offset_db, k)
+        rival = track.rival(serving, lo, hi, offset_db)
+        rel = _first_sustained(rival > rx[serving, lo:hi] + offset_db, k)
         if rel >= 0:
-            return lo + rel
+            others = rx[:, lo + rel].copy()
+            others[serving] = -np.inf
+            return lo + rel, int(np.argmax(others))
         if hi == n_t:
-            return -1
+            return -1, -1
         lo, width = max(start, hi - k + 1), 2 * width
 
 
@@ -365,11 +354,11 @@ def _track_events(
     key, not the track's position among all tracks, picks its stream, so
     adding tracks of one direction leaves the other direction's alone.
 
-    The A3 rule reads the best cell, the runner-up and the serving cell.
-    The first two come from the pruned received power as they would from a
-    full evaluation. The serving cell may have left the top two, so each
-    trigger search first evaluates the serving cell's site on the segments
-    it skips from the search's start on (`_TrackPower.fill`)."""
+    The A3 rule reads the serving cell and the strongest other cell. The
+    first serving cell is the strongest at the first sample, found after
+    pulling every site whose bound reaches the platform's power there; each
+    trigger search then evaluates what it reads (`_a3_trigger`), and finds
+    the sample and cell that a full evaluation would."""
     m = scenario.cfg.mobility
     outbound, index = track
     u = index + m.n_inbound if outbound else index  # user id in the output
@@ -400,25 +389,20 @@ def _track_events(
     rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
     shadowed = m.decision_signal == "shadowed"
     track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
-    rx = track.rx
-
-    # the strongest cell other than the serving one is the runner-up
-    # where the serving cell is best, else the best
-    best, best_cell, second, second_cell = _best_two(rx, track.spans())
+    # the first serving cell: the strongest at the first sample, once every
+    # site that may reach the platform's power there is evaluated
+    first = np.full(track.starts.size, np.inf)
+    first[0] = track.rx[:, 0].max()
+    track.pull(first)
+    serving = int(np.argmax(track.rx[:, 0]))
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
-    serving = int(best_cell[0])
     start = 1
     while start < pos.shape[0]:
-        track.fill(serving, start)
-        t_idx = _a3_trigger(
-            best, best_cell, second, rx[serving], serving, start, offset_db, k_need
-        )
+        t_idx, new = _a3_trigger(track, serving, start, offset_db, k_need)
         if t_idx < 0:
             break
-        is_best = best_cell[t_idx] == serving
-        new = int(second_cell[t_idx] if is_best else best_cell[t_idx])
         if is_hibs[new] != is_hibs[serving]:
             direction = TN_TO_HIBS if is_hibs[new] else HIBS_TO_TN
             x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])

@@ -324,6 +324,23 @@ def test_sweeps_reject_a_repeated_density(run, monkeypatch):
         run(ScenarioConfig(), n_drops=2, densities=(1.0, 2.0, 1))
 
 
+@pytest.mark.parametrize(
+    "densities",
+    ["12", "0.5", b"12", (True,), (1.0, False), (np.True_,), ("1",), (1.0, b"2")],
+    ids=["str", "str-float", "bytes", "bool", "bool-after-float", "numpy-bool",
+         "str-element", "bytes-element"],
+)
+def test_densities_reject_strings_and_bools(densities):
+    # float() reads "12" as the two densities 1 and 2 and True as 1; a
+    # string or bool is rejected, naming the argument
+    with pytest.raises(ValueError, match=r"^densities must be a list of numbers, got "):
+        engine._check_densities(densities)
+
+
+def test_densities_take_any_iterable_of_numbers():
+    assert engine._check_densities(iter([1, np.float64(0.5), 2])) == (1.0, 0.5, 2.0)
+
+
 def test_run_sinr_sweep_small(default_cfg):
     res = run_sinr_sweep(default_cfg, seed=9, n_drops=4, densities=(0.5, 2.0))
     assert res.densities == (0.5, 2.0)

@@ -122,3 +122,31 @@ def test_output_digests_pass_the_config_to_every_command(tmp_path):
     drop_commands = {c: a for c, a in commands.items() if c != "mobility"}
     default = output_digests.digests(2, 1, drop_commands)
     assert not set(default) & set(lines)
+
+
+def test_output_digests_pass_the_a3_offset_to_the_mobility_command(
+    tmp_path, monkeypatch, capsys
+):
+    # the mobility digests are those of the CLI run at the offset given,
+    # and differ from the config offset's; no other command takes it
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text("mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 2400.0\n")
+    monkeypatch.setattr(
+        output_digests,
+        "COMMANDS",
+        {"sinr-sweep": ["--drops", "2", "--densities", "1"], "mobility": []},
+    )
+    printed = {}
+    for offset in (None, "-2"):
+        argv = ["--seed", "2", "--config", str(tiny)]
+        argv += [] if offset is None else ["--a3-offset-db", offset]
+        assert output_digests.main(argv) == 0
+        printed[offset] = capsys.readouterr().out.splitlines()
+    out = tmp_path / "mobility"
+    argv = ["mobility", "--seed", "2", "--config", str(tiny), "--a3-offset-db", "-2"]
+    assert hibsim_main([*argv, "--out", str(out)]) == 0
+    for path in sorted(out.iterdir()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"{digest}  mobility/{path.name}" in printed["-2"]
+    assert printed["-2"][:2] == printed[None][:2]  # sinr-sweep
+    assert not set(printed["-2"][2:]) & set(printed[None][2:])

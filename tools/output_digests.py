@@ -7,8 +7,10 @@ is printed per file:
     <sha256>  <command>/<file>
 
     python3 tools/output_digests.py [--threads N] [--seed S] [--config PATH]
+                                    [--a3-offset-db X]
 
-`--config` hands one YAML scenario file to every command.
+`--config` hands one YAML scenario file to every command, and
+`--a3-offset-db` the A3 offset to the mobility command.
 
 Two source trees that print the same lines wrote the same bytes. The
 package is imported from the `src` beside this script's folder, so a
@@ -71,8 +73,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     parser.add_argument("--config", help="YAML scenario file passed to every command")
+    parser.add_argument("--a3-offset-db", help="A3 offset passed to the mobility command")
     args = parser.parse_args(argv)
-    for line in digests(args.seed, args.threads, config=args.config):
+    commands = dict(COMMANDS)
+    if args.a3_offset_db is not None:
+        commands["mobility"] = [*COMMANDS["mobility"], "--a3-offset-db", args.a3_offset_db]
+    for line in digests(args.seed, args.threads, commands, args.config):
         print(line)
     return 0
 
