@@ -117,8 +117,8 @@ class TerrestrialConfig:
     peak_gain_dbi: float = 17.0
     h_hpbw_deg: _Positive = 65.0
     v_hpbw_deg: _Positive = 10.0
-    front_back_db: float = 30.0
-    sla_db: float = 30.0
+    front_back_db: _NonNegative = 30.0
+    sla_db: _NonNegative = 30.0
     downtilt_deg: float = 3.0
     tx_power_dbm: float = 49.0
 

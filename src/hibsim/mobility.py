@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, engine, geometry, network
-from .antenna import AperturePattern
+from . import antenna, channel, engine, geometry, network
+from .antenna import FIRST_J1_ZERO, AperturePattern
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 
@@ -39,15 +39,18 @@ HIBS_TO_TN = "hibs_to_tn"
 # ("drive into the platform-only zone") is complete there.
 CENTER_PARK_RADIUS_M = 500.0
 
-# Macro sectors are bounded, and their sites evaluated where the A3 loop
+# Cells are bounded, and their transmitters evaluated where the A3 loop
 # pulls them, on segments of this many track samples (853 m at the
 # defaults).
 SEGMENT_SAMPLES = 512
-# A sector's bound takes its site's least distance to a segment less the
-# segment's stray and this margin, and adds this slack, far above the
-# rounding of the budget sums.
+# A cell's bounds take each segment's distances from its transmitter
+# widened by the segment's stray and this margin, and are widened by this
+# slack, far above the rounding of the budget sums.
 _DISTANCE_MARGIN_M = 1.0
 _BOUND_SLACK_DB = 1e-6
+# Every Airy sidelobe lies at least this far below the peak: the first, the
+# highest, is 17.57 dB down.
+_SIDELOBE_DB = 17.5
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,12 @@ class _TrackPower:
     cells hold their budgets. Every evaluated entry has the bits of a full
     evaluation: the budgets are elementwise over the samples, and each
     evaluation of a transmitter is one `network._link_coupling` call on the
-    samples it covers. `bound` (cells, segments) bounds each cell's power
-    on each segment from above, +inf where no bound is known; `pull` reads
-    it. `scanned` (cells, segments) marks where each cell, as the serving
-    cell, has pulled its rivals (`rival`): at the one A3 offset a track's
-    loop runs at.
+    samples it covers. `bound` and `floor` (cells, segments) bound each
+    cell's power on each segment from above and below, +inf and -inf where
+    no bound is known; `pull` and `loud_runs` read them. `scanned` (cells,
+    segments) marks where each cell, as the serving cell, has pulled its
+    rivals (`rival`), and `runs` holds each serving cell's `loud_runs`: both
+    at the one A3 offset a track's loop runs at.
     """
 
     def __init__(self, scenario: Scenario, table, pos_xyz, threshold, unit):
@@ -125,7 +129,9 @@ class _TrackPower:
             self.tx_of_cell[tx.rows] = i
         self.evaluated = np.zeros((len(table), self.starts.size), dtype=bool)
         self.bound = np.full((scenario.n_cells, self.starts.size), np.inf)
+        self.floor = -self.bound
         self.scanned = np.zeros_like(self.bound, dtype=bool)
+        self.runs: dict[int, list[tuple[int, int]]] = {}
 
     def evaluate(self, i: int, segments: np.ndarray) -> None:
         """Write table entry i's cells into `rx` on the segments of a mask
@@ -157,6 +163,21 @@ class _TrackPower:
         for i in np.unique(self.tx_of_cell[reach.any(axis=1)]).tolist():
             self.evaluate(i, reach[self.table[i].rows].any(axis=0))
 
+    def loud_runs(self, serving: int, offset_db: float) -> list[tuple[int, int]]:
+        """Sample ranges [lo, hi) of the maximal runs of loud segments for
+        the serving cell, computed once per serving cell. A segment is
+        quiet where the serving cell's floor plus the offset reaches every
+        other cell's bound: no cell beats the serving cell there by more
+        than the offset on any sample. Every other segment is loud."""
+        runs = self.runs.get(serving)
+        if runs is None:
+            others = np.delete(self.bound, serving, axis=0).max(axis=0, initial=-np.inf)
+            loud = (others > self.floor[serving] + offset_db).astype(np.int8)
+            edges = np.flatnonzero(np.diff(loud, prepend=0, append=0)) * SEGMENT_SAMPLES
+            edges = np.minimum(edges, self.rx.shape[1]).tolist()
+            runs = self.runs[serving] = list(zip(edges[::2], edges[1::2]))
+        return runs
+
     def rival(self, serving: int, lo: int, hi: int, offset_db: float) -> np.ndarray:
         """The strongest cell other than the serving one, per sample from lo
         to hi, among the cells evaluated there.
@@ -181,55 +202,127 @@ class _TrackPower:
         rival = self.rx[:serving, lo:hi].max(axis=0, initial=-np.inf)
         return np.maximum(rival, self.rx[serving + 1 :, lo:hi].max(axis=0, initial=-np.inf))
 
-    def site_bounds(self) -> np.ndarray:
-        """(cells, segments): an upper bound on the received power of each
-        macro sector on each segment, +inf on the platform's cells.
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bound, floor), each (cells, segments): the greatest and least
+        received power each macro sector and each platform beam pointing at
+        nadir can take on each segment, +inf and -inf on other beams. Both
+        come from one `_chords` pass: every sample lies within e, its
+        segment's stray and `_DISTANCE_MARGIN_M`, of the segment's chord,
+        so its distance from a transmitter lies between the chord's least
+        distance less e and its farther end's distance plus e (`_reach`).
+        Both widen by `_BOUND_SLACK_DB`, and hold no shadowing: only the
+        long-term signal is bounded."""
+        bound = np.full_like(self.bound, np.inf)
+        floor = -bound
+        chords = _chords(self.pos)
+        for tx in self.table:
+            if isinstance(tx.pattern, AperturePattern):
+                self._beam_bounds(tx, chords, bound, floor)
+        sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
+        if sites:
+            self._sector_bounds(sites, chords, bound, floor)
+        return bound, floor
 
-        The bound is tx + peak - a_h(delta) - PL + g_rx. `delta` is the
-        least azimuth offset from the sector's boresight to the arc of
-        azimuths the segment's chord spans from the mast, less asin(e / D)
-        for a chord D from the mast: every sample lies within e, its stray
-        and `_DISTANCE_MARGIN_M`, of the chord, and so within that angle of
-        the arc. It is 0 where the chord passes within e of the mast. a_h
-        is the pattern's horizontal attenuation at `delta`, with the
-        vertical term at its least (0, or `sla_db` if that is negative).
-        PL is taken at D - e, a lower bound on the distance of every
-        sample: the RMa LOS curve where the sector's LOS threshold lies
-        below p_los there, else the NLOS curve. Both curves rise with
-        distance and p_los falls, so no sample has a lower pathloss. It
-        holds no shadowing: only the long-term signal is bounded.
+    def _sector_bounds(self, sites, chords, bound, floor) -> None:
+        """Write the sites' sector rows of `bound` and `floor`.
+
+        A sector's bound is tx + peak - a_h(delta) - PL + g_rx and its
+        floor tx + peak - min(a_h(delta') + a_v, front_back) - PL' + g_rx.
+        `delta` is the least azimuth offset from the sector's boresight to
+        the arc of azimuths the segment's chord spans from the mast, less
+        asin(e / D) for a chord D from the mast, and `delta'` the greatest
+        offset plus asin(e / D): every sample lies within that angle of the
+        arc. They are 0 and 180 where the chord passes within e of the
+        mast. a_h is the pattern's horizontal attenuation; the vertical
+        term is at its least, 0, in the bound, and at its greatest, `a_v`,
+        in the floor: the larger at the depressions of the least and
+        greatest distances, as its parabola is convex. PL is taken at the
+        least distance and PL' at the greatest, each on the RMa LOS curve
+        where the sector's LOS threshold lies below p_los there, else on
+        the NLOS curve. Both curves rise with distance and p_los falls, so
+        no sample has a lower pathloss than PL or a higher one than PL'.
         """
         cfg, tn = self.cfg, self.cfg.terrestrial
-        sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
-        a, ab, inv, stray = _chords(self.pos)
-        # (2, sites, segments): the chords' starts seen from each mast
-        to_a = a[:, None] - np.array([tx.position[:2] for tx in sites]).T[..., None]
+        _, ab, _, e = chords
+        to_a, least, most = _reach(np.array([tx.position[:2] for tx in sites]), chords)
         az_a, az_b = (np.degrees(np.arctan2(v[1], v[0])) for v in (to_a, to_a + ab[:, None]))
         span = _wrapped(az_b - az_a)
-        e = stray + _DISTANCE_MARGIN_M
-        chord = _chord_distance(-to_a, ab[:, None], inv)
-        least = chord - e
-        widen = np.degrees(np.arcsin(e / np.maximum(chord, e)))
+        widen = np.degrees(np.arcsin(e / np.maximum(least + e, e)))
         widen[least <= 0.0] = 180.0
         boresight = np.array([tx.pointing for tx in sites])  # (sites, sectors)
-        delta = np.abs(_wrapped(boresight[..., None] - (az_a + 0.5 * span)[:, None]))
-        delta -= (0.5 * np.abs(span) + widen)[:, None]
-        np.maximum(delta, 0.0, out=delta)
+        mid = np.abs(_wrapped(boresight[..., None] - (az_a + 0.5 * span)[:, None]))
+        half = (0.5 * np.abs(span) + widen)[:, None]
+        delta = np.stack([np.maximum(mid - half, 0.0), np.minimum(mid + half, 180.0)])
         a_h = np.minimum(12.0 * (delta / tn.h_hpbw_deg) ** 2, tn.front_back_db)
-        a_h = np.minimum(a_h + min(tn.sla_db, 0.0), tn.front_back_db)
+        reach = np.array([least, most])
+        depression = np.degrees(
+            np.arctan2(tn.site_height_m - cfg.ue.height_m, np.maximum(reach, 0.0))
+        )
+        a_v = np.minimum(12.0 * ((depression - tn.downtilt_deg) / tn.v_hpbw_deg) ** 2, tn.sla_db)
+        a_h[1] = np.minimum(a_h[1] + a_v.max(axis=0)[:, None], tn.front_back_db)
         pl_los, pl_nlos, _, p_los, _ = channel.rma_median_pathloss(
-            least,  # clamped from below
+            reach,  # clamped from below
             cfg.carrier.frequency_hz,
             tn.site_height_m,
             cfg.ue.height_m,
             cfg.channel.rma,
         )
         rows = np.array([tx.rows for tx in sites])
-        pl = np.where(self.threshold[rows] < p_los[:, None], pl_los[:, None], pl_nlos[:, None])
-        g_rx = cfg.ue.antenna_gain_dbi + _BOUND_SLACK_DB
-        bound = np.full_like(self.bound, np.inf)
-        bound[rows] = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + g_rx)[..., None] - a_h - pl
-        return bound
+        los = self.threshold[rows] < p_los[:, :, None]
+        pl = np.where(los, pl_los[:, :, None], pl_nlos[:, :, None])
+        top = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + cfg.ue.antenna_gain_dbi)[..., None]
+        bound[rows] = top - a_h[0] - pl[0] + _BOUND_SLACK_DB
+        floor[rows] = top - a_h[1] - pl[1] - _BOUND_SLACK_DB
+
+    def _beam_bounds(self, tx, chords, bound, floor) -> None:
+        """Write the rows of `bound` and `floor` of a platform's beams that
+        point at nadir, from each segment's radial range about the nadir
+        point: a beam's off-axis angle atan2(r, H - h_ue) and its slant
+        rise with r.
+
+        The bound takes the gain at the least angle, and free space at the
+        least slant; the floor the gain at the greatest angle, and the
+        greatest slant. Past the first null the floor takes the gain's
+        clamp, and under `bessel_sidelobes` the bound at least the
+        sidelobe peak. A link is surely LOS where its threshold lies below
+        the least p_los over the segment's elevations, and surely NLOS
+        where it lies at or above the greatest, the table's knots inside
+        the interval counted, as the table need not be monotone. Clutter,
+        linear in elevation, takes its least and greatest values at the
+        ends of the interval, and 0 counts where a link may be LOS.
+        """
+        rows = tx.rows[np.all(tx.pointing == (0.0, 0.0, -1.0), axis=1)]
+        if not rows.size:
+            return
+        cfg, ntn, pattern = self.cfg, self.cfg.channel.ntn, tx.pattern
+        _, least, most = _reach(tx.position[None, :2], chords)
+        r = np.maximum(np.concatenate([least, most]), 0.0)  # (2, segments)
+        height = tx.position[2] - cfg.ue.height_m
+        off_axis = np.degrees(np.arctan2(r, height))
+        elevation = 90.0 - off_axis  # greatest, least
+        pl = channel.fspl_db(np.hypot(r, height), cfg.carrier.frequency_hz)
+        gain = antenna.aperture_gain_dbi(off_axis, pattern)
+        past_null = pattern.ka * np.sin(np.radians(off_axis[1])) >= FIRST_J1_ZERO
+        gain[1, past_null] = pattern.peak_gain_dbi - pattern.floor_db
+        if pattern.bessel_sidelobes:
+            sidelobe = pattern.peak_gain_dbi - min(_SIDELOBE_DB, pattern.floor_db)
+            gain[0, past_null] = np.maximum(gain[0, past_null], sidelobe)
+        if ntn.los_only:
+            p_least = p_most = 1.0
+        else:
+            knots = np.array(ntn.p_los_table).T[..., None]  # (2, knots, 1)
+            inside = (knots[0] > elevation[1]) & (knots[0] < elevation[0])
+            p = ntn.p_los(elevation)
+            p_least = np.minimum(p.min(axis=0), np.where(inside, knots[1], 1.0).min(axis=0))
+            p_most = np.maximum(p.max(axis=0), np.where(inside, knots[1], 0.0).max(axis=0))
+        threshold = self.threshold[rows]  # (beams, 1)
+        los, nlos = threshold < p_least, threshold >= p_most  # surely, on every sample
+        clutter = ntn.clutter_db(elevation)
+        least = np.where(nlos, clutter.min(axis=0), np.minimum(clutter.min(axis=0), 0.0))
+        most = np.where(nlos, clutter.max(axis=0), np.maximum(clutter.max(axis=0), 0.0))
+        top = (self.tx_power_dbm[rows] + cfg.ue.antenna_gain_dbi)[:, None]
+        bound[rows] = top + gain[0] - pl[0] - np.where(los, 0.0, least) + _BOUND_SLACK_DB
+        floor[rows] = top + gain[1] - pl[1] - np.where(los, 0.0, most) - _BOUND_SLACK_DB
 
 
 def _wrapped(deg: np.ndarray) -> np.ndarray:
@@ -238,11 +331,12 @@ def _wrapped(deg: np.ndarray) -> np.ndarray:
 
 
 def _chords(pos_xyz: np.ndarray):
-    """(a, ab, inv_ab2, stray) of the segments of `SEGMENT_SAMPLES` samples:
+    """(a, ab, inv_ab2, e) of the segments of `SEGMENT_SAMPLES` samples:
     each one's chord, from its first sample to its last, as its start and
     its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a chord of one
-    point), and the farthest any of its samples strays from it (zero on a
-    straight track, up to rounding)."""
+    point, or one so short that this would overflow), and the farthest any
+    of its samples strays from it (zero on a straight track, up to
+    rounding) plus `_DISTANCE_MARGIN_M`."""
     n_t = pos_xyz.shape[0]
     n_seg = -(-n_t // SEGMENT_SAMPLES)
     # x and y by segment, the last segment padded with the last sample
@@ -253,9 +347,23 @@ def _chords(pos_xyz: np.ndarray):
     a = q[..., 0].copy()
     ab = q[..., -1] - a
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
-    inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > 0.0)
+    inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
     q -= a[..., None]
-    return a, ab, inv, _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
+    stray = _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
+    return a, ab, inv, stray + _DISTANCE_MARGIN_M
+
+
+def _reach(origins_xy: np.ndarray, chords):
+    """(to_a, least, most) from origins (k, 2) to the segments of `_chords`:
+    each chord's start seen from each origin (2, k, segments), and bounds
+    on the distance from each origin to every sample of each segment (k,
+    segments): the chord's least distance less e and its farther end's
+    distance plus e."""
+    a, ab, inv_ab2, e = chords
+    to_a = a[:, None] - origins_xy.T[..., None]
+    least = _chord_distance(-to_a, ab[:, None], inv_ab2) - e
+    most = np.maximum(np.hypot(*to_a), np.hypot(*(to_a + ab[:, None]))) + e
+    return to_a, least, most
 
 
 def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.ndarray:
@@ -278,9 +386,8 @@ def _track_rx_power_dbm(
     rho: float,
     shadowed: bool,
 ) -> _TrackPower:
-    """Received DL power tx - coupling, (n_cells, T), along one track: the
-    platform on the whole track, each macro site where the A3 loop pulls
-    it (`_TrackPower.rival`).
+    """Received DL power tx - coupling, (n_cells, T), along one track: each
+    transmitter where the A3 loop pulls it (`_TrackPower.rival`).
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
     rule compares no other. The draws follow `network._draw_links`: one LOS
@@ -291,9 +398,10 @@ def _track_rx_power_dbm(
     draw.
 
     The shadowed signal evaluates every transmitter on the whole track and
-    keeps no bound: shadow swings have none, so the loop's pulls find
-    nothing left to evaluate. On the long-term signal each macro sector is
-    bounded on each segment (`_TrackPower.site_bounds`).
+    keeps no bounds: shadow swings have none, so no segment is quiet and
+    the loop's pulls find nothing left to evaluate. On the long-term signal
+    each cell is bounded from above and below on each segment
+    (`_TrackPower.bounds`), and nothing is evaluated up front.
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
@@ -305,45 +413,49 @@ def _track_rx_power_dbm(
     unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
     network._draw_links(rng, threshold, unit)
     track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
-    whole = np.ones(track.starts.size, dtype=bool)
-    if unit is not None:
-        from scipy.signal import lfilter  # costly import, needed here only
-
-        # unit AR(1) shadowing, filtered in place one cell at a time
-        unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
-        for row in unit:
-            row[:] = lfilter([1.0], [1.0, -rho], row)
-        for i in range(len(table)):
-            track.evaluate(i, whole)
+    if unit is None:
+        track.bound, track.floor = track.bounds()
         return track
-    for i, tx in enumerate(table):
-        if isinstance(tx.pattern, AperturePattern):
-            track.evaluate(i, whole)
-    track.bound = track.site_bounds()
+    from scipy.signal import lfilter  # costly import, needed here only
+
+    # unit AR(1) shadowing, filtered in place one cell at a time
+    unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+    for row in unit:
+        row[:] = lfilter([1.0], [1.0, -rho], row)
+    whole = np.ones(track.starts.size, dtype=bool)
+    for i in range(len(table)):
+        track.evaluate(i, whole)
     return track
 
 
-def _a3_trigger(track: _TrackPower, serving: int, start: int, offset_db: float, k: int):
+def _a3_trigger(
+    track: _TrackPower, serving: int, start: int, offset_db: float, k: int, width: int
+):
     """(sample, cell): the first sample from `start` on that ends k
     consecutive samples on which the strongest cell other than the serving
     one beats the serving cell by more than the offset, and that cell (the
-    lowest row of a tie); or (-1, -1). The samples are scanned in windows
-    of doubling length, the first `SEGMENT_SAMPLES` long, each overlapping
-    the last by k - 1, so a trigger soon after `start` costs little however
-    long the track. Each window evaluates what it reads
-    (`_TrackPower.rival`)."""
-    rx, n_t, lo, width = track.rx, track.rx.shape[1], start, SEGMENT_SAMPLES
-    while True:
-        hi = min(lo + width, n_t)
-        rival = track.rival(serving, lo, hi, offset_db)
-        rel = _first_sustained(rival > rx[serving, lo:hi] + offset_db, k)
-        if rel >= 0:
-            others = rx[:, lo + rel].copy()
-            others[serving] = -np.inf
-            return lo + rel, int(np.argmax(others))
-        if hi == n_t:
-            return -1, -1
-        lo, width = max(start, hi - k + 1), 2 * width
+    lowest row of a tie); or (-1, -1).
+
+    No cell beats the serving cell on a quiet segment, so no run of k
+    samples crosses one: only the runs of loud segments are scanned
+    (`_TrackPower.loud_runs`), each from its start, or from `start`, on.
+    A run is scanned in windows of doubling length, the first `width`
+    long (k, if that is longer), each overlapping the last by k - 1, so a
+    trigger soon after `start` costs little however long the track. Each
+    window evaluates what it reads (`_TrackPower.rival`)."""
+    rx = track.rx
+    for lo, stop in track.loud_runs(serving, offset_db):
+        lo, size = max(lo, start), max(width, k)
+        while stop - lo >= k:
+            hi = min(lo + size, stop)
+            rival = track.rival(serving, lo, hi, offset_db)
+            rel = _first_sustained(rival > rx[serving, lo:hi] + offset_db, k)
+            if rel >= 0:
+                others = rx[:, lo + rel].copy()
+                others[serving] = -np.inf
+                return lo + rel, int(np.argmax(others))
+            lo, size = hi - k + 1, 2 * size
+    return -1, -1
 
 
 def _track_events(
@@ -356,7 +468,7 @@ def _track_events(
 
     The A3 rule reads the serving cell and the strongest other cell. The
     first serving cell is the strongest at the first sample, found after
-    pulling every site whose bound reaches the platform's power there; each
+    pulling every cell whose bound reaches the greatest floor there; each
     trigger search then evaluates what it reads (`_a3_trigger`), and finds
     the sample and cell that a full evaluation would."""
     m = scenario.cfg.mobility
@@ -390,17 +502,17 @@ def _track_events(
     shadowed = m.decision_signal == "shadowed"
     track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
     # the first serving cell: the strongest at the first sample, once every
-    # site that may reach the platform's power there is evaluated
+    # cell whose bound reaches the greatest floor there is evaluated
     first = np.full(track.starts.size, np.inf)
-    first[0] = track.rx[:, 0].max()
+    first[0] = track.floor[:, 0].max()
     track.pull(first)
     serving = int(np.argmax(track.rx[:, 0]))
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
-    start = 1
+    start, width = 1, SEGMENT_SAMPLES
     while start < pos.shape[0]:
-        t_idx, new = _a3_trigger(track, serving, start, offset_db, k_need)
+        t_idx, new = _a3_trigger(track, serving, start, offset_db, k_need, width)
         if t_idx < 0:
             break
         if is_hibs[new] != is_hibs[serving]:
@@ -409,8 +521,8 @@ def _track_events(
             events.append(
                 HandoverEvent(float(times[t_idx]), u, serving, new, x_m, y_m, direction)
             )
-        serving = new
-        start = t_idx + 1
+        # the next search opens with a window as long as this one took
+        serving, start, width = new, t_idx + 1, min(t_idx - start + 1, SEGMENT_SAMPLES)
     return events
 
 

@@ -441,6 +441,8 @@ _WINDOWS = [
     ),
     ({"terrestrial": {"h_hpbw_deg": 0.0}}, f"terrestrial.h_hpbw_deg: {_POSITIVE}"),
     ({"terrestrial": {"v_hpbw_deg": -1.0}}, f"terrestrial.v_hpbw_deg: {_POSITIVE}"),
+    ({"terrestrial": {"front_back_db": -1.0}}, f"terrestrial.front_back_db: {_AT_LEAST_0}"),
+    ({"terrestrial": {"sla_db": -1.0}}, f"terrestrial.sla_db: {_AT_LEAST_0}"),
     ({"ue": {"height_m": 0.5}}, f"ue.height_m: must lie in [1, 10] {_RMA_RANGE}"),
     ({"ue": {"noise_figure_db": -1.0}}, f"ue.noise_figure_db: {_AT_LEAST_0}"),
     (

@@ -150,3 +150,35 @@ def test_output_digests_pass_the_a3_offset_to_the_mobility_command(
         assert f"{digest}  mobility/{path.name}" in printed["-2"]
     assert printed["-2"][:2] == printed[None][:2]  # sinr-sweep
     assert not set(printed["-2"][2:]) & set(printed[None][2:])
+
+
+def test_output_digests_print_one_mobility_block_per_offset(tmp_path, monkeypatch, capsys):
+    # a comma list runs the other commands once and the mobility command
+    # once per offset, each block named by its offset and equal to the
+    # lines of a run at that offset alone
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text("mobility:\n  n_inbound: 2\n  n_outbound: 2\n  sim_duration_s: 2400.0\n")
+    monkeypatch.setattr(
+        output_digests,
+        "COMMANDS",
+        {"sinr-sweep": ["--drops", "2", "--densities", "1"], "mobility": []},
+    )
+    printed = {}
+    for offsets in ("-2", "3", "-2,3"):
+        argv = ["--seed", "2", "--config", str(tiny), f"--a3-offset-db={offsets}"]
+        assert output_digests.main(argv) == 0
+        printed[offsets] = capsys.readouterr().out.splitlines()
+    both = printed["-2,3"]
+    assert [line.split("  ")[1] for line in both] == [
+        "sinr-sweep/sinr.csv",
+        "sinr-sweep/summary.json",
+        "mobility@-2/handover.csv",
+        "mobility@-2/summary.json",
+        "mobility@3/handover.csv",
+        "mobility@3/summary.json",
+    ]
+    assert both[:2] == printed["-2"][:2]
+    for offset, block in (("-2", both[2:4]), ("3", both[4:])):
+        alone = printed[offset][2:]
+        assert block == [line.replace("mobility/", f"mobility@{offset}/") for line in alone]
+    assert not {line.split()[0] for line in both[2:4]} & {line.split()[0] for line in both[4:]}

@@ -7,10 +7,13 @@ is printed per file:
     <sha256>  <command>/<file>
 
     python3 tools/output_digests.py [--threads N] [--seed S] [--config PATH]
-                                    [--a3-offset-db X]
+                                    [--a3-offset-db=X[,X...]]
 
 `--config` hands one YAML scenario file to every command, and
-`--a3-offset-db` the A3 offset to the mobility command.
+`--a3-offset-db` the A3 offset to the mobility command. A comma list of
+offsets, such as `--a3-offset-db=-2,0,3,6`, runs the mobility command once
+per offset and prints one block each, its lines named
+`mobility@<offset>/<file>`.
 
 Two source trees that print the same lines wrote the same bytes. The
 package is imported from the `src` beside this script's folder, so a
@@ -73,12 +76,21 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     parser.add_argument("--config", help="YAML scenario file passed to every command")
-    parser.add_argument("--a3-offset-db", help="A3 offset passed to the mobility command")
+    parser.add_argument(
+        "--a3-offset-db",
+        help="A3 offset passed to the mobility command, or a comma list of offsets",
+    )
     args = parser.parse_args(argv)
-    commands = dict(COMMANDS)
-    if args.a3_offset_db is not None:
-        commands["mobility"] = [*COMMANDS["mobility"], "--a3-offset-db", args.a3_offset_db]
-    for line in digests(args.seed, args.threads, commands, args.config):
+    offsets = [None] if args.a3_offset_db is None else args.a3_offset_db.split(",")
+    commands = {c: extra for c, extra in COMMANDS.items() if c != "mobility"}
+    lines = digests(args.seed, args.threads, commands, args.config)
+    for offset in offsets:
+        extra = COMMANDS["mobility"] + ([] if offset is None else ["--a3-offset-db", offset])
+        block = digests(args.seed, args.threads, {"mobility": extra}, args.config)
+        if len(offsets) > 1:
+            block = [line.replace("  mobility/", f"  mobility@{offset}/") for line in block]
+        lines += block
+    for line in lines:
         print(line)
     return 0
 
