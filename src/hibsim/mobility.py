@@ -44,8 +44,9 @@ CENTER_PARK_RADIUS_M = 500.0
 # defaults).
 SEGMENT_SAMPLES = 512
 # A cell's bounds take each segment's distances from its transmitter
-# widened by the segment's stray and this margin, and are widened by this
-# slack, far above the rounding of the budget sums.
+# widened by this margin, far above the rounding by which a line's samples
+# stray from its chords, and are widened by this slack, far above the
+# rounding of the budget sums.
 _DISTANCE_MARGIN_M = 1.0
 _BOUND_SLACK_DB = 1e-6
 # Every Airy sidelobe lies at least this far below the peak: the first, the
@@ -134,21 +135,18 @@ class _TrackPower:
         self.runs: dict[int, list[tuple[int, int]]] = {}
 
     def evaluate(self, i: int, segments: np.ndarray) -> None:
-        """Write table entry i's cells into `rx` on the segments of a mask
-        they are not evaluated on yet, as a budget group of one. Only the
-        long-term signal, which draws no `unit`, is evaluated on part of
-        the track."""
-        segments = segments > self.evaluated[i]
-        if not segments.any():
+        """Write table entry i's cells into `rx`, as a budget group of one,
+        on the span from the first to the last segment of a mask they are
+        not evaluated on yet, and mark the span. A segment of the span
+        evaluated before gets the same bits again: the budgets are
+        elementwise. Only the long-term signal, which draws no `unit`, is
+        evaluated on part of the track."""
+        new = (segments > self.evaluated[i]).nonzero()[0]
+        if not new.size:
             return
-        self.evaluated[i] |= segments
-        runs = np.flatnonzero(segments)
+        self.evaluated[i, new[0] : new[-1] + 1] = True
+        samples = slice(new[0] * SEGMENT_SAMPLES, (new[-1] + 1) * SEGMENT_SAMPLES)
         tx = self.table[i]
-        if runs[-1] - runs[0] == runs.size - 1:
-            # one run of segments is read and written in place, without a gather
-            samples = slice(runs[0] * SEGMENT_SAMPLES, (runs[-1] + 1) * SEGMENT_SAMPLES)
-        else:
-            samples = np.flatnonzero(np.repeat(segments, SEGMENT_SAMPLES)[: len(self.pos)])
         ((_, coupling),) = network._link_coupling(
             [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
@@ -202,28 +200,25 @@ class _TrackPower:
         rival = self.rx[:serving, lo:hi].max(axis=0, initial=-np.inf)
         return np.maximum(rival, self.rx[serving + 1 :, lo:hi].max(axis=0, initial=-np.inf))
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bound, floor), each (cells, segments): the greatest and least
-        received power each macro sector and each platform beam pointing at
-        nadir can take on each segment, +inf and -inf on other beams. Both
-        come from one `_chords` pass: every sample lies within e, its
-        segment's stray and `_DISTANCE_MARGIN_M`, of the segment's chord,
-        so its distance from a transmitter lies between the chord's least
+    def bounds(self) -> None:
+        """Write into `bound` and `floor` the greatest and least received
+        power each macro sector and each platform beam pointing at nadir
+        can take on each segment; other beams keep +inf and -inf. Both come
+        from the segments' chords (`_chords`): a track is a line, so every
+        sample lies within e, `_DISTANCE_MARGIN_M`, of its segment's chord,
+        and its distance from a transmitter lies between the chord's least
         distance less e and its farther end's distance plus e (`_reach`).
         Both widen by `_BOUND_SLACK_DB`, and hold no shadowing: only the
         long-term signal is bounded."""
-        bound = np.full_like(self.bound, np.inf)
-        floor = -bound
         chords = _chords(self.pos)
         for tx in self.table:
             if isinstance(tx.pattern, AperturePattern):
-                self._beam_bounds(tx, chords, bound, floor)
+                self._beam_bounds(tx, chords)
         sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
         if sites:
-            self._sector_bounds(sites, chords, bound, floor)
-        return bound, floor
+            self._sector_bounds(sites, chords)
 
-    def _sector_bounds(self, sites, chords, bound, floor) -> None:
+    def _sector_bounds(self, sites, chords) -> None:
         """Write the sites' sector rows of `bound` and `floor`.
 
         A sector's bound is tx + peak - a_h(delta) - PL + g_rx and its
@@ -271,10 +266,10 @@ class _TrackPower:
         los = self.threshold[rows] < p_los[:, :, None]
         pl = np.where(los, pl_los[:, :, None], pl_nlos[:, :, None])
         top = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + cfg.ue.antenna_gain_dbi)[..., None]
-        bound[rows] = top - a_h[0] - pl[0] + _BOUND_SLACK_DB
-        floor[rows] = top - a_h[1] - pl[1] - _BOUND_SLACK_DB
+        self.bound[rows] = top - a_h[0] - pl[0] + _BOUND_SLACK_DB
+        self.floor[rows] = top - a_h[1] - pl[1] - _BOUND_SLACK_DB
 
-    def _beam_bounds(self, tx, chords, bound, floor) -> None:
+    def _beam_bounds(self, tx, chords) -> None:
         """Write the rows of `bound` and `floor` of a platform's beams that
         point at nadir, from each segment's radial range about the nadir
         point: a beam's off-axis angle atan2(r, H - h_ue) and its slant
@@ -321,8 +316,8 @@ class _TrackPower:
         least = np.where(nlos, clutter.min(axis=0), np.minimum(clutter.min(axis=0), 0.0))
         most = np.where(nlos, clutter.max(axis=0), np.maximum(clutter.max(axis=0), 0.0))
         top = (self.tx_power_dbm[rows] + cfg.ue.antenna_gain_dbi)[:, None]
-        bound[rows] = top + gain[0] - pl[0] - np.where(los, 0.0, least) + _BOUND_SLACK_DB
-        floor[rows] = top + gain[1] - pl[1] - np.where(los, 0.0, most) - _BOUND_SLACK_DB
+        self.bound[rows] = top + gain[0] - pl[0] - np.where(los, 0.0, least) + _BOUND_SLACK_DB
+        self.floor[rows] = top + gain[1] - pl[1] - np.where(los, 0.0, most) - _BOUND_SLACK_DB
 
 
 def _wrapped(deg: np.ndarray) -> np.ndarray:
@@ -334,23 +329,17 @@ def _chords(pos_xyz: np.ndarray):
     """(a, ab, inv_ab2, e) of the segments of `SEGMENT_SAMPLES` samples:
     each one's chord, from its first sample to its last, as its start and
     its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a chord of one
-    point, or one so short that this would overflow), and the farthest any
-    of its samples strays from it (zero on a straight track, up to
-    rounding) plus `_DISTANCE_MARGIN_M`."""
-    n_t = pos_xyz.shape[0]
-    n_seg = -(-n_t // SEGMENT_SAMPLES)
-    # x and y by segment, the last segment padded with the last sample
-    q = np.empty((2, n_seg * SEGMENT_SAMPLES))
-    q[:, :n_t] = pos_xyz[:, :2].T
-    q[:, n_t:] = pos_xyz[-1, :2, None]
-    q = q.reshape(2, n_seg, SEGMENT_SAMPLES)
-    a = q[..., 0].copy()
-    ab = q[..., -1] - a
+    point, or one so short that this would overflow), and
+    `_DISTANCE_MARGIN_M`, which bounds how far a sample strays from its
+    chord: a track is a line, whose samples lie on its chords up to
+    rounding."""
+    starts = np.arange(0, pos_xyz.shape[0], SEGMENT_SAMPLES)
+    ends = np.minimum(starts + SEGMENT_SAMPLES, pos_xyz.shape[0]) - 1
+    a = pos_xyz[starts, :2].T
+    ab = pos_xyz[ends, :2].T - a
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
     inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
-    q -= a[..., None]
-    stray = _chord_distance(q, ab[..., None], inv[:, None]).max(axis=1)
-    return a, ab, inv, stray + _DISTANCE_MARGIN_M
+    return a, ab, inv, _DISTANCE_MARGIN_M
 
 
 def _reach(origins_xy: np.ndarray, chords):
@@ -358,7 +347,7 @@ def _reach(origins_xy: np.ndarray, chords):
     each chord's start seen from each origin (2, k, segments), and bounds
     on the distance from each origin to every sample of each segment (k,
     segments): the chord's least distance less e and its farther end's
-    distance plus e."""
+    distance plus e, where every sample lies within e of its chord."""
     a, ab, inv_ab2, e = chords
     to_a = a[:, None] - origins_xy.T[..., None]
     least = _chord_distance(-to_a, ab[:, None], inv_ab2) - e
@@ -397,11 +386,13 @@ def _track_rx_power_dbm(
     All draws are made before any budget, so what is evaluated changes no
     draw.
 
-    The shadowed signal evaluates every transmitter on the whole track and
-    keeps no bounds: shadow swings have none, so no segment is quiet and
-    the loop's pulls find nothing left to evaluate. On the long-term signal
-    each cell is bounded from above and below on each segment
-    (`_TrackPower.bounds`), and nothing is evaluated up front.
+    Nothing is evaluated up front. On the long-term signal each cell is
+    bounded from above and below on each segment (`_TrackPower.bounds`).
+    The shadowed signal keeps no bounds, as shadow swings have none: its
+    ceilings stay +inf, so the loop's first pull (`_track_events`) reaches
+    every level, +inf included, and evaluates every transmitter on the
+    whole track; no segment is quiet, and later pulls find nothing left to
+    evaluate.
     """
     cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
@@ -414,7 +405,7 @@ def _track_rx_power_dbm(
     network._draw_links(rng, threshold, unit)
     track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
     if unit is None:
-        track.bound, track.floor = track.bounds()
+        track.bounds()
         return track
     from scipy.signal import lfilter  # costly import, needed here only
 
@@ -422,9 +413,6 @@ def _track_rx_power_dbm(
     unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
     for row in unit:
         row[:] = lfilter([1.0], [1.0, -rho], row)
-    whole = np.ones(track.starts.size, dtype=bool)
-    for i in range(len(table)):
-        track.evaluate(i, whole)
     return track
 
 
@@ -468,9 +456,10 @@ def _track_events(
 
     The A3 rule reads the serving cell and the strongest other cell. The
     first serving cell is the strongest at the first sample, found after
-    pulling every cell whose bound reaches the greatest floor there; each
-    trigger search then evaluates what it reads (`_a3_trigger`), and finds
-    the sample and cell that a full evaluation would."""
+    pulling every cell whose bound reaches the greatest floor there (on the
+    shadowed signal, every cell on the whole track); each trigger search
+    then evaluates what it reads (`_a3_trigger`), and finds the sample and
+    cell that a full evaluation would."""
     m = scenario.cfg.mobility
     outbound, index = track
     u = index + m.n_inbound if outbound else index  # user id in the output
@@ -537,15 +526,17 @@ def run_mobility(
     Returns every cross-layer handover event; intra-layer handovers update
     the serving cell silently. `a3_offset_db` overrides the config offset so
     hysteresis sweeps can reuse one config (and one seed: trajectories and
-    channels are identical across offsets); a non-finite override raises
-    ValueError before any track.
+    channels are identical across offsets). A non-finite override, or a
+    str, bytes or bool one, which `float` would read as a number, raises
+    ValueError before any track, as the config key rejects them.
     """
     engine._require_integer("seed", seed, 0)
     m = cfg.mobility
     scenario = build_combined_scenario(cfg)
-    offset = m.a3_offset_db if a3_offset_db is None else float(a3_offset_db)
-    if not math.isfinite(offset):
-        raise ValueError(f"a3_offset_db must be finite, got {offset!r}")
+    offset = m.a3_offset_db if a3_offset_db is None else a3_offset_db
+    if isinstance(offset, (str, bytes, bool, np.bool_)) or not math.isfinite(offset):
+        raise ValueError(f"a3_offset_db must be a finite number, got {offset!r}")
+    offset = float(offset)
     tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
     worker = functools.partial(_track_events, scenario, seed, offset)
     per_track = engine._map_ordered(worker, tracks, threads)

@@ -214,7 +214,9 @@ def test_run_mobility_offset_override_recorded():
     assert run_mobility(cfg, seed=1, a3_offset_db=6.0).a3_offset_db == 6.0
 
 
-@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+# a str, bytes or bool that `float` would read as 3, 2 or 1 dB is no
+# offset, as the config key `mobility.a3_offset_db` rejects it
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf, "3", b"2", True, np.True_])
 def test_run_mobility_rejects_a_non_finite_offset_before_any_track(
     offset, monkeypatch
 ):
@@ -223,7 +225,7 @@ def test_run_mobility_rejects_a_non_finite_offset_before_any_track(
 
     monkeypatch.setattr(mobility, "_track_events", no_tracks)
     cfg = _cfg(n_inbound=1, n_outbound=1, sim_duration_s=60.0)
-    with pytest.raises(ValueError, match="a3_offset_db must be finite"):
+    with pytest.raises(ValueError, match="a3_offset_db must be a finite number"):
         run_mobility(cfg, seed=1, a3_offset_db=offset)
 
 
@@ -381,18 +383,26 @@ def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
         want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
         assert power.rx.shape == (37, n_t)
         assert core_rng.random() == rng.random()  # same number of draws
-        # the shadowed signal holds every cell on the whole track; the
-        # long-term signal's cells wait for the A3 loop
-        evaluated = power.rx > -np.inf
-        assert evaluated.all() == shadowed
-        assert evaluated.any() == shadowed
-        assert np.array_equal(power.rx[evaluated], want[evaluated])
-        # the cells evaluated later, on scattered segments, then on the
-        # rest, gathered or in place, keep the bits of the whole track
-        every_other = np.arange(power.starts.size) % 2 == 0
-        for i in range(len(power.table)):
-            power.evaluate(i, every_other)
-            power.evaluate(i, np.ones_like(every_other))
+        # neither signal evaluates a cell up front: they wait for the A3 loop
+        assert not power.evaluated.any()
+        assert np.isneginf(power.rx).all()
+        if shadowed:
+            # with every ceiling +inf, the loop's first pull evaluates
+            # every cell on the whole track
+            first = np.full(power.starts.size, np.inf)
+            first[0] = power.floor[:, 0].max()
+            power.pull(first)
+            assert power.evaluated.all()
+        else:
+            # a middle segment, then the first and the last: their span
+            # evaluates the middle segment again, and keeps its bits
+            middle, ends = np.zeros((2, power.starts.size), dtype=bool)
+            middle[power.starts.size // 2] = ends[[0, -1]] = True
+            for i in range(len(power.table)):
+                power.evaluate(i, middle)
+                assert np.array_equal(power.evaluated[i], middle)
+                power.evaluate(i, ends)
+                assert power.evaluated[i].all()
         assert np.array_equal(power.rx, want)
 
 
@@ -428,8 +438,8 @@ def _full_rx(power):
 
 
 def _weaving_track(draw, a, b):
-    """(T, 2) samples of a track of up to four segments from a to b,
-    straight or weaving off its chord."""
+    """(xy, weaves): (T, 2) samples of a track of up to four segments from
+    a to b, straight or weaving off its chord, and whether it weaves."""
     n_t = draw(st.integers(1, 4 * mobility.SEGMENT_SAMPLES))
     t = np.linspace(0.0, 1.0, n_t)[:, None]
     xy = (1.0 - t) * a + t * b
@@ -437,7 +447,56 @@ def _weaving_track(draw, a, b):
     bend = draw(st.sampled_from([0.0, 8.0, 400.0]) | st.floats(0.0, 400.0))
     turns, way = draw(st.floats(0.0, 12.0)), np.radians(draw(st.floats(0.0, 180.0)))
     xy += bend * np.sin(2.0 * np.pi * turns * t) * np.array([np.cos(way), np.sin(way)])
-    return xy
+    return xy, bend > 0.0
+
+
+def _segment_strays(pos_xyz):
+    """(a, ab, stray): each segment's chord, from its first sample to its
+    last, as its start and its extent (2, segments) in x and y, and the
+    farthest any of its samples lies from it, one segment at a time. A
+    chord too short for 1 / |ab|^2 to be finite counts as a point."""
+    a, ab, stray = [], [], []
+    for lo in range(0, len(pos_xyz), mobility.SEGMENT_SAMPLES):
+        xy = pos_xyz[lo : lo + mobility.SEGMENT_SAMPLES, :2]
+        d, chord = xy - xy[0], xy[-1] - xy[0]
+        ab2 = chord @ chord
+        t = np.clip(d @ chord / ab2, 0.0, 1.0) if ab2 > np.finfo(float).tiny else 0.0
+        stray.append(np.hypot(*(d - np.multiply.outer(t, chord)).T).max())
+        a.append(xy[0])
+        ab.append(chord)
+    return np.array(a).T, np.array(ab).T, np.array(stray)
+
+
+def _reference_chords(pos_xyz):
+    """`mobility._chords` for a track that need not be a line: e is each
+    segment's measured stray plus the margin."""
+    a, ab, stray = _segment_strays(pos_xyz)
+    ab2 = ab[0] * ab[0] + ab[1] * ab[1]
+    inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
+    return a, ab, inv, stray + mobility._DISTANCE_MARGIN_M
+
+
+def test_default_tracks_lie_on_their_chords():
+    # `_chords` bounds how far a sample strays from its segment's chord by
+    # the margin alone, because a track is a line: on default tracks of
+    # both directions, each cut partway through its last segment, every
+    # sample lies on its chord up to rounding (3.5e-12 m at most over the
+    # 240 tracks at seed 1). A track model that is no line fails here.
+    scenario = _scenario()
+    positions, track_power = [], mobility._track_rx_power_dbm
+
+    def kept(scenario, pos_xyz, *args):
+        positions.append(pos_xyz)
+        return track_power(scenario, pos_xyz, *args)
+
+    with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
+        for track in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            _track_events(scenario, 1, 3.0, track)
+    assert all(len(pos) % mobility.SEGMENT_SAMPLES for pos in positions)
+    for pos in positions:
+        a, ab, stray = _segment_strays(pos)
+        assert stray.max() <= 1e-6
+        assert np.array_equal(mobility._chords(pos)[:2], (a, ab))
 
 
 def _polar(r, az_deg):
@@ -446,7 +505,7 @@ def _polar(r, az_deg):
 
 @st.composite
 def _chords_near_a_site(draw):
-    """(scenario, xy): a track near one macro site, the chord passing
+    """(scenario, xy, weaves): a track near one macro site, the chord passing
     through the mast, mirrored across one of the site's boresights, or
     anywhere, from the mast on. The sector pattern's vertical sidelobe
     limit is the default or 0 (no vertical attenuation: near the mast only
@@ -464,17 +523,21 @@ def _chords_near_a_site(draw):
     else:
         az_b, r_b = draw(st.floats(-180.0, 180.0)), draw(r)
     a = tx.position[:2] + _polar(draw(r), az_a)
-    return scenario, _weaving_track(draw, a, tx.position[:2] + _polar(r_b, az_b))
+    return scenario, *_weaving_track(draw, a, tx.position[:2] + _polar(r_b, az_b))
 
 
-def _bounds_of_a_track(scenario, xy, key):
+def _bounds_of_a_track(scenario, xy, weaves, key):
     """(bound, floor, full) of a long-term track through xy: its cells'
-    bounds and floors per segment, and every cell's power on every sample."""
+    bounds and floors per segment, and every cell's power on every sample.
+    A weaving track is bounded from `_reference_chords`, a straight one
+    from `mobility._chords`."""
     pos_xyz = np.column_stack([xy, np.full(len(xy), scenario.cfg.ue.height_m)])
-    power = _track_rx_power_dbm(
-        scenario, pos_xyz, engine.derive_rng(6, engine._MOBILITY, key), 0.9, False
-    )
-    bound, floor = power.bounds()
+    chords = _reference_chords if weaves else mobility._chords
+    with mock.patch.object(mobility, "_chords", chords):
+        power = _track_rx_power_dbm(
+            scenario, pos_xyz, engine.derive_rng(6, engine._MOBILITY, key), 0.9, False
+        )
+    bound, floor = power.bound, power.floor
     full = _full_rx(power)
     assert bound.shape == floor.shape == (37, power.starts.size)
     assert np.all(np.maximum.reduceat(full, power.starts, axis=1) <= bound)
@@ -532,7 +595,7 @@ def _variant(name):
 
 @st.composite
 def _chords_over_the_area(draw):
-    """(scenario, xy): a track in one of `_VARIANTS`, its chord passing
+    """(scenario, xy, weaves): a track in one of `_VARIANTS`, its chord passing
     under the platform or through a macro mast, or running anywhere within
     26 km of the center, where the platform's first sidelobe peaks near
     24 km from nadir. A chord may be a point, or too short for 1 / |ab|^2
@@ -547,7 +610,7 @@ def _chords_over_the_area(draw):
         site = draw(st.integers(1, 12)) if kind == "through a mast" else 0
         center = scenario.transmitters[site].position[:2]
         a, b = center + _polar(draw(r), az), center + _polar(draw(r), az + 180.0)
-    return scenario, _weaving_track(draw, a, b)
+    return scenario, *_weaving_track(draw, a, b)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -652,10 +715,8 @@ def test_tightest_bounds_hand_over_as_a_full_evaluation(offset_db):
     # evaluation
     def tightest(power):
         full = _full_rx(power)
-        return (
-            np.maximum.reduceat(full, power.starts, axis=1),
-            np.minimum.reduceat(full, power.starts, axis=1),
-        )
+        power.bound[:] = np.maximum.reduceat(full, power.starts, axis=1)
+        power.floor[:] = np.minimum.reduceat(full, power.starts, axis=1)
 
     scenario = _scenario()
     with mock.patch.object(mobility._TrackPower, "bounds", tightest):
@@ -768,7 +829,7 @@ def test_track_rx_power_live_memory(shadowed, bound):
     def track():
         rng = engine.derive_rng(1, engine._MOBILITY, 0)
         power = _track_rx_power_dbm(scenario, pos_xyz, rng, 0.97, shadowed)
-        for i in range(len(power.table)):  # the long-term signal evaluates as pulled
+        for i in range(len(power.table)):  # neither signal evaluates up front
             power.evaluate(i, np.ones(power.starts.size, dtype=bool))
         return power.rx
 
