@@ -52,6 +52,9 @@ _BOUND_SLACK_DB = 1e-6
 # Every Airy sidelobe lies at least this far below the peak: the first, the
 # highest, is 17.57 dB down.
 _SIDELOBE_DB = 17.5
+# Tracks run in blocks of this many consecutive track keys (`_track_block`),
+# whatever the worker count.
+TRACK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,12 @@ def _first_sustained(cond: np.ndarray, k: int) -> int:
 
 
 class _TrackPower:
-    """Received DL power tx - coupling, `rx` (n_cells, T) in C order: one
-    contiguous row of samples per cell, so a transmitter writes whole rows
-    and the A3 loop reads them. A cell is -inf on the segments of
-    `SEGMENT_SAMPLES` samples where its transmitter is not evaluated.
+    """Received DL power tx - coupling, `rx` (n_cells, T): one contiguous
+    row of samples per cell, so a transmitter writes whole rows and the A3
+    loop reads them. A cell is -inf on the segments of `SEGMENT_SAMPLES` samples
+    where its transmitter is not evaluated. Track i of a `_TrackBlock`
+    takes the block's table, the first T samples of its `rx` buffer, and
+    its own columns of the block's `bound` and `floor`.
 
     `evaluated` (table entries, segments) records where each transmitter's
     cells hold their budgets. Every evaluated entry has the bits of a full
@@ -119,20 +124,26 @@ class _TrackPower:
     at the one A3 offset a track's loop runs at.
     """
 
-    def __init__(self, scenario: Scenario, table, pos_xyz, threshold, unit):
-        self.cfg, self.tx_power_dbm = scenario.cfg, scenario.tx_power_dbm
-        self.table, self.pos, self.threshold, self.unit = table, pos_xyz, threshold, unit
-        n_t = pos_xyz.shape[0]
-        self.starts = np.arange(0, n_t, SEGMENT_SAMPLES)
-        self.rx = np.full((scenario.n_cells, n_t), -np.inf)
-        self.tx_of_cell = np.empty(scenario.n_cells, dtype=np.int64)
-        for i, tx in enumerate(table):
-            self.tx_of_cell[tx.rows] = i
-        self.evaluated = np.zeros((len(table), self.starts.size), dtype=bool)
-        self.bound = np.full((scenario.n_cells, self.starts.size), np.inf)
-        self.floor = -self.bound
+    def __init__(self, block: _TrackBlock, i: int, pos_xyz, threshold, unit):
+        self.cfg, self.tx_power_dbm = block.cfg, block.tx_power_dbm
+        self.table, self.tx_of_cell = block.table, block.tx_of_cell
+        self.pos, self.threshold, self.unit = pos_xyz, threshold, unit
+        self.starts = np.arange(0, pos_xyz.shape[0], SEGMENT_SAMPLES)
+        self.rx = block.rx[:, : pos_xyz.shape[0]]
+        columns = slice(block.first[i], block.first[i + 1])
+        self.bound, self.floor = block.bound[:, columns], block.floor[:, columns]
+        self.evaluated = np.zeros((len(self.table), self.starts.size), dtype=bool)
         self.scanned = np.zeros_like(self.bound, dtype=bool)
         self.runs: dict[int, list[tuple[int, int]]] = {}
+
+    def clear(self) -> None:
+        """Put `rx` back to -inf for the block's next track, on each
+        transmitter's cells from its first evaluated segment to its last."""
+        for tx, segments in zip(self.table, self.evaluated):
+            hit = segments.nonzero()[0]
+            if hit.size:
+                span = slice(hit[0] * SEGMENT_SAMPLES, (hit[-1] + 1) * SEGMENT_SAMPLES)
+                self.rx[tx.rows, span] = -np.inf
 
     def evaluate(self, i: int, segments: np.ndarray) -> None:
         """Write table entry i's cells into `rx`, as a budget group of one,
@@ -156,7 +167,11 @@ class _TrackPower:
     def pull(self, level: np.ndarray) -> None:
         """Evaluate each transmitter on the segments where the bound of one
         of its cells reaches that segment's `level`: every cell left at -inf
-        there lies strictly below the level on each of its samples."""
+        there lies strictly below the level on each of its samples. Once
+        every transmitter is evaluated everywhere, as the shadowed signal's
+        first pull leaves them, there is nothing to pull."""
+        if self.evaluated.all():
+            return
         reach = self.bound >= level
         for i in np.unique(self.tx_of_cell[reach.any(axis=1)]).tolist():
             self.evaluate(i, reach[self.table[i].rows].any(axis=0))
@@ -200,25 +215,54 @@ class _TrackPower:
         rival = self.rx[:serving, lo:hi].max(axis=0, initial=-np.inf)
         return np.maximum(rival, self.rx[serving + 1 :, lo:hi].max(axis=0, initial=-np.inf))
 
-    def bounds(self) -> None:
-        """Write into `bound` and `floor` the greatest and least received
-        power each macro sector and each platform beam pointing at nadir
-        can take on each segment; other beams keep +inf and -inf. Both come
-        from the segments' chords (`_chords`): a track is a line, so every
-        sample lies within e, `_DISTANCE_MARGIN_M`, of its segment's chord,
-        and its distance from a transmitter lies between the chord's least
-        distance less e and its farther end's distance plus e (`_reach`).
-        Both widen by `_BOUND_SLACK_DB`, and hold no shadowing: only the
-        long-term signal is bounded."""
-        chords = _chords(self.pos)
-        for tx in self.table:
-            if isinstance(tx.pattern, AperturePattern):
-                self._beam_bounds(tx, chords)
-        sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
-        if sites:
-            self._sector_bounds(sites, chords)
 
-    def _sector_bounds(self, sites, chords) -> None:
+class _TrackBlock:
+    """What consecutive tracks of `n_t` samples each share: the serving
+    `table` (each transmitter with its serving rows only, 0 to n_cells - 1:
+    the A3 rule compares no other) and each cell's entry in it,
+    `tx_of_cell`; one `rx` buffer at -inf, as long as the longest track,
+    that each track in turn takes and clears (`_TrackPower.clear`); and
+    `bound` and `floor` (cells, segments of every track in order), track
+    i's on columns `first[i]` to `first[i + 1]`, +inf and -inf.
+
+    Given each track's `chords` (`_chords`) and LOS `thresholds` (n_cells,
+    1), `bound` and `floor` take the greatest and least received power each
+    macro sector and each platform beam pointing at nadir can take on each
+    segment; other beams keep +inf and -inf. A track is a line, so every
+    sample lies within e, `_DISTANCE_MARGIN_M`, of its segment's chord, and
+    its distance from a transmitter lies between the chord's least distance
+    less e and its farther end's distance plus e (`_reach`). Both widen by
+    `_BOUND_SLACK_DB`, and hold no shadowing: only the long-term signal is
+    bounded. Every track's segments are bounded in one pass, each against
+    its own track's thresholds: the bounds are elementwise over segments,
+    so each track gets the bits it would get alone."""
+
+    def __init__(self, scenario: Scenario, n_t: list[int], chords: list, thresholds: list | None):
+        self.cfg, self.tx_power_dbm = scenario.cfg, scenario.tx_power_dbm
+        n_c = scenario.n_cells
+        self.table = [
+            tx._replace(pointing=tx.pointing[tx.rows < n_c], rows=tx.rows[tx.rows < n_c])
+            for tx in scenario.transmitters
+        ]
+        self.tx_of_cell = np.empty(n_c, dtype=np.int64)
+        for i, tx in enumerate(self.table):
+            self.tx_of_cell[tx.rows] = i
+        segments = [-(-n // SEGMENT_SAMPLES) for n in n_t]
+        self.first = np.cumsum([0, *segments]).tolist()
+        self.bound = np.full((n_c, self.first[-1]), np.inf)
+        self.floor = -self.bound
+        if thresholds is not None:
+            chords = [np.concatenate(part, axis=-1) for part in zip(*chords)]  # track by track
+            threshold = np.repeat(np.hstack(thresholds), segments, axis=1)
+            for tx in self.table:
+                if isinstance(tx.pattern, AperturePattern):
+                    self._beam_bounds(tx, chords, threshold)
+            sites = [tx for tx in self.table if not isinstance(tx.pattern, AperturePattern)]
+            if sites:
+                self._sector_bounds(sites, chords, threshold)
+        self.rx = np.full((n_c, max(n_t)), -np.inf)  # after the bounds' temporaries
+
+    def _sector_bounds(self, sites, chords, threshold) -> None:
         """Write the sites' sector rows of `bound` and `floor`.
 
         A sector's bound is tx + peak - a_h(delta) - PL + g_rx and its
@@ -263,13 +307,13 @@ class _TrackPower:
             cfg.channel.rma,
         )
         rows = np.array([tx.rows for tx in sites])
-        los = self.threshold[rows] < p_los[:, :, None]
+        los = threshold[rows] < p_los[:, :, None]
         pl = np.where(los, pl_los[:, :, None], pl_nlos[:, :, None])
         top = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + cfg.ue.antenna_gain_dbi)[..., None]
         self.bound[rows] = top - a_h[0] - pl[0] + _BOUND_SLACK_DB
         self.floor[rows] = top - a_h[1] - pl[1] - _BOUND_SLACK_DB
 
-    def _beam_bounds(self, tx, chords) -> None:
+    def _beam_bounds(self, tx, chords, threshold) -> None:
         """Write the rows of `bound` and `floor` of a platform's beams that
         point at nadir, from each segment's radial range about the nadir
         point: a beam's off-axis angle atan2(r, H - h_ue) and its slant
@@ -310,7 +354,7 @@ class _TrackPower:
             p = ntn.p_los(elevation)
             p_least = np.minimum(p.min(axis=0), np.where(inside, knots[1], 1.0).min(axis=0))
             p_most = np.maximum(p.max(axis=0), np.where(inside, knots[1], 0.0).max(axis=0))
-        threshold = self.threshold[rows]  # (beams, 1)
+        threshold = threshold[rows]  # (beams, segments)
         los, nlos = threshold < p_least, threshold >= p_most  # surely, on every sample
         clutter = ntn.clutter_db(elevation)
         least = np.where(nlos, clutter.min(axis=0), np.minimum(clutter.min(axis=0), 0.0))
@@ -329,7 +373,7 @@ def _chords(pos_xyz: np.ndarray):
     """(a, ab, inv_ab2, e) of the segments of `SEGMENT_SAMPLES` samples:
     each one's chord, from its first sample to its last, as its start and
     its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a chord of one
-    point, or one so short that this would overflow), and
+    point, or one so short that this would overflow), and e (segments),
     `_DISTANCE_MARGIN_M`, which bounds how far a sample strays from its
     chord: a track is a line, whose samples lie on its chords up to
     rounding."""
@@ -339,7 +383,7 @@ def _chords(pos_xyz: np.ndarray):
     ab = pos_xyz[ends, :2].T - a
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
     inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
-    return a, ab, inv, _DISTANCE_MARGIN_M
+    return a, ab, inv, np.full(starts.size, _DISTANCE_MARGIN_M)
 
 
 def _reach(origins_xy: np.ndarray, chords):
@@ -374,6 +418,8 @@ def _track_rx_power_dbm(
     rng: np.random.Generator,
     rho: float,
     shadowed: bool,
+    block: _TrackBlock | None = None,
+    i: int = 0,
 ) -> _TrackPower:
     """Received DL power tx - coupling, (n_cells, T), along one track: each
     transmitter where the A3 loop pulls it (`_TrackPower.rival`).
@@ -386,26 +432,24 @@ def _track_rx_power_dbm(
     All draws are made before any budget, so what is evaluated changes no
     draw.
 
-    Nothing is evaluated up front. On the long-term signal each cell is
-    bounded from above and below on each segment (`_TrackPower.bounds`).
-    The shadowed signal keeps no bounds, as shadow swings have none: its
-    ceilings stay +inf, so the loop's first pull (`_track_events`) reaches
+    The track is track i of `block`, built for it, or else a block of its
+    own. Nothing is evaluated up front. On the long-term signal each cell
+    is bounded from above and below on each segment (`_TrackBlock`). The
+    shadowed signal keeps no bounds, as shadow swings have none: its
+    ceilings stay +inf, so the loop's first pull (`_a3_events`) reaches
     every level, +inf included, and evaluates every transmitter on the
     whole track; no segment is quiet, and later pulls find nothing left to
     evaluate.
     """
-    cfg = scenario.cfg
     n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
-    table = [
-        tx._replace(pointing=tx.pointing[tx.rows < n_c], rows=tx.rows[tx.rows < n_c])
-        for tx in scenario.transmitters
-    ]
     threshold = np.empty((n_c, 1))
-    unit = np.empty((n_c, n_t)) if shadowed and cfg.channel.shadowing else None
+    unit = np.empty((n_c, n_t)) if shadowed and scenario.cfg.channel.shadowing else None
     network._draw_links(rng, threshold, unit)
-    track = _TrackPower(scenario, table, pos_xyz, threshold, unit)
+    if block is None:
+        thresholds = [threshold] if unit is None else None  # the long-term signal's
+        block = _TrackBlock(scenario, [n_t], [_chords(pos_xyz)], thresholds)
+    track = _TrackPower(block, i, pos_xyz, threshold, unit)
     if unit is None:
-        track.bounds()
         return track
     from scipy.signal import lfilter  # costly import, needed here only
 
@@ -446,27 +490,27 @@ def _a3_trigger(
     return -1, -1
 
 
-def _track_events(
-    scenario: Scenario, seed: int, offset_db: float, track: tuple[int, int]
-) -> list[HandoverEvent]:
-    """Cross-layer handovers along one track, keyed (direction, index):
+def _positions(cfg: ScenarioConfig, line, times: np.ndarray) -> np.ndarray:
+    """(T, 3) positions at `times` on a line (x0, y0, cos, sin): from (x0,
+    y0) at the mobility speed along (cos, sin), at UE height. Each sample
+    is elementwise in its time, so a track rebuilt later has the same bits."""
+    x0, y0, cos_h, sin_h = line
+    pos = np.empty((times.size, 3))
+    pos[:, 0] = x0 + cfg.mobility.speed_mps * times * cos_h
+    pos[:, 1] = y0 + cfg.mobility.speed_mps * times * sin_h
+    pos[:, 2] = cfg.ue.height_m
+    return pos
+
+
+def _track_line(scenario: Scenario, seed: int, key: tuple[int, int], times, ring_m: float):
+    """(user, rng, line, pos) of one track, keyed (direction, index):
     direction 0 is the index-th inbound track, 1 the index-th outbound. The
     key, not the track's position among all tracks, picks its stream, so
-    adding tracks of one direction leaves the other direction's alone.
-
-    The A3 rule reads the serving cell and the strongest other cell. The
-    first serving cell is the strongest at the first sample, found after
-    pulling every cell whose bound reaches the greatest floor there (on the
-    shadowed signal, every cell on the whole track); each trigger search
-    then evaluates what it reads (`_a3_trigger`), and finds the sample and
-    cell that a full evaluation would."""
+    adding tracks of one direction leaves the other direction's alone. The
+    stream draws the track's line (`_positions`) first; `pos` ends where
+    the track parks, and `rng` is left for the track's link draws."""
     m = scenario.cfg.mobility
-    outbound, index = track
-    u = index + m.n_inbound if outbound else index  # user id in the output
-    tn = scenario.cfg.terrestrial
-    ring_m = geometry.ring_radius_for_isd(tn.isd_m, tn.n_sites)
-    period = m.measurement_period_s
-    times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
+    outbound, index = key
     rng = derive_rng(seed, _MOBILITY, outbound, index)
     phi = rng.uniform(0.0, 2.0 * math.pi)
     if not outbound:
@@ -475,44 +519,103 @@ def _track_events(
     else:
         r0 = m.hibs_spawn_radius_m * math.sqrt(rng.uniform())
         heading = phi  # radially outward
-    pos = np.empty((times.size, 3))
-    pos[:, 0] = r0 * math.cos(phi) + m.speed_mps * times * math.cos(heading)
-    pos[:, 1] = r0 * math.sin(phi) + m.speed_mps * times * math.sin(heading)
-    pos[:, 2] = scenario.cfg.ue.height_m
+    line = (r0 * math.cos(phi), r0 * math.sin(phi), math.cos(heading), math.sin(heading))
+    pos = _positions(scenario.cfg, line, times)
     r_t = np.hypot(pos[:, 0], pos[:, 1])
     arrived = np.flatnonzero(
         r_t > ring_m + m.outbound_stop_margin_m
         if outbound
         else r_t < CENTER_PARK_RADIUS_M
     )
-    if arrived.size:
-        pos = pos[: arrived[0] + 1]
-    rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
-    shadowed = m.decision_signal == "shadowed"
-    track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed)
-    # the first serving cell: the strongest at the first sample, once every
-    # cell whose bound reaches the greatest floor there is evaluated
+    user = index + m.n_inbound if outbound else index  # user id in the output
+    return user, rng, line, pos[: arrived[0] + 1] if arrived.size else pos
+
+
+def _a3_events(
+    track: _TrackPower, user: int, times, offset_db: float, k: int, is_hibs
+) -> list[HandoverEvent]:
+    """Cross-layer handovers of `user` along a built track.
+
+    The A3 rule reads the serving cell and the strongest other cell. The
+    first serving cell is the strongest at the first sample, found after
+    pulling every cell whose bound reaches the greatest floor there (on the
+    shadowed signal, every cell on the whole track); each trigger search
+    then evaluates what it reads (`_a3_trigger`), and finds the sample and
+    cell that a full evaluation would."""
     first = np.full(track.starts.size, np.inf)
     first[0] = track.floor[:, 0].max()
     track.pull(first)
     serving = int(np.argmax(track.rx[:, 0]))
-    k_need = _consecutive_needed(m.time_to_trigger_s, period)
-    is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
     start, width = 1, SEGMENT_SAMPLES
-    while start < pos.shape[0]:
-        t_idx, new = _a3_trigger(track, serving, start, offset_db, k_need, width)
+    while start < track.pos.shape[0]:
+        t_idx, new = _a3_trigger(track, serving, start, offset_db, k, width)
         if t_idx < 0:
             break
         if is_hibs[new] != is_hibs[serving]:
             direction = TN_TO_HIBS if is_hibs[new] else HIBS_TO_TN
-            x_m, y_m = float(pos[t_idx, 0]), float(pos[t_idx, 1])
+            x_m, y_m = float(track.pos[t_idx, 0]), float(track.pos[t_idx, 1])
             events.append(
-                HandoverEvent(float(times[t_idx]), u, serving, new, x_m, y_m, direction)
+                HandoverEvent(float(times[t_idx]), user, serving, new, x_m, y_m, direction)
             )
         # the next search opens with a window as long as this one took
         serving, start, width = new, t_idx + 1, min(t_idx - start + 1, SEGMENT_SAMPLES)
     return events
+
+
+def _track_block(
+    scenario: Scenario, seed: int, offset_db: float, keys: list[tuple[int, int]]
+) -> list[HandoverEvent]:
+    """Cross-layer handovers along consecutive tracks (`_track_line`), in
+    key order; each track gets the events it gets alone.
+
+    The block builds its tracks' lines first and, on the long-term signal,
+    bounds all of them in one pass (`_TrackBlock`). The bounds need each
+    track's chords and LOS thresholds: the thresholds are read ahead and
+    the stream put back, so each track makes all its draws, in stream
+    order, in its turn. Then each track in turn rebuilds its positions,
+    draws (`_track_rx_power_dbm`: a shadowed track holds its innovations
+    while it runs only) and runs its A3 loop (`_a3_events`) in the block's
+    `rx` buffer."""
+    cfg, m = scenario.cfg, scenario.cfg.mobility
+    ring_m = geometry.ring_radius_for_isd(cfg.terrestrial.isd_m, cfg.terrestrial.n_sites)
+    period = m.measurement_period_s
+    times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
+    shadowed = m.decision_signal == "shadowed"
+    bounded = not (shadowed and cfg.channel.shadowing)
+    lines, chords, thresholds = [], [], []
+    for key in keys:
+        user, rng, line, pos = _track_line(scenario, seed, key, times, ring_m)
+        lines.append((user, rng, line, pos.shape[0]))
+        if bounded:
+            chords.append(_chords(pos))
+            thresholds.append(np.empty((scenario.n_cells, 1)))
+            state = rng.bit_generator.state
+            network._draw_links(rng, thresholds[-1], None)
+            rng.bit_generator.state = state  # the track draws them in its turn
+    block = _TrackBlock(
+        scenario, [n_t for *_, n_t in lines], chords, thresholds if bounded else None
+    )
+    rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
+    k_need = _consecutive_needed(m.time_to_trigger_s, period)
+    is_hibs = scenario.ring >= 0  # cells are link-matrix rows
+    events: list[HandoverEvent] = []
+    for i, (user, rng, line, n_t) in enumerate(lines):
+        pos = _positions(cfg, line, times[:n_t])
+        track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed, block, i)
+        events += _a3_events(track, user, times, offset_db, k_need, is_hibs)
+        if i + 1 < len(lines):
+            track.clear()  # the next track starts from -inf
+            del track, pos  # and draws with none of this one's arrays alive
+    return events
+
+
+def _track_events(
+    scenario: Scenario, seed: int, offset_db: float, track: tuple[int, int]
+) -> list[HandoverEvent]:
+    """Cross-layer handovers along one track (`_track_line`): a block of
+    one (`_track_block`)."""
+    return _track_block(scenario, seed, offset_db, [track])
 
 
 def run_mobility(
@@ -538,10 +641,11 @@ def run_mobility(
         raise ValueError(f"a3_offset_db must be a finite number, got {offset!r}")
     offset = float(offset)
     tracks = [(0, i) for i in range(m.n_inbound)] + [(1, i) for i in range(m.n_outbound)]
-    worker = functools.partial(_track_events, scenario, seed, offset)
-    per_track = engine._map_ordered(worker, tracks, threads)
+    blocks = [tracks[i : i + TRACK_BLOCK] for i in range(0, len(tracks), TRACK_BLOCK)]
+    worker = functools.partial(_track_block, scenario, seed, offset)
+    per_block = engine._map_ordered(worker, blocks, threads)
     return MobilityResult(
-        events=[e for lst in per_track for e in lst],
+        events=[e for lst in per_block for e in lst],
         n_users=len(tracks),
         a3_offset_db=offset,
         sim_duration_s=m.sim_duration_s,

@@ -223,7 +223,7 @@ def test_run_mobility_rejects_a_non_finite_offset_before_any_track(
     def no_tracks(*_):
         raise AssertionError("a track ran with a non-finite offset")
 
-    monkeypatch.setattr(mobility, "_track_events", no_tracks)
+    monkeypatch.setattr(mobility, "_track_block", no_tracks)
     cfg = _cfg(n_inbound=1, n_outbound=1, sim_duration_s=60.0)
     with pytest.raises(ValueError, match="a3_offset_db must be a finite number"):
         run_mobility(cfg, seed=1, a3_offset_db=offset)
@@ -624,6 +624,57 @@ def test_segment_bounds_hold_on_random_chords(chord, key):
     bound, floor, _ = _bounds_of_a_track(*chord, key)
     assert np.isfinite(bound).all() and np.isfinite(floor).all()
 
+def test_block_bounds_equal_each_track_bounded_alone():
+    # a block bounds all its tracks' segments in one pass, each against its
+    # own track's LOS thresholds, read ahead of the track's draws: every
+    # default track of a block gets the bits it gets bounded alone
+    track_power = mobility._track_rx_power_dbm
+    for scenario in (_scenario(), _scenario(sidelobes="bessel"), _scenario(los_only=True)):
+        seen = []
+
+        def kept(scenario, pos_xyz, rng, rho, shadowed, block, i):
+            seen.append((pos_xyz, copy.deepcopy(rng), block, i))
+            return track_power(scenario, pos_xyz, rng, rho, shadowed, block, i)
+
+        keys = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+        with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
+            mobility._track_block(scenario, 1, 3.0, keys)
+        assert [i for *_, i in seen] == list(range(len(keys)))
+        assert len({id(block) for _, _, block, _ in seen}) == 1
+        for pos_xyz, rng, block, i in seen:
+            alone = track_power(scenario, pos_xyz, rng, 0.9, False)
+            columns = slice(block.first[i], block.first[i + 1])
+            assert np.isfinite(alone.bound).any()
+            assert np.array_equal(block.bound[:, columns], alone.bound)
+            assert np.array_equal(block.floor[:, columns], alone.floor)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    chords=st.lists(_chords_over_the_area(), min_size=2, max_size=4),
+    key=st.integers(0, 2**16),
+)
+def test_block_bounds_equal_each_track_bounded_alone_on_random_chords(chords, key):
+    # random chords bounded in one block, weaving ones from
+    # `_reference_chords`, get the bits each gets bounded alone; the first
+    # draw's scenario serves all, as every variant places its masts alike
+    scenario = chords[0][0]
+    n_t, stacked, thresholds, alone = [], [], [], []
+    for j, (_, xy, weaves) in enumerate(chords):
+        pos_xyz = np.column_stack([xy, np.full(len(xy), scenario.cfg.ue.height_m)])
+        chords_of = _reference_chords if weaves else mobility._chords
+        rng = engine.derive_rng(6, engine._MOBILITY, key, j)
+        with mock.patch.object(mobility, "_chords", chords_of):
+            alone.append(_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, False))
+        n_t.append(len(pos_xyz))
+        stacked.append(chords_of(pos_xyz))
+        thresholds.append(alone[-1].threshold)
+    block = mobility._TrackBlock(scenario, n_t, stacked, thresholds)
+    for i, power in enumerate(alone):
+        columns = slice(block.first[i], block.first[i + 1])
+        assert np.array_equal(block.bound[:, columns], power.bound)
+        assert np.array_equal(block.floor[:, columns], power.floor)
+
 
 def full_a3_loop(rx, offset_db, k):
     """(sample, serving cell, new cell) of each A3 handover along an
@@ -656,12 +707,12 @@ def _events_and_full_evaluation(scenario, seed, offset_db, track):
     track (`reference_track_rx_power_dbm`, `full_a3_loop`)."""
     seen = {}
 
-    def held(scenario, pos_xyz, rng, rho, shadowed):
+    def held(scenario, pos_xyz, rng, rho, shadowed, *block):
         seen["pos"] = pos_xyz
         seen["full"] = reference_track_rx_power_dbm(
             scenario, pos_xyz, copy.deepcopy(rng), rho, shadowed
         )
-        seen["power"] = _track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed)
+        seen["power"] = _track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed, *block)
         return seen["power"]
 
     with mock.patch.object(mobility, "_track_rx_power_dbm", held):
@@ -713,13 +764,16 @@ def test_tightest_bounds_hand_over_as_a_full_evaluation(offset_db):
     # segment, the tightest bounds that hold, the loop pulls no more than
     # it must, skips every segment it may, and still hands over as a full
     # evaluation
-    def tightest(power):
+    init = mobility._TrackPower.__init__
+
+    def tightest(power, *args):
+        init(power, *args)
         full = _full_rx(power)
         power.bound[:] = np.maximum.reduceat(full, power.starts, axis=1)
         power.floor[:] = np.minimum.reduceat(full, power.starts, axis=1)
 
     scenario = _scenario()
-    with mock.patch.object(mobility._TrackPower, "bounds", tightest):
+    with mock.patch.object(mobility._TrackPower, "__init__", tightest):
         for track in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             events, want, _, _ = _events_and_full_evaluation(scenario, 3, offset_db, track)
             assert events == want
@@ -764,6 +818,55 @@ def test_a3_loop_reads_the_values_of_a_full_evaluation(signal):
         assert np.array_equal(power.rx[evaluated], full[evaluated])
         assert np.isneginf(power.rx).any() == (signal == "longterm")  # pulls skip
     assert scanned > 0
+
+
+@pytest.mark.parametrize(
+    "signal, sidelobes, offset_db",
+    [
+        ("longterm", "floor", 3.0),
+        ("longterm", "floor", -2.0),
+        ("shadowed", "floor", 3.0),
+        ("longterm", "bessel", -2.0),
+    ],
+)
+def test_a_track_hands_over_alike_alone_and_in_a_block(signal, sidelobes, offset_db):
+    # every track of a block, the last one included, gets the events it
+    # gets alone, and its A3 loop starts from an `rx` buffer at -inf: no
+    # value a track before it evaluated survives the clear
+    scenario = _scenario(signal, sidelobes=sidelobes)
+    keys = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    a3_events, starts = mobility._a3_events, []
+
+    def from_neginf(track, *args):
+        starts.append(bool(np.isneginf(track.rx).all()))
+        return a3_events(track, *args)
+
+    with mock.patch.object(mobility, "_a3_events", from_neginf):
+        in_block = mobility._track_block(scenario, 1, offset_db, keys)
+    assert starts == [True] * len(keys)
+    alone = [_track_events(scenario, 1, offset_db, key) for key in keys]
+    assert in_block == [e for events in alone for e in events]
+    assert alone[-1]  # the last track hands over
+
+
+def test_track_blocks_do_not_depend_on_threads(monkeypatch):
+    # the tracks run in blocks of `TRACK_BLOCK` consecutive keys, inbound
+    # then outbound, cut by the track count alone
+    blocks, map_ordered = {}, engine._map_ordered
+
+    def recorded(worker, keys, threads):
+        blocks[threads] = keys
+        return map_ordered(worker, keys, threads)
+
+    monkeypatch.setattr(engine, "_map_ordered", recorded)
+    n_in, n_out = mobility.TRACK_BLOCK + 4, mobility.TRACK_BLOCK + 1
+    cfg = _cfg(n_inbound=n_in, n_outbound=n_out, sim_duration_s=60.0)
+    events = {threads: run_mobility(cfg, seed=1, threads=threads).events for threads in (1, 4)}
+    assert blocks[1] == blocks[4]
+    keys = [(0, i) for i in range(n_in)] + [(1, i) for i in range(n_out)]
+    assert [key for block in blocks[1] for key in block] == keys
+    assert [len(block) for block in blocks[1]] == [mobility.TRACK_BLOCK] * 2 + [5]
+    assert events[1] == events[4]
 
 
 def test_default_tracks_evaluate_a_fifth_of_the_site_samples():
@@ -837,6 +940,27 @@ def test_track_rx_power_live_memory(shadowed, bound):
     rx, peak = _peak_traced_bytes(track)
     assert rx.shape == (37, 11_000)
     assert peak <= bound * rx.nbytes, peak / rx.nbytes
+
+
+@pytest.mark.parametrize("signal, bound", [("longterm", 1.6), ("shadowed", 3.6)])
+def test_track_block_live_memory(signal, bound):
+    # A block holds one (cells, T) `rx` buffer for all its tracks, allocated
+    # after its bounds' temporaries; each track's positions are rebuilt for
+    # its loop, and a shadowed track's innovations drawn there, with none
+    # of the track before it alive. So one block of `TRACK_BLOCK` default
+    # tracks peaks near one track, in bytes of one track's rx at the
+    # longest T: measured 1.32x and 3.22x (one track alone: 1.20x and
+    # 2.59x, its rx allocated after its draws). With the buffer allocated
+    # before the bounds, the long-term block read 1.72x; with the track
+    # before still alive while the next one drew, the shadowed one 4.29x.
+    scenario = _scenario(signal)
+    m = scenario.cfg.mobility
+    rx_bytes = 8 * scenario.n_cells * (int(m.sim_duration_s / m.measurement_period_s) + 1)
+    keys = [(0, i) for i in range(mobility.TRACK_BLOCK)]  # the first block
+    block = functools.partial(mobility._track_block, scenario, 1, 3.0, keys)
+    block()  # first-call work (the scipy.signal import) is not the block's
+    _, peak = _peak_traced_bytes(block)
+    assert peak <= bound * rx_bytes, peak / rx_bytes
 
 
 def test_import_leaves_scipy_signal_unloaded(tmp_path):

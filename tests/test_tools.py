@@ -1,5 +1,7 @@
+import datetime
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ def _load(name):
     return module
 
 
+bench_record = _load("bench_record")
 code_lines = _load("code_lines")
 output_digests = _load("output_digests")
 
@@ -182,3 +185,96 @@ def test_output_digests_print_one_mobility_block_per_offset(tmp_path, monkeypatc
         alone = printed[offset][2:]
         assert block == [line.replace("mobility/", f"mobility@{offset}/") for line in alone]
     assert not {line.split()[0] for line in both[2:4]} & {line.split()[0] for line in both[4:]}
+
+
+# the last two lines `perfbench/run.py --trace 0` prints for one run, the
+# report cut to the fields a BENCH record reads
+REPORT_LINE = json.dumps(
+    {
+        "workload": "handover-mobility",
+        "env": {
+            "python": "3.11.7",
+            "numpy": "2.4.6",
+            "scipy": "1.17.0",
+            "nproc": 2,
+            "git_sha": "0123abcd",
+            "src_sha256": "feed",
+        },
+        "setup_probes_s": [[0.25, 0.125], [0.25, 0.0625], [0.375, 0.125]],
+        "repeats_wall_s": [0.5, 0.75, 0.625],
+        "problems": [],
+    }
+)
+RESULT_LINE = json.dumps(
+    {
+        "correct": True,
+        "attempted": 3,
+        "failed": 0,
+        "metrics": {
+            "wall_s": {"value": 0.625, "unit": "s"},
+            "setup_s": {"value": 0.375, "unit": "s"},
+            "peak_rss_mb": {"value": 39.25, "unit": "MiB"},
+        },
+    }
+)
+
+
+def test_bench_record_appends_one_record_per_run(tmp_path, monkeypatch, capsys):
+    # each run, here the canned lines of one, appends a record of its tree,
+    # machine, arguments and the three end-to-end metrics with the readings
+    # each came from; `all` runs every workload into its own file
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    runs = []
+
+    def canned(tree, workload, seed, seconds):
+        runs.append((tree, workload, seed, seconds))
+        return json.loads(REPORT_LINE), json.loads(RESULT_LINE)
+
+    monkeypatch.setattr(bench_record, "run", canned)
+    argv = ["--workload", "handover-mobility", "--seconds", "4", "--tree", "parent"]
+    assert bench_record.main([*argv, "--label", "parent"]) == 0
+    assert bench_record.main(["--workload", "handover-mobility", "--label", "change"]) == 0
+    assert runs == [
+        (Path("parent"), "handover-mobility", 1, 4.0),
+        (tmp_path, "handover-mobility", 1, 36.0),
+    ]
+    assert "handover-mobility parent: wall_s 0.6250" in capsys.readouterr().out
+    records = json.loads((tmp_path / "BENCH_handover-mobility.json").read_text())
+    assert [r["label"] for r in records] == ["parent", "change"]
+    rec = records[0]
+    assert (rec["commit"], rec["src_sha256"]) == ("0123abcd", "feed")
+    assert rec["args"] == {"workload": "handover-mobility", "seed": 1, "seconds": 4.0, "trace": 0}
+    assert rec["machine"] == {
+        "nproc": 2,
+        "python": "3.11.7",
+        "numpy": "2.4.6",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    assert rec["wall_s"] == {"value": 0.625, "repeats": [0.5, 0.75, 0.625]}
+    assert rec["setup_s"] == {"value": 0.375, "repeats": [0.375, 0.3125, 0.5]}
+    assert rec["peak_rss_mb"] == {"value": 39.25, "repeats": [39.25]}
+    assert (rec["correct"], rec["attempted"], rec["failed"]) == (True, 3, 0)
+    assert datetime.datetime.fromisoformat(rec["date"]).utcoffset() == datetime.timedelta(0)
+
+    assert bench_record.main(["--workload", "all"]) == 0
+    assert [w for _, w, _, _ in runs[2:]] == list(bench_record.WORKLOADS)
+    for workload in bench_record.WORKLOADS:
+        records = json.loads((tmp_path / f"BENCH_{workload}.json").read_text())
+        assert len(records) == 1 + 2 * (workload == "handover-mobility")
+
+
+def test_bench_files_parse():
+    # every BENCH file at the root of the checkout is a list of records,
+    # each metric's value among the readings it came from or their median
+    paths = sorted(_TOOLS.parent.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        records = json.loads(path.read_text())
+        assert records, path
+        for rec in records:
+            assert rec["args"]["workload"] == path.stem.removeprefix("BENCH_")
+            assert rec["args"]["trace"] == 0
+            for metric in ("wall_s", "setup_s", "peak_rss_mb"):
+                readings = sorted(rec[metric]["repeats"])
+                assert readings[0] <= rec[metric]["value"] <= readings[-1], (path, metric)
