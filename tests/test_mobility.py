@@ -624,6 +624,7 @@ def test_segment_bounds_hold_on_random_chords(chord, key):
     bound, floor, _ = _bounds_of_a_track(*chord, key)
     assert np.isfinite(bound).all() and np.isfinite(floor).all()
 
+
 def test_block_bounds_equal_each_track_bounded_alone():
     # a block bounds all its tracks' segments in one pass, each against its
     # own track's LOS thresholds, read ahead of the track's draws: every
