@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
-import yaml
 
 from .geometry import beamwidth_3db_deg, ring_radius_for_isd, service_disk_radius_m
 
@@ -352,29 +351,37 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-class _ScenarioLoader(yaml.SafeLoader):
+@functools.cache
+def _scenario_loader():
     """SafeLoader that also reads `2.0e9` and `20e6` as floats: PyYAML
-    follows YAML 1.1, whose floats need a dot and a signed exponent."""
+    follows YAML 1.1, whose floats need a dot and a signed exponent. Built
+    on the first YAML read, so a run that reads no file never loads PyYAML."""
+    import yaml
 
+    class _ScenarioLoader(yaml.SafeLoader):
+        pass
 
-_ScenarioLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    # a dot or an exponent, either sign optional; plain integers stay integers
-    re.compile(
-        r"^(?=.*[.eE])[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)?$"
-    ),
-    list("-+0123456789."),
-)
+    _ScenarioLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        # a dot or an exponent, either sign optional; plain integers stay integers
+        re.compile(
+            r"^(?=.*[.eE])[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][-+]?[0-9]+)?$"
+        ),
+        list("-+0123456789."),
+    )
+    return _ScenarioLoader
 
 
 def load_config(path: str) -> ScenarioConfig:
+    import yaml  # loads with the first YAML file
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     try:
-        data = yaml.load(text, Loader=_ScenarioLoader)
+        data = yaml.load(text, Loader=_scenario_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

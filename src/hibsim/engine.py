@@ -531,18 +531,18 @@ class ThroughputSweepResult:
 
 def _throughput_block(scenario: Scenario, block: list):
     """(drops, serving cells) round-robin cell throughput of a block, and each
-    user's throughput and serving cell, in drop order."""
+    user's throughput and whether the platform serves it, in drop order."""
     cfg = scenario.cfg
     n_d, n_serv = len(block), scenario.n_cells
     served = _serve_block(scenario, block)
     if served is None:
-        return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=int)
+        return np.zeros((n_d, n_serv)), np.empty(0), np.empty(0, dtype=bool)
     _, drop, serving, _, dl = served
     # round robin per (drop, cell): each drop's cells are cells of their own
     cell_bps, user_bps, _ = network.round_robin_throughput_bps(
         dl, drop * n_serv + serving, n_d * n_serv, cfg.carrier.bandwidth_hz, cfg.rate
     )
-    return cell_bps.reshape(n_d, n_serv), user_bps, serving
+    return cell_bps.reshape(n_d, n_serv), user_bps, scenario.ring[serving] >= 0
 
 
 def run_throughput_sweep(
@@ -569,12 +569,11 @@ def run_throughput_sweep(
     results = _map_blocks(_throughput_block, scenario, drops, threads)
     cell_bps_all = np.concatenate([r[0] for r in results])  # (drops, n_cells)
     user_bps_all = _by_density([r[1] for r in results], drops, n_drops)
-    serving_all = _by_density([r[2] for r in results], drops, n_drops)
+    is_hibs_all = _by_density([r[2] for r in results], drops, n_drops)
     points = []
     for di, density in enumerate(densities):
         cell_bps = cell_bps_all[di * n_drops : (di + 1) * n_drops]
-        user_bps, serving = user_bps_all[di], serving_all[di]
-        user_is_hibs = hibs_mask[serving]
+        user_bps, user_is_hibs = user_bps_all[di], is_hibs_all[di]
         hibs_users = user_bps[user_is_hibs]
         tn_users = user_bps[~user_is_hibs]
         hibs_cell = float(cell_bps[:, hibs_mask].mean())

@@ -112,11 +112,16 @@ def _draw_links(rng: np.random.Generator, uniform: np.ndarray, normal) -> None:
     holds one cell's draws for a drop's users, or one track's LOS threshold
     for a cell and its samples' innovations. An always-LOS cell (a platform
     beam under `los_only`, p_los 1) draws like any other: it is LOS
-    whatever it draws. The arrays may be views, as a drop's columns of a
-    block are: numpy writes `out=` only to contiguous arrays, so the draws
-    come through a temporary."""
+    whatever it draws. A contiguous array is filled in place; a strided
+    view, as a drop's columns of a block are, through a temporary, since
+    numpy writes `out=` only to contiguous arrays. Both give the same
+    numbers."""
     for out, draw in ((uniform, rng.random), (normal, rng.standard_normal)):
-        if out is not None:
+        if out is None:
+            continue
+        if out.flags.c_contiguous:
+            draw(out=out)
+        else:
             out[...] = draw(out.shape)
 
 

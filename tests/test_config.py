@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -741,6 +744,23 @@ def test_yaml_top_level_must_be_mapping(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config("/nonexistent/scenario.yaml")
+
+
+def test_import_leaves_yaml_unloaded():
+    # PyYAML loads with the first YAML file read, not with the package
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    probe = (
+        "import sys, hibsim, hibsim.cli, hibsim.output\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_validate_band_inside_dl_identification():

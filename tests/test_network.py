@@ -380,6 +380,24 @@ def test_coupling_loss_matrix_drop_streams_match_drops_alone():
         matrix(users, [(np.random.default_rng(5), 40)])
 
 
+def test_draw_links_same_bits_in_place_or_strided():
+    # a contiguous array is filled in place, a block's column view through a
+    # temporary; both hold the stream's numbers in row-major order, and the
+    # generator ends at the same state
+    flat = [np.empty((37, 50)), np.empty((37, 50))]
+    block = [np.full((37, 80), np.nan), np.full((37, 80), np.nan)]
+    strided = [a[:, 20:70] for a in block]
+    assert all(a.flags.c_contiguous for a in flat)
+    assert not any(a.flags.c_contiguous for a in strided)
+    rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+    for rng, (uniform, normal) in zip(rngs, (flat, strided)):
+        network._draw_links(rng, uniform, normal)
+    for a, b in zip(flat, strided):
+        assert np.array_equal(a, b)
+    assert np.isnan(block[0][:, :20]).all() and np.isnan(block[1][:, 70:]).all()
+    assert rngs[0].random() == rngs[1].random()
+
+
 def test_platform_geometry_same_bits_for_one_receiver():
     platform = _platform()
     users = geometry.drop_users(64, np.random.default_rng(4), 35_682.0)

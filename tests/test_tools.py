@@ -2,6 +2,8 @@ import datetime
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,15 +223,16 @@ RESULT_LINE = json.dumps(
 
 def test_bench_record_appends_one_record_per_run(tmp_path, monkeypatch, capsys):
     # each run, here the canned lines of one, appends a record of its tree,
-    # machine, arguments and the three end-to-end metrics with the readings
-    # each came from; `all` runs every workload into its own file
+    # machine, arguments, the three end-to-end metrics with the readings
+    # each came from, and its process tree's peak; `all` runs every
+    # workload into its own file
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     runs = []
 
     def canned(tree, workload, seed, seconds):
         runs.append((tree, workload, seed, seconds))
-        return json.loads(REPORT_LINE), json.loads(RESULT_LINE)
+        return json.loads(REPORT_LINE), json.loads(RESULT_LINE), 41.5
 
     monkeypatch.setattr(bench_record, "run", canned)
     argv = ["--workload", "handover-mobility", "--seconds", "4", "--tree", "parent"]
@@ -239,7 +242,9 @@ def test_bench_record_appends_one_record_per_run(tmp_path, monkeypatch, capsys):
         (Path("parent"), "handover-mobility", 1, 4.0),
         (tmp_path, "handover-mobility", 1, 36.0),
     ]
-    assert "handover-mobility parent: wall_s 0.6250" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "handover-mobility parent: wall_s 0.6250" in out
+    assert "children_peak_rss_mb 41.50, failed 0" in out
     records = json.loads((tmp_path / "BENCH_handover-mobility.json").read_text())
     assert [r["label"] for r in records] == ["parent", "change"]
     rec = records[0]
@@ -254,6 +259,7 @@ def test_bench_record_appends_one_record_per_run(tmp_path, monkeypatch, capsys):
     assert rec["wall_s"] == {"value": 0.625, "repeats": [0.5, 0.75, 0.625]}
     assert rec["setup_s"] == {"value": 0.375, "repeats": [0.375, 0.3125, 0.5]}
     assert rec["peak_rss_mb"] == {"value": 39.25, "repeats": [39.25]}
+    assert rec["children_peak_rss_mb"] == 41.5
     assert (rec["correct"], rec["attempted"], rec["failed"]) == (True, 3, 0)
     assert datetime.datetime.fromisoformat(rec["date"]).utcoffset() == datetime.timedelta(0)
 
@@ -262,6 +268,26 @@ def test_bench_record_appends_one_record_per_run(tmp_path, monkeypatch, capsys):
     for workload in bench_record.WORKLOADS:
         records = json.loads((tmp_path / f"BENCH_{workload}.json").read_text())
         assert len(records) == 1 + 2 * (workload == "handover-mobility")
+
+
+def test_bench_record_wrapper_reads_the_peak_of_the_whole_tree():
+    # the wrapper passes the command's output and exit status on and prints
+    # last the peak RSS of every process under it: here a grandchild that
+    # touches 32 MiB, while the command itself stays small
+    grandchild = "import sys; b = b'x' * (32 << 20); print('grandchild'); sys.exit(3)"
+    command = (
+        "import subprocess, sys; "
+        f"sys.exit(subprocess.call([sys.executable, '-c', {grandchild!r}]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", bench_record.WRAPPER, sys.executable, "-c", command],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    out, peak_kib = proc.stdout.splitlines()
+    assert out == "grandchild"
+    assert int(peak_kib) >= 32 << 10
 
 
 def test_bench_files_parse():
@@ -278,3 +304,6 @@ def test_bench_files_parse():
             for metric in ("wall_s", "setup_s", "peak_rss_mb"):
                 readings = sorted(rec[metric]["repeats"])
                 assert readings[0] <= rec[metric]["value"] <= readings[-1], (path, metric)
+            # the harness is one of the processes the tree's peak covers
+            if "children_peak_rss_mb" in rec:
+                assert rec["children_peak_rss_mb"] >= rec["peak_rss_mb"]["value"], path

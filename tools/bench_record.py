@@ -21,6 +21,11 @@ workload in turn. A record holds:
 - `wall_s`, `setup_s` and `peak_rss_mb`, each `{"value", "repeats"}`: the
   harness's metric and the readings it came from (one per timed repeat,
   one per setup probe, and the run's one peak);
+- `children_peak_rss_mb`: the largest peak RSS of the harness and every
+  process under it (workers and setup probes), which `peak_rss_mb`, the
+  harness process alone, misses. A wrapper process runs the harness and
+  reads its own `RUSAGE_CHILDREN`, so one run's peak never carries into
+  the next;
 - the run counts `correct`, `attempted` and `failed`.
 
 To compare two trees on one machine, alternate them, one run each:
@@ -40,9 +45,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("platform-sinr", "overlay-throughput", "handover-mobility")
 
+# Runs the command after it, passes its output and exit status on, and
+# prints last the peak RSS (KiB) of the command and its waited-for
+# descendants.
+WRAPPER = """\
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
 
-def record(report: dict, result: dict, label: str, args: dict) -> dict:
-    """One BENCH record from the harness's report and result of one run."""
+
+def record(report: dict, result: dict, children_peak_mb: float, label: str, args: dict) -> dict:
+    """One BENCH record from the harness's report and result of one run and
+    the peak RSS of its process tree."""
     env, metrics = report["env"], result["metrics"]
     repeats = {
         "wall_s": report["repeats_wall_s"],
@@ -62,6 +78,7 @@ def record(report: dict, result: dict, label: str, args: dict) -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
         **{k: {"value": metrics[k]["value"], "repeats": v} for k, v in repeats.items()},
+        "children_peak_rss_mb": children_peak_mb,
         **{k: result[k] for k in ("correct", "attempted", "failed")},
     }
 
@@ -73,13 +90,15 @@ def append(path: Path, rec: dict) -> None:
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(report, result) of one untraced harness run in `tree`."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, float]:
+    """(report, result, peak RSS MiB of its process tree) of one untraced
+    harness run in `tree`."""
+    argv = [sys.executable, "-c", WRAPPER, sys.executable, "perfbench/run.py",
+            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
-    report, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
-    return report, result
+    *_, report, result, peak_kib = proc.stdout.splitlines()
+    return json.loads(report), json.loads(result), int(peak_kib) / 1024.0
 
 
 def main(argv=None) -> int:
@@ -91,13 +110,14 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="")
     args = parser.parse_args(argv)
     for workload in WORKLOADS if args.workload == "all" else (args.workload,):
-        report, result = run(args.tree, workload, args.seed, args.seconds)
+        report, result, children_peak_mb = run(args.tree, workload, args.seed, args.seconds)
         run_args = {"workload": workload, "seed": args.seed, "seconds": args.seconds, "trace": 0}
-        rec = record(report, result, args.label, run_args)
+        rec = record(report, result, children_peak_mb, args.label, run_args)
         append(ROOT / f"BENCH_{workload}.json", rec)
         print(f"{workload} {args.label}: wall_s {rec['wall_s']['value']:.4f}, "
               f"setup_s {rec['setup_s']['value']:.4f}, "
-              f"peak_rss_mb {rec['peak_rss_mb']['value']:.2f}, failed {rec['failed']}")
+              f"peak_rss_mb {rec['peak_rss_mb']['value']:.2f}, "
+              f"children_peak_rss_mb {children_peak_mb:.2f}, failed {rec['failed']}")
     return 0
 
 
