@@ -943,7 +943,9 @@ def test_track_rx_power_live_memory(shadowed, bound):
     assert peak <= bound * rx.nbytes, peak / rx.nbytes
 
 
-@pytest.mark.parametrize("signal, bound", [("longterm", 1.6), ("shadowed", 3.0)])
+@pytest.mark.parametrize(
+    "signal, bound", [("longterm", 1.6), ("shadowed", 3.6), ("shadowed", 3.0)]
+)
 def test_track_block_live_memory(signal, bound):
     # A block holds one (cells, T) `rx` buffer for all its tracks, allocated
     # after its bounds' temporaries; each track's positions are rebuilt for
@@ -954,7 +956,9 @@ def test_track_block_live_memory(signal, bound):
     # 2.59x, its rx allocated after its draws). With the buffer allocated
     # before the bounds, the long-term block read 1.72x; with the track
     # before still alive while the next one drew, the shadowed one 4.29x;
-    # with the innovations drawn through a temporary, 3.22x.
+    # with the innovations drawn through a temporary, 3.22x. The shadowed
+    # block is held to 3.6x, the bound of its first design, and to 3.0x,
+    # which only the in-place draw meets.
     scenario = _scenario(signal)
     m = scenario.cfg.mobility
     rx_bytes = 8 * scenario.n_cells * (int(m.sim_duration_s / m.measurement_period_s) + 1)
