@@ -161,8 +161,7 @@ class _TrackPower:
         ((_, coupling),) = network._link_coupling(
             [tx], self.pos[samples], self.threshold, self.unit, self.cfg
         )
-        for row, loss in zip(tx.rows.tolist(), coupling):
-            self.rx[row, samples] = self.tx_power_dbm[row] - loss
+        self.rx[tx.rows, samples] = self.tx_power_dbm[tx.rows, None] - coupling
 
     def pull(self, level: np.ndarray) -> None:
         """Evaluate each transmitter on the segments where the bound of one
@@ -413,51 +412,38 @@ def _chord_distance(d: np.ndarray, ab: np.ndarray, inv_ab2: np.ndarray) -> np.nd
 
 
 def _track_rx_power_dbm(
-    scenario: Scenario,
-    pos_xyz: np.ndarray,
-    rng: np.random.Generator,
-    rho: float,
-    shadowed: bool,
-    block: _TrackBlock | None = None,
-    i: int = 0,
+    block: _TrackBlock, i: int, pos_xyz: np.ndarray, threshold, rng, rho: float, shadowed: bool
 ) -> _TrackPower:
-    """Received DL power tx - coupling, (n_cells, T), along one track: each
-    transmitter where the A3 loop pulls it (`_TrackPower.rival`).
+    """Received DL power tx - coupling, (n_cells, T), along track i of
+    `block`, at `pos_xyz`: each transmitter where the A3 loop pulls it
+    (`_TrackPower.rival`).
 
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
-    rule compares no other. The draws follow `network._draw_links`: one LOS
-    threshold per cell in row order, then (shadowed only) T AR(1)
-    innovations per cell — one track stream reproduces the track exactly,
-    and the shadowed signal holds the long-term signal's LOS thresholds.
-    All draws are made before any budget, so what is evaluated changes no
-    draw.
+    rule compares no other. The track's stream has drawn its LOS
+    `threshold` (n_cells, 1) already (`_track_block`); a `shadowed` track
+    draws T AR(1) innovations per cell from it here, in row order
+    (`network._draw_links`). All draws are made before any budget, so what
+    is evaluated changes no draw.
 
-    The track is track i of `block`, built for it, or else a block of its
-    own. Nothing is evaluated up front. On the long-term signal each cell
-    is bounded from above and below on each segment (`_TrackBlock`). The
+    Nothing is evaluated up front. On the long-term signal each cell is
+    bounded from above and below on each segment (`_TrackBlock`). The
     shadowed signal keeps no bounds, as shadow swings have none: its
     ceilings stay +inf, so the loop's first pull (`_a3_events`) reaches
     every level, +inf included, and evaluates every transmitter on the
     whole track; no segment is quiet, and later pulls find nothing left to
     evaluate.
     """
-    n_c, n_t = scenario.n_cells, pos_xyz.shape[0]
-    threshold = np.empty((n_c, 1))
-    unit = np.empty((n_c, n_t)) if shadowed and scenario.cfg.channel.shadowing else None
-    network._draw_links(rng, threshold, unit)
-    if block is None:
-        thresholds = [threshold] if unit is None else None  # the long-term signal's
-        block = _TrackBlock(scenario, [n_t], [_chords(pos_xyz)], thresholds)
-    track = _TrackPower(block, i, pos_xyz, threshold, unit)
-    if unit is None:
-        return track
-    from scipy.signal import lfilter  # costly import, needed here only
+    unit = None
+    if shadowed:
+        from scipy.signal import lfilter  # costly import, needed here only
 
-    # unit AR(1) shadowing, filtered in place one cell at a time
-    unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
-    for row in unit:
-        row[:] = lfilter([1.0], [1.0, -rho], row)
-    return track
+        unit = np.empty((threshold.shape[0], pos_xyz.shape[0]))
+        network._draw_links(rng, None, unit)
+        # unit AR(1) shadowing, filtered in place one cell at a time
+        unit[:, 1:] *= math.sqrt(max(1.0 - rho * rho, 0.0))
+        for row in unit:
+            row[:] = lfilter([1.0], [1.0, -rho], row)
+    return _TrackPower(block, i, pos_xyz, threshold, unit)
 
 
 def _a3_trigger(
@@ -569,53 +555,42 @@ def _track_block(
     """Cross-layer handovers along consecutive tracks (`_track_line`), in
     key order; each track gets the events it gets alone.
 
-    The block builds its tracks' lines first and, on the long-term signal,
-    bounds all of them in one pass (`_TrackBlock`). The bounds need each
-    track's chords and LOS thresholds: the thresholds are read ahead and
-    the stream put back, so each track makes all its draws, in stream
-    order, in its turn. Then each track in turn rebuilds its positions,
-    draws (`_track_rx_power_dbm`: a shadowed track holds its innovations
-    while it runs only) and runs its A3 loop (`_a3_events`) in the block's
-    `rx` buffer."""
+    The block builds its tracks' lines first, each track's stream drawing
+    its LOS thresholds, one per cell in row order (`network._draw_links`),
+    right after its line; on the long-term signal it bounds all the tracks
+    in one pass (`_TrackBlock`), from their chords and thresholds. Then
+    each track in turn rebuilds its positions, draws its innovations on
+    the shadowed signal (`_track_rx_power_dbm`: a track holds them while it
+    runs only) and runs its A3 loop (`_a3_events`) in the block's `rx`
+    buffer. Each track has a stream of its own, so its draws keep their
+    stream order, and the shadowed signal holds the long-term signal's LOS
+    thresholds."""
     cfg, m = scenario.cfg, scenario.cfg.mobility
     ring_m = geometry.ring_radius_for_isd(cfg.terrestrial.isd_m, cfg.terrestrial.n_sites)
     period = m.measurement_period_s
     times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
-    shadowed = m.decision_signal == "shadowed"
-    bounded = not (shadowed and cfg.channel.shadowing)
+    shadowed = m.decision_signal == "shadowed" and cfg.channel.shadowing
     lines, chords, thresholds = [], [], []
     for key in keys:
         user, rng, line, pos = _track_line(scenario, seed, key, times, ring_m)
         lines.append((user, rng, line, pos.shape[0]))
-        if bounded:
+        thresholds.append(np.empty((scenario.n_cells, 1)))
+        network._draw_links(rng, thresholds[-1], None)
+        if not shadowed:
             chords.append(_chords(pos))
-            thresholds.append(np.empty((scenario.n_cells, 1)))
-            state = rng.bit_generator.state
-            network._draw_links(rng, thresholds[-1], None)
-            rng.bit_generator.state = state  # the track draws them in its turn
-    block = _TrackBlock(
-        scenario, [n_t for *_, n_t in lines], chords, thresholds if bounded else None
-    )
+    block = _TrackBlock(scenario, [n for *_, n in lines], chords, None if shadowed else thresholds)
     rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
-    for i, (user, rng, line, n_t) in enumerate(lines):
-        pos = _positions(cfg, line, times[:n_t])
-        track = _track_rx_power_dbm(scenario, pos, rng, rho, shadowed, block, i)
+    for i, (user, rng, line, n) in enumerate(lines):
+        pos = _positions(cfg, line, times[:n])
+        track = _track_rx_power_dbm(block, i, pos, thresholds[i], rng, rho, shadowed)
         events += _a3_events(track, user, times, offset_db, k_need, is_hibs)
         if i + 1 < len(lines):
             track.clear()  # the next track starts from -inf
             del track, pos  # and draws with none of this one's arrays alive
     return events
-
-
-def _track_events(
-    scenario: Scenario, seed: int, offset_db: float, track: tuple[int, int]
-) -> list[HandoverEvent]:
-    """Cross-layer handovers along one track (`_track_line`): a block of
-    one (`_track_block`)."""
-    return _track_block(scenario, seed, offset_db, [track])
 
 
 def run_mobility(

@@ -105,10 +105,12 @@ def transmitter_budget(
     return TransmitterBudget(medians, g_tx)
 
 
-def _draw_links(rng: np.random.Generator, uniform: np.ndarray, normal) -> None:
+def _draw_links(rng: np.random.Generator, uniform, normal) -> None:
     """The draw order of one drop or track stream: every row's LOS uniforms
-    in one generator call, then every row's shadow normals in one more (none
-    when `normal` is None), each array filled in row-major order. A row
+    in one generator call, then every row's shadow normals in one more, each
+    array filled in row-major order. Either array may be None, which draws
+    nothing for it: a stream that draws its uniforms in one call and its
+    normals in a later one gets the numbers of a call with both. A row
     holds one cell's draws for a drop's users, or one track's LOS threshold
     for a cell and its samples' innovations. An always-LOS cell (a platform
     beam under `los_only`, p_los 1) draws like any other: it is LOS

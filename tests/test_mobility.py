@@ -28,7 +28,6 @@ from hibsim.mobility import (
     _a3_trigger,
     _consecutive_needed,
     _first_sustained,
-    _track_events,
     _track_rx_power_dbm,
     run_mobility,
 )
@@ -352,6 +351,20 @@ def reference_track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed):
     return rx
 
 
+def _lone_track(scenario, pos_xyz, rng, rho, shadowed):
+    """The `_TrackPower` of a track at arbitrary positions, drawn from `rng`
+    as `mobility._track_block` draws a track: its LOS thresholds, a block of
+    one bounded from them (on the long-term signal), then its innovations
+    (on the shadowed signal, with shadowing on)."""
+    shadowed = shadowed and scenario.cfg.channel.shadowing
+    threshold = np.empty((scenario.n_cells, 1))
+    network._draw_links(rng, threshold, None)
+    block = mobility._TrackBlock(
+        scenario, [len(pos_xyz)], [mobility._chords(pos_xyz)], None if shadowed else [threshold]
+    )
+    return _track_rx_power_dbm(block, 0, pos_xyz, threshold, rng, rho, shadowed)
+
+
 @functools.cache
 def _scenario(signal="longterm", los_only=False, sidelobes="floor", sla_db=30.0):
     return engine.build_combined_scenario(
@@ -379,7 +392,7 @@ def test_track_rx_power_matches_per_cell_reference(shadowed, los_only):
         )
         core_rng = engine.derive_rng(4, engine._MOBILITY, 9)
         rng = engine.derive_rng(4, engine._MOBILITY, 9)
-        power = _track_rx_power_dbm(scenario, pos_xyz, core_rng, 0.9, shadowed)
+        power = _lone_track(scenario, pos_xyz, core_rng, 0.9, shadowed)
         want = reference_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, shadowed)
         assert power.rx.shape == (37, n_t)
         assert core_rng.random() == rng.random()  # same number of draws
@@ -410,20 +423,22 @@ def test_shadowed_signal_holds_the_long_term_los_thresholds():
     # a track stream draws every cell's LOS threshold before any shadowing
     # innovation, so the shadowed signal adds shadowing to the long-term
     # signal's LOS state: the thresholds are equal bit for bit
-    scenario = _scenario()
-    t = np.linspace(0.0, 1.0, 2_000)[:, None]
-    pos_xyz = (1.0 - t) * np.array([21_000.0, 6_000.0, 1.5]) + t * np.array(
-        [300.0, 80.0, 1.5]
-    )
-    for key in range(3):
-        threshold = [
-            _track_rx_power_dbm(
-                scenario, pos_xyz, engine.derive_rng(2, engine._MOBILITY, 0, key), 0.9, s
-            ).threshold
-            for s in (False, True)
-        ]
-        assert threshold[0].shape == (37, 1)
-        assert np.array_equal(threshold[0], threshold[1])
+    track_power, keys = mobility._track_rx_power_dbm, [(0, 0), (0, 1), (0, 2)]
+    tracks = {}
+    for signal in ("longterm", "shadowed"):
+        seen = tracks[signal] = []
+
+        def kept(*args, seen=seen):
+            seen.append(track_power(*args))
+            return seen[-1]
+
+        with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
+            mobility._track_block(_scenario(signal), 2, 3.0, keys)
+    assert len(tracks["longterm"]) == len(tracks["shadowed"]) == len(keys)
+    for longterm, shadowed in zip(tracks["longterm"], tracks["shadowed"]):
+        assert longterm.unit is None and shadowed.unit is not None
+        assert longterm.threshold.shape == (37, 1)
+        assert np.array_equal(longterm.threshold, shadowed.threshold)
 
 
 def _full_rx(power):
@@ -485,13 +500,13 @@ def test_default_tracks_lie_on_their_chords():
     scenario = _scenario()
     positions, track_power = [], mobility._track_rx_power_dbm
 
-    def kept(scenario, pos_xyz, *args):
+    def kept(block, i, pos_xyz, *args):
         positions.append(pos_xyz)
-        return track_power(scenario, pos_xyz, *args)
+        return track_power(block, i, pos_xyz, *args)
 
     with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
         for track in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            _track_events(scenario, 1, 3.0, track)
+            mobility._track_block(scenario, 1, 3.0, [track])
     assert all(len(pos) % mobility.SEGMENT_SAMPLES for pos in positions)
     for pos in positions:
         a, ab, stray = _segment_strays(pos)
@@ -534,7 +549,7 @@ def _bounds_of_a_track(scenario, xy, weaves, key):
     pos_xyz = np.column_stack([xy, np.full(len(xy), scenario.cfg.ue.height_m)])
     chords = _reference_chords if weaves else mobility._chords
     with mock.patch.object(mobility, "_chords", chords):
-        power = _track_rx_power_dbm(
+        power = _lone_track(
             scenario, pos_xyz, engine.derive_rng(6, engine._MOBILITY, key), 0.9, False
         )
     bound, floor = power.bound, power.floor
@@ -627,23 +642,31 @@ def test_segment_bounds_hold_on_random_chords(chord, key):
 
 def test_block_bounds_equal_each_track_bounded_alone():
     # a block bounds all its tracks' segments in one pass, each against its
-    # own track's LOS thresholds, read ahead of the track's draws: every
-    # default track of a block gets the bits it gets bounded alone
-    track_power = mobility._track_rx_power_dbm
+    # own track's LOS thresholds, drawn right after its line: every default
+    # track of a block gets the bits it gets bounded alone
+    track_line, track_power = mobility._track_line, mobility._track_rx_power_dbm
     for scenario in (_scenario(), _scenario(sidelobes="bessel"), _scenario(los_only=True)):
-        seen = []
+        streams, seen = [], []
 
-        def kept(scenario, pos_xyz, rng, rho, shadowed, block, i):
-            seen.append((pos_xyz, copy.deepcopy(rng), block, i))
-            return track_power(scenario, pos_xyz, rng, rho, shadowed, block, i)
+        def line_kept(*args):
+            user, rng, line, pos = track_line(*args)
+            streams.append(copy.deepcopy(rng))  # before the thresholds
+            return user, rng, line, pos
+
+        def kept(block, i, pos_xyz, *args):
+            seen.append((pos_xyz, block, i))
+            return track_power(block, i, pos_xyz, *args)
 
         keys = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-        with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
+        with (
+            mock.patch.object(mobility, "_track_line", line_kept),
+            mock.patch.object(mobility, "_track_rx_power_dbm", kept),
+        ):
             mobility._track_block(scenario, 1, 3.0, keys)
         assert [i for *_, i in seen] == list(range(len(keys)))
-        assert len({id(block) for _, _, block, _ in seen}) == 1
-        for pos_xyz, rng, block, i in seen:
-            alone = track_power(scenario, pos_xyz, rng, 0.9, False)
+        assert len({id(block) for _, block, _ in seen}) == 1
+        for (pos_xyz, block, i), rng in zip(seen, streams):
+            alone = _lone_track(scenario, pos_xyz, rng, 0.9, False)
             columns = slice(block.first[i], block.first[i + 1])
             assert np.isfinite(alone.bound).any()
             assert np.array_equal(block.bound[:, columns], alone.bound)
@@ -666,7 +689,7 @@ def test_block_bounds_equal_each_track_bounded_alone_on_random_chords(chords, ke
         chords_of = _reference_chords if weaves else mobility._chords
         rng = engine.derive_rng(6, engine._MOBILITY, key, j)
         with mock.patch.object(mobility, "_chords", chords_of):
-            alone.append(_track_rx_power_dbm(scenario, pos_xyz, rng, 0.9, False))
+            alone.append(_lone_track(scenario, pos_xyz, rng, 0.9, False))
         n_t.append(len(pos_xyz))
         stacked.append(chords_of(pos_xyz))
         thresholds.append(alone[-1].threshold)
@@ -706,18 +729,26 @@ def _events_and_full_evaluation(scenario, seed, offset_db, track):
     """(events, want, power, full): a track's events and its `_TrackPower`,
     and the events and received power of a full evaluation of the same
     track (`reference_track_rx_power_dbm`, `full_a3_loop`)."""
-    seen = {}
+    seen, track_line = {}, mobility._track_line
 
-    def held(scenario, pos_xyz, rng, rho, shadowed, *block):
+    def line_kept(*args):
+        user, rng, line, pos = track_line(*args)
+        seen["rng"] = copy.deepcopy(rng)  # before the thresholds
+        return user, rng, line, pos
+
+    def held(block, i, pos_xyz, threshold, rng, rho, shadowed):
         seen["pos"] = pos_xyz
         seen["full"] = reference_track_rx_power_dbm(
-            scenario, pos_xyz, copy.deepcopy(rng), rho, shadowed
+            scenario, pos_xyz, seen["rng"], rho, shadowed
         )
-        seen["power"] = _track_rx_power_dbm(scenario, pos_xyz, rng, rho, shadowed, *block)
+        seen["power"] = _track_rx_power_dbm(block, i, pos_xyz, threshold, rng, rho, shadowed)
         return seen["power"]
 
-    with mock.patch.object(mobility, "_track_rx_power_dbm", held):
-        events = _track_events(scenario, seed, offset_db, track)
+    with (
+        mock.patch.object(mobility, "_track_line", line_kept),
+        mock.patch.object(mobility, "_track_rx_power_dbm", held),
+    ):
+        events = mobility._track_block(scenario, seed, offset_db, [track])
     m, pos = scenario.cfg.mobility, seen["pos"]
     period = m.measurement_period_s
     user = track[1] + m.n_inbound * track[0]
@@ -845,7 +876,7 @@ def test_a_track_hands_over_alike_alone_and_in_a_block(signal, sidelobes, offset
     with mock.patch.object(mobility, "_a3_events", from_neginf):
         in_block = mobility._track_block(scenario, 1, offset_db, keys)
     assert starts == [True] * len(keys)
-    alone = [_track_events(scenario, 1, offset_db, key) for key in keys]
+    alone = [mobility._track_block(scenario, 1, offset_db, [key]) for key in keys]
     assert in_block == [e for events in alone for e in events]
     assert alone[-1]  # the last track hands over
 
@@ -896,7 +927,7 @@ def test_default_tracks_evaluate_a_fifth_of_the_site_samples():
         mock.patch.object(mobility, "_track_rx_power_dbm", kept),
     ):
         for track in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]:
-            _track_events(scenario, 1, 3.0, track)
+            mobility._track_block(scenario, 1, 3.0, [track])
     samples = sum(len(power.pos) for power in tracks)
     assert 0 < site_samples <= 0.04 * n_sites * samples, site_samples / (n_sites * samples)
     # the platform is table entry 0
@@ -932,7 +963,7 @@ def test_track_rx_power_live_memory(shadowed, bound):
 
     def track():
         rng = engine.derive_rng(1, engine._MOBILITY, 0)
-        power = _track_rx_power_dbm(scenario, pos_xyz, rng, 0.97, shadowed)
+        power = _lone_track(scenario, pos_xyz, rng, 0.97, shadowed)
         for i in range(len(power.table)):  # neither signal evaluates up front
             power.evaluate(i, np.ones(power.starts.size, dtype=bool))
         return power.rx
@@ -952,8 +983,8 @@ def test_track_block_live_memory(signal, bound):
     # its loop, and a shadowed track's innovations drawn there in place,
     # with none of the track before it alive. So one block of `TRACK_BLOCK`
     # default tracks peaks near one track, in bytes of one track's rx at
-    # the longest T: measured 1.32x and 2.66x (one track alone: 1.20x and
-    # 2.59x, its rx allocated after its draws). With the buffer allocated
+    # the longest T: measured 1.32x and 2.66x (a block of its first track
+    # alone: 1.25x and 2.55x). With the buffer allocated
     # before the bounds, the long-term block read 1.72x; with the track
     # before still alive while the next one drew, the shadowed one 4.29x;
     # with the innovations drawn through a temporary, 3.22x. The shadowed

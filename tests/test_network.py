@@ -398,6 +398,26 @@ def test_draw_links_same_bits_in_place_or_strided():
     assert rngs[0].random() == rngs[1].random()
 
 
+@pytest.mark.parametrize("strided", [False, True])
+def test_draw_links_same_bits_in_one_call_or_two(strided):
+    # a track draws its LOS thresholds ahead of its innovations: uniforms
+    # alone, then normals alone, are the numbers of one call with both, and
+    # leave the generator at the same state
+    def arrays():
+        if not strided:
+            return np.empty((37, 1)), np.empty((37, 50))
+        return np.empty((37, 3))[:, 1:2], np.empty((37, 80))[:, 20:70]
+
+    (u1, n1), (u2, n2) = arrays(), arrays()
+    assert all(a.flags.c_contiguous != strided for a in (u1, n1, u2, n2))
+    one, two = np.random.default_rng(11), np.random.default_rng(11)
+    network._draw_links(one, u1, n1)
+    network._draw_links(two, u2, None)
+    network._draw_links(two, None, n2)
+    assert np.array_equal(u1, u2) and np.array_equal(n1, n2)
+    assert one.random() == two.random()
+
+
 def test_platform_geometry_same_bits_for_one_receiver():
     platform = _platform()
     users = geometry.drop_users(64, np.random.default_rng(4), 35_682.0)
