@@ -421,8 +421,8 @@ def _track_rx_power_dbm(
     Only the serving cells, rows 0 to n_cells - 1, are evaluated: the A3
     rule compares no other. The track's stream has drawn its LOS
     `threshold` (n_cells, 1) already (`_track_block`); a `shadowed` track
-    draws T AR(1) innovations per cell from it here, in row order
-    (`network._draw_links`). All draws are made before any budget, so what
+    (the shadowed signal, with shadowing on) draws T AR(1) innovations per
+    cell from it here, in row order (`network._draw_links`). All draws are made before any budget, so what
     is evaluated changes no draw.
 
     Nothing is evaluated up front. On the long-term signal each cell is
@@ -583,8 +583,8 @@ def _track_block(
     k_need = _consecutive_needed(m.time_to_trigger_s, period)
     is_hibs = scenario.ring >= 0  # cells are link-matrix rows
     events: list[HandoverEvent] = []
-    for i, (user, rng, line, n) in enumerate(lines):
-        pos = _positions(cfg, line, times[:n])
+    for i, (user, rng, line, n_t) in enumerate(lines):
+        pos = _positions(cfg, line, times[:n_t])
         track = _track_rx_power_dbm(block, i, pos, thresholds[i], rng, rho, shadowed)
         events += _a3_events(track, user, times, offset_db, k_need, is_hibs)
         if i + 1 < len(lines):

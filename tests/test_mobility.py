@@ -984,10 +984,10 @@ def test_track_block_live_memory(signal, bound):
     # with none of the track before it alive. So one block of `TRACK_BLOCK`
     # default tracks peaks near one track, in bytes of one track's rx at
     # the longest T: measured 1.32x and 2.66x (a block of its first track
-    # alone: 1.25x and 2.55x). With the buffer allocated
-    # before the bounds, the long-term block read 1.72x; with the track
-    # before still alive while the next one drew, the shadowed one 4.29x;
-    # with the innovations drawn through a temporary, 3.22x. The shadowed
+    # alone: 1.25x and 2.55x). With the buffer allocated before the
+    # bounds, the long-term block read 1.72x; with the track before still
+    # alive while the next one drew, the shadowed one 4.29x; with the
+    # innovations drawn through a temporary, 3.22x. The shadowed
     # block is held to 3.6x, the bound of its first design, and to 3.0x,
     # which only the in-place draw meets.
     scenario = _scenario(signal)
