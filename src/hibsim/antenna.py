@@ -25,6 +25,9 @@ FIRST_J1_ZERO = 3.8317059702075125  # u at the edge of the aperture main lobe
 # u where the main lobe |2 J1(u)/u|^2 is 3 dB down (within 0.01 dB), whatever
 # the aperture size
 U_3DB = 1.6127571220703125
+# Every Airy sidelobe lies at least this far below the peak: the first, the
+# highest, is 17.57 dB down.
+_SIDELOBE_DB = 17.5
 
 
 def bessel_j1(x):
@@ -158,6 +161,26 @@ def aperture_gain_dbi(theta_off_axis_deg, pattern: AperturePattern):
     rel[big] = (2.0 * j1 / ub) ** 2
     gain[links] = pattern.peak_gain_dbi + 10.0 * np.log10(np.maximum(rel, floor_lin))
     return float(gain[0]) if scalar else gain.reshape(theta.shape)
+
+
+def aperture_gain_range_dbi(off_axis_deg, pattern: AperturePattern) -> np.ndarray:
+    """(greatest, least) gain (dBi) of an aperture beam over intervals of
+    off-axis angle: `off_axis_deg` (2, ...) holds each interval's least and
+    greatest angle, within [0, 90] degrees.
+
+    The main lobe falls with the angle, so the greatest gain is the gain at
+    the least angle and the least gain the gain at the greatest. Where the
+    interval reaches past the first null, the least is the floor clamp, and
+    under `bessel_sidelobes` the greatest is at least the first sidelobe's
+    level (`_SIDELOBE_DB` down, capped by the floor).
+    """
+    gain = aperture_gain_dbi(off_axis_deg, pattern)
+    past_null = pattern.ka * np.sin(np.radians(off_axis_deg[1])) >= FIRST_J1_ZERO
+    gain[1, past_null] = pattern.peak_gain_dbi - pattern.floor_db
+    if pattern.bessel_sidelobes:
+        sidelobe = pattern.peak_gain_dbi - min(_SIDELOBE_DB, pattern.floor_db)
+        gain[0, past_null] = np.maximum(gain[0, past_null], sidelobe)
+    return gain
 
 
 def solve_ka_for_beamwidth(beamwidth_3db_deg: float) -> float:

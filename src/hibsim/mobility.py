@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import antenna, channel, engine, geometry, network
-from .antenna import FIRST_J1_ZERO, AperturePattern
+from .antenna import AperturePattern
 from .config import ScenarioConfig
 from .engine import _MOBILITY, Scenario, build_combined_scenario, derive_rng
 
@@ -49,9 +49,6 @@ SEGMENT_SAMPLES = 512
 # rounding of the budget sums.
 _DISTANCE_MARGIN_M = 1.0
 _BOUND_SLACK_DB = 1e-6
-# Every Airy sidelobe lies at least this far below the peak: the first, the
-# highest, is 17.57 dB down.
-_SIDELOBE_DB = 17.5
 # Tracks run in blocks of this many consecutive track keys (`_track_block`),
 # whatever the worker count.
 TRACK_BLOCK = 16
@@ -264,21 +261,22 @@ class _TrackBlock:
     def _sector_bounds(self, sites, chords, threshold) -> None:
         """Write the sites' sector rows of `bound` and `floor`.
 
-        A sector's bound is tx + peak - a_h(delta) - PL + g_rx and its
-        floor tx + peak - min(a_h(delta') + a_v, front_back) - PL' + g_rx.
-        `delta` is the least azimuth offset from the sector's boresight to
-        the arc of azimuths the segment's chord spans from the mast, less
-        asin(e / D) for a chord D from the mast, and `delta'` the greatest
-        offset plus asin(e / D): every sample lies within that angle of the
-        arc. They are 0 and 180 where the chord passes within e of the
-        mast. a_h is the pattern's horizontal attenuation; the vertical
-        term is at its least, 0, in the bound, and at its greatest, `a_v`,
-        in the floor: the larger at the depressions of the least and
-        greatest distances, as its parabola is convex. PL is taken at the
-        least distance and PL' at the greatest, each on the RMa LOS curve
-        where the sector's LOS threshold lies below p_los there, else on
-        the NLOS curve. Both curves rise with distance and p_los falls, so
-        no sample has a lower pathloss than PL or a higher one than PL'.
+        A sector's bound is tx + G(delta, downtilt) - PL + g_rx and its
+        floor tx + G' - PL' + g_rx, where G is the sector pattern
+        (`antenna.sector_gain_dbi`). `delta` is the least azimuth offset
+        from the sector's boresight to the arc of azimuths the segment's
+        chord spans from the mast, less asin(e / D) for a chord D from the
+        mast, and `delta'` the greatest offset plus asin(e / D): every
+        sample lies within that angle of the arc. They are 0 and 180 where
+        the chord passes within e of the mast. The pattern falls with the
+        azimuth offset, and its vertical term is 0 at the downtilt, its
+        least; G' is the lesser of G(delta', .) at the depressions of the
+        least and greatest distances, as the vertical term's parabola is
+        convex. PL is taken at the least distance and PL' at the greatest,
+        each on the RMa LOS curve where the sector's LOS threshold lies
+        below p_los there, else on the NLOS curve. Both curves rise with
+        distance and p_los falls, so no sample has a lower pathloss than PL
+        or a higher one than PL'.
         """
         cfg, tn = self.cfg, self.cfg.terrestrial
         _, ab, _, e = chords
@@ -290,14 +288,12 @@ class _TrackBlock:
         boresight = np.array([tx.pointing for tx in sites])  # (sites, sectors)
         mid = np.abs(_wrapped(boresight[..., None] - (az_a + 0.5 * span)[:, None]))
         half = (0.5 * np.abs(span) + widen)[:, None]
-        delta = np.stack([np.maximum(mid - half, 0.0), np.minimum(mid + half, 180.0)])
-        a_h = np.minimum(12.0 * (delta / tn.h_hpbw_deg) ** 2, tn.front_back_db)
         reach = np.array([least, most])
         depression = np.degrees(
-            np.arctan2(tn.site_height_m - cfg.ue.height_m, np.maximum(reach, 0.0))
-        )
-        a_v = np.minimum(12.0 * ((depression - tn.downtilt_deg) / tn.v_hpbw_deg) ** 2, tn.sla_db)
-        a_h[1] = np.minimum(a_h[1] + a_v.max(axis=0)[:, None], tn.front_back_db)
+            np.arctan2(tn.site_height_m - cfg.ue.height_m, np.maximum(reach[:, :, None], 0.0))
+        )  # (2, sites, 1, segments)
+        top_gain = antenna.sector_gain_dbi(np.maximum(mid - half, 0.0), tn.downtilt_deg, tn)
+        end_gain = antenna.sector_gain_dbi(np.minimum(mid + half, 180.0), depression, tn)
         pl_los, pl_nlos, _, p_los, _ = channel.rma_median_pathloss(
             reach,  # clamped from below
             cfg.carrier.frequency_hz,
@@ -308,9 +304,9 @@ class _TrackBlock:
         rows = np.array([tx.rows for tx in sites])
         los = threshold[rows] < p_los[:, :, None]
         pl = np.where(los, pl_los[:, :, None], pl_nlos[:, :, None])
-        top = (self.tx_power_dbm[rows] + tn.peak_gain_dbi + cfg.ue.antenna_gain_dbi)[..., None]
-        self.bound[rows] = top - a_h[0] - pl[0] + _BOUND_SLACK_DB
-        self.floor[rows] = top - a_h[1] - pl[1] - _BOUND_SLACK_DB
+        top = (self.tx_power_dbm[rows] + cfg.ue.antenna_gain_dbi)[..., None]
+        self.bound[rows] = top + top_gain - pl[0] + _BOUND_SLACK_DB
+        self.floor[rows] = top + end_gain.min(axis=0) - pl[1] - _BOUND_SLACK_DB
 
     def _beam_bounds(self, tx, chords, threshold) -> None:
         """Write the rows of `bound` and `floor` of a platform's beams that
@@ -318,33 +314,27 @@ class _TrackBlock:
         point: a beam's off-axis angle atan2(r, H - h_ue) and its slant
         rise with r.
 
-        The bound takes the gain at the least angle, and free space at the
-        least slant; the floor the gain at the greatest angle, and the
-        greatest slant. Past the first null the floor takes the gain's
-        clamp, and under `bessel_sidelobes` the bound at least the
-        sidelobe peak. A link is surely LOS where its threshold lies below
-        the least p_los over the segment's elevations, and surely NLOS
-        where it lies at or above the greatest, the table's knots inside
-        the interval counted, as the table need not be monotone. Clutter,
-        linear in elevation, takes its least and greatest values at the
-        ends of the interval, and 0 counts where a link may be LOS.
+        The bound takes the greatest gain over the angles
+        (`antenna.aperture_gain_range_dbi`), and free space at the least
+        slant; the floor the least gain, and the greatest slant. A link is
+        surely LOS where its threshold lies below the least p_los over the
+        segment's elevations, and surely NLOS where it lies at or above the
+        greatest, the table's knots inside the interval counted, as the
+        table need not be monotone. Clutter, linear in elevation, takes its
+        least and greatest values at the ends of the interval, and 0 counts
+        where a link may be LOS.
         """
         rows = tx.rows[np.all(tx.pointing == (0.0, 0.0, -1.0), axis=1)]
         if not rows.size:
             return
-        cfg, ntn, pattern = self.cfg, self.cfg.channel.ntn, tx.pattern
+        cfg, ntn = self.cfg, self.cfg.channel.ntn
         _, least, most = _reach(tx.position[None, :2], chords)
         r = np.maximum(np.concatenate([least, most]), 0.0)  # (2, segments)
         height = tx.position[2] - cfg.ue.height_m
         off_axis = np.degrees(np.arctan2(r, height))
         elevation = 90.0 - off_axis  # greatest, least
         pl = channel.fspl_db(np.hypot(r, height), cfg.carrier.frequency_hz)
-        gain = antenna.aperture_gain_dbi(off_axis, pattern)
-        past_null = pattern.ka * np.sin(np.radians(off_axis[1])) >= FIRST_J1_ZERO
-        gain[1, past_null] = pattern.peak_gain_dbi - pattern.floor_db
-        if pattern.bessel_sidelobes:
-            sidelobe = pattern.peak_gain_dbi - min(_SIDELOBE_DB, pattern.floor_db)
-            gain[0, past_null] = np.maximum(gain[0, past_null], sidelobe)
+        gain = antenna.aperture_gain_range_dbi(off_axis, tx.pattern)
         if ntn.los_only:
             p_least = p_most = 1.0
         else:
@@ -368,18 +358,19 @@ def _wrapped(deg: np.ndarray) -> np.ndarray:
     return (deg + 180.0) % 360.0 - 180.0
 
 
-def _chords(pos_xyz: np.ndarray):
-    """(a, ab, inv_ab2, e) of the segments of `SEGMENT_SAMPLES` samples:
-    each one's chord, from its first sample to its last, as its start and
-    its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a chord of one
-    point, or one so short that this would overflow), and e (segments),
-    `_DISTANCE_MARGIN_M`, which bounds how far a sample strays from its
-    chord: a track is a line, whose samples lie on its chords up to
-    rounding."""
-    starts = np.arange(0, pos_xyz.shape[0], SEGMENT_SAMPLES)
-    ends = np.minimum(starts + SEGMENT_SAMPLES, pos_xyz.shape[0]) - 1
-    a = pos_xyz[starts, :2].T
-    ab = pos_xyz[ends, :2].T - a
+def _chords(at, times: np.ndarray):
+    """(a, ab, inv_ab2, e) of the segments of `SEGMENT_SAMPLES` samples of
+    a track sampled at `times`, whose (k, 3) positions at k of its times
+    `at` gives: each segment's chord, from its first sample to its last, as
+    its start and its extent (2, segments) in x and y, 1 / |ab|^2 (0 for a
+    chord of one point, or one so short that this would overflow), and e
+    (segments), `_DISTANCE_MARGIN_M`, which bounds how far a sample strays
+    from its chord: a track is a line, whose samples lie on its chords up
+    to rounding. Only the two end samples of each segment are built."""
+    starts = np.arange(0, times.size, SEGMENT_SAMPLES)
+    ends = np.minimum(starts + SEGMENT_SAMPLES, times.size) - 1
+    a = at(times[starts])[:, :2].T
+    ab = at(times[ends])[:, :2].T - a
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
     inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
     return a, ab, inv, np.full(starts.size, _DISTANCE_MARGIN_M)
@@ -489,12 +480,23 @@ def _positions(cfg: ScenarioConfig, line, times: np.ndarray) -> np.ndarray:
 
 
 def _track_line(scenario: Scenario, seed: int, key: tuple[int, int], times, ring_m: float):
-    """(user, rng, line, pos) of one track, keyed (direction, index):
+    """(user, rng, line, n_t) of one track, keyed (direction, index):
     direction 0 is the index-th inbound track, 1 the index-th outbound. The
     key, not the track's position among all tracks, picks its stream, so
     adding tracks of one direction leaves the other direction's alone. The
-    stream draws the track's line (`_positions`) first; `pos` ends where
-    the track parks, and `rng` is left for the track's link draws."""
+    stream draws the track's line (`_positions`) first, and `rng` is left
+    for the track's link draws.
+
+    The track runs for its first n_t `times`: up to the first sample where
+    it has arrived, past the ring by the outbound stop margin, or inside
+    `CENTER_PARK_RADIUS_M` inbound, or all of them if it never arrives.
+    Its distance from the center is r0 + v t outbound and |r0 - v t|
+    inbound, so that sample has a closed form, and the exact comparison on
+    the five samples from two before it picks the first that has arrived.
+    A sample step, v times the period (1.67 m at the defaults), lies far
+    above the rounding of the positions (about 1e-11 m), so no earlier
+    sample has arrived, and the count is the one a scan of every sample
+    gives."""
     m = scenario.cfg.mobility
     outbound, index = key
     rng = derive_rng(seed, _MOBILITY, outbound, index)
@@ -506,15 +508,14 @@ def _track_line(scenario: Scenario, seed: int, key: tuple[int, int], times, ring
         r0 = m.hibs_spawn_radius_m * math.sqrt(rng.uniform())
         heading = phi  # radially outward
     line = (r0 * math.cos(phi), r0 * math.sin(phi), math.cos(heading), math.sin(heading))
-    pos = _positions(scenario.cfg, line, times)
-    r_t = np.hypot(pos[:, 0], pos[:, 1])
-    arrived = np.flatnonzero(
-        r_t > ring_m + m.outbound_stop_margin_m
-        if outbound
-        else r_t < CENTER_PARK_RADIUS_M
-    )
+    radius = ring_m + m.outbound_stop_margin_m if outbound else CENTER_PARK_RADIUS_M
+    gap = (radius - r0 if outbound else r0 - radius) / (m.speed_mps * m.measurement_period_s)
+    lo = min(max(math.floor(gap) - 1, 0), times.size)  # two samples before the guess
+    near = np.arange(lo, min(lo + 5, times.size))
+    r_t = np.hypot(*_positions(scenario.cfg, line, times[near])[:, :2].T)
+    arrived = near[r_t > radius if outbound else r_t < radius]
     user = index + m.n_inbound if outbound else index  # user id in the output
-    return user, rng, line, pos[: arrived[0] + 1] if arrived.size else pos
+    return user, rng, line, int(arrived[0]) + 1 if arrived.size else times.size
 
 
 def _a3_events(
@@ -555,11 +556,11 @@ def _track_block(
     """Cross-layer handovers along consecutive tracks (`_track_line`), in
     key order; each track gets the events it gets alone.
 
-    The block builds its tracks' lines first, each track's stream drawing
+    The block draws its tracks' lines first, each track's stream drawing
     its LOS thresholds, one per cell in row order (`network._draw_links`),
     right after its line; on the long-term signal it bounds all the tracks
     in one pass (`_TrackBlock`), from their chords and thresholds. Then
-    each track in turn rebuilds its positions, draws its innovations on
+    each track in turn builds its positions, draws its innovations on
     the shadowed signal (`_track_rx_power_dbm`: a track holds them while it
     runs only) and runs its A3 loop (`_a3_events`) in the block's `rx`
     buffer. Each track has a stream of its own, so its draws keep their
@@ -572,12 +573,12 @@ def _track_block(
     shadowed = m.decision_signal == "shadowed" and cfg.channel.shadowing
     lines, chords, thresholds = [], [], []
     for key in keys:
-        user, rng, line, pos = _track_line(scenario, seed, key, times, ring_m)
-        lines.append((user, rng, line, pos.shape[0]))
+        user, rng, line, n_t = _track_line(scenario, seed, key, times, ring_m)
+        lines.append((user, rng, line, n_t))
         thresholds.append(np.empty((scenario.n_cells, 1)))
         network._draw_links(rng, thresholds[-1], None)
         if not shadowed:
-            chords.append(_chords(pos))
+            chords.append(_chords(functools.partial(_positions, cfg, line), times[:n_t]))
     block = _TrackBlock(scenario, [n for *_, n in lines], chords, None if shadowed else thresholds)
     rho = math.exp(-m.speed_mps * period / m.shadow_decorrelation_m)
     k_need = _consecutive_needed(m.time_to_trigger_s, period)

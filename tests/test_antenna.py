@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
@@ -16,6 +16,7 @@ from hibsim.antenna import (
     U_3DB,
     AperturePattern,
     aperture_gain_dbi,
+    aperture_gain_range_dbi,
     bessel_j1,
     _main_lobe_terms,
     make_aperture_pattern,
@@ -288,6 +289,46 @@ def test_aperture_gain_non_increasing_on_main_lobe():
     theta = np.linspace(0.0, null_deg, 500)
     gain = aperture_gain_dbi(theta, pattern)
     assert np.all(np.diff(gain) <= 1e-12)
+
+
+# patterns whose gain ranges are checked: the floor and Airy sidelobe modes;
+# a floor above the first sidelobe; and a 2 degree beam, whose u reaches 92
+# at 90 degrees off axis, on the Hankel branch of J1 beyond u = 20, where
+# its sidelobes clear a 60 dB floor
+_RANGE_PATTERNS = {
+    "floor": make_aperture_pattern(DEFAULT_BEAMWIDTH_DEG),
+    "bessel": make_aperture_pattern(DEFAULT_BEAMWIDTH_DEG, bessel_sidelobes=True),
+    "bessel, floor 12 dB": make_aperture_pattern(
+        DEFAULT_BEAMWIDTH_DEG, floor_db=12.0, bessel_sidelobes=True
+    ),
+    "narrow floor": make_aperture_pattern(2.0),
+    "narrow bessel": make_aperture_pattern(2.0, bessel_sidelobes=True),
+    "narrow bessel, floor 60 dB": make_aperture_pattern(
+        2.0, floor_db=60.0, bessel_sidelobes=True
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(_RANGE_PATTERNS)),
+    lo=st.sampled_from([0.0]) | st.floats(0.0, 90.0),
+    width=st.sampled_from([0.0, 90.0]) | st.floats(0.0, 90.0),
+)
+@example("bessel", 40.0, 20.0)  # from past the first null over the first sidelobe
+@example("bessel, floor 12 dB", 10.0, 20.0)  # past the null, the floor above the sidelobes
+@example("narrow bessel, floor 60 dB", 20.0, 30.0)  # u from 31.6 to 70.8: the Hankel branch
+def test_aperture_gain_range_bounds_the_gain_on_random_intervals(name, lo, width):
+    # the greatest and least gain over an off-axis interval bound the gain
+    # sampled densely over it, in and past the main lobe, on Airy sidelobes
+    # and on the Hankel branch
+    pattern = _RANGE_PATTERNS[name]
+    hi = min(lo + width, 90.0)
+    greatest, least = aperture_gain_range_dbi(np.array([[lo, 0.0], [hi, 0.0]]), pattern)
+    gain = aperture_gain_dbi(np.linspace(lo, hi, 4_001), pattern)
+    assert gain.max() <= greatest[0] + 1e-9
+    assert gain.min() >= least[0] - 1e-9
+    assert greatest[1] == least[1] == pattern.peak_gain_dbi  # a second interval, at boresight
 
 
 def test_aperture_gain_never_below_floor():

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
@@ -360,7 +360,10 @@ def _lone_track(scenario, pos_xyz, rng, rho, shadowed):
     threshold = np.empty((scenario.n_cells, 1))
     network._draw_links(rng, threshold, None)
     block = mobility._TrackBlock(
-        scenario, [len(pos_xyz)], [mobility._chords(pos_xyz)], None if shadowed else [threshold]
+        scenario,
+        [len(pos_xyz)],
+        [mobility._chords(pos_xyz.__getitem__, np.arange(len(pos_xyz)))],
+        None if shadowed else [threshold],
     )
     return _track_rx_power_dbm(block, 0, pos_xyz, threshold, rng, rho, shadowed)
 
@@ -482,13 +485,67 @@ def _segment_strays(pos_xyz):
     return np.array(a).T, np.array(ab).T, np.array(stray)
 
 
-def _reference_chords(pos_xyz):
+def _reference_chords(at, times):
     """`mobility._chords` for a track that need not be a line: e is each
     segment's measured stray plus the margin."""
-    a, ab, stray = _segment_strays(pos_xyz)
+    a, ab, stray = _segment_strays(at(times))
     ab2 = ab[0] * ab[0] + ab[1] * ab[1]
     inv = np.divide(1.0, ab2, out=np.zeros_like(ab2), where=ab2 > np.finfo(float).tiny)
     return a, ab, inv, stray + mobility._DISTANCE_MARGIN_M
+
+
+# mobility keys under which a track's sample count is checked: the default
+# step of 1.67 m per sample, and a fine and a coarse one
+_LINE_VARIANTS = {
+    "default": {},
+    "fine": {"speed_mps": 50.0, "measurement_period_s": 0.05},
+    "coarse": {
+        "speed_mps": 0.3,
+        "measurement_period_s": 1.0,
+        "time_to_trigger_s": 2.0,
+        "sim_duration_s": 9_000.0,
+    },
+}
+
+
+@functools.cache
+def _line_scenario(name):
+    return engine.build_combined_scenario(config_from_dict({"mobility": _LINE_VARIANTS[name]}))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    variant=st.sampled_from(sorted(_LINE_VARIANTS)),
+    outbound=st.integers(0, 1),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    spawn=st.sampled_from([1.0]) | st.floats(0.0, 2.0),
+    ring_m=st.sampled_from([300.0, 500.0]) | st.floats(1.0, 40_000.0),
+)
+@example("default", 0, 1.0, 1.0, 300.0)  # inbound, starting inside the park radius
+@example("default", 0, 2.5, 1.0, 500.0)  # inbound, starting on it
+@example("default", 1, 4.0, 1.0, 500.0)  # outbound, starting past the ring
+@example("fine", 0, 0.3, 1.0, CENTER_PARK_RADIUS_M)
+def test_track_sample_count_equals_a_full_scan(variant, outbound, phi, spawn, ring_m):
+    # `_track_line` counts a track's samples from the closed form of its
+    # distance from the center; a scan of every sample's distance finds the
+    # same first arrival, on lines that start inside the park radius, on
+    # it, past the ring, and that never arrive. The stream's draws are
+    # given: the heading angle, then the inbound spawn factor of the ring
+    # radius, or the outbound spawn radius's squared fraction
+    scenario = _line_scenario(variant)
+    cfg, m = scenario.cfg, scenario.cfg.mobility
+    period = m.measurement_period_s
+    times = np.arange(int(math.floor(m.sim_duration_s / period)) + 1) * period
+    stream = mock.Mock()
+    stream.uniform.side_effect = [phi, spawn]
+    with mock.patch.object(mobility, "derive_rng", return_value=stream):
+        _, rng, line, n_t = mobility._track_line(scenario, 1, (outbound, 7), times, ring_m)
+    assert rng is stream and stream.uniform.call_count == 2
+    r_t = np.hypot(*mobility._positions(cfg, line, times)[:, :2].T)
+    arrived = np.flatnonzero(
+        r_t > ring_m + m.outbound_stop_margin_m if outbound else r_t < CENTER_PARK_RADIUS_M
+    )
+    assert n_t == (arrived[0] + 1 if arrived.size else times.size)
 
 
 def test_default_tracks_lie_on_their_chords():
@@ -496,22 +553,33 @@ def test_default_tracks_lie_on_their_chords():
     # the margin alone, because a track is a line: on default tracks of
     # both directions, each cut partway through its last segment, every
     # sample lies on its chord up to rounding (3.5e-12 m at most over the
-    # 240 tracks at seed 1). A track model that is no line fails here.
+    # 240 tracks at seed 1). A track model that is no line fails here. The
+    # block builds each chord from its line's two end samples only, and
+    # they have the bits of the positions the track then runs on.
     scenario = _scenario()
-    positions, track_power = [], mobility._track_rx_power_dbm
+    positions, built, track_power, chords = [], [], mobility._track_rx_power_dbm, mobility._chords
 
     def kept(block, i, pos_xyz, *args):
         positions.append(pos_xyz)
         return track_power(block, i, pos_xyz, *args)
 
-    with mock.patch.object(mobility, "_track_rx_power_dbm", kept):
+    def chords_kept(*args):
+        built.append(chords(*args))
+        return built[-1]
+
+    with (
+        mock.patch.object(mobility, "_track_rx_power_dbm", kept),
+        mock.patch.object(mobility, "_chords", chords_kept),
+    ):
         for track in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             mobility._track_block(scenario, 1, 3.0, [track])
     assert all(len(pos) % mobility.SEGMENT_SAMPLES for pos in positions)
-    for pos in positions:
+    assert len(built) == len(positions)
+    for pos, from_line in zip(positions, built):
         a, ab, stray = _segment_strays(pos)
         assert stray.max() <= 1e-6
-        assert np.array_equal(mobility._chords(pos)[:2], (a, ab))
+        assert np.array_equal(mobility._chords(pos.__getitem__, np.arange(len(pos)))[:2], (a, ab))
+        assert np.array_equal(from_line[:2], (a, ab))
 
 
 def _polar(r, az_deg):
@@ -691,7 +759,7 @@ def test_block_bounds_equal_each_track_bounded_alone_on_random_chords(chords, ke
         with mock.patch.object(mobility, "_chords", chords_of):
             alone.append(_lone_track(scenario, pos_xyz, rng, 0.9, False))
         n_t.append(len(pos_xyz))
-        stacked.append(chords_of(pos_xyz))
+        stacked.append(chords_of(pos_xyz.__getitem__, np.arange(len(pos_xyz))))
         thresholds.append(alone[-1].threshold)
     block = mobility._TrackBlock(scenario, n_t, stacked, thresholds)
     for i, power in enumerate(alone):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hibsim.cli import main as hibsim_main
@@ -187,6 +188,56 @@ def test_output_digests_print_one_mobility_block_per_offset(tmp_path, monkeypatc
         alone = printed[offset][2:]
         assert block == [line.replace("mobility/", f"mobility@{offset}/") for line in alone]
     assert not {line.split()[0] for line in both[2:4]} & {line.split()[0] for line in both[4:]}
+
+
+# The output bytes pinned: for each variant, the lines
+# `python3 tools/output_digests.py <tool_args>` prints at seed 1, the same at
+# any thread count (the test runs two worker processes, the quicker here),
+# `CONFIG` standing for a file that holds the variant's `config`. The offset
+# variant keeps its mobility blocks only, and the shadowed one its mobility
+# lines: the other lines of those runs are the defaults' or vary with the
+# config alone. A change that moves a number updates the file with it. The
+# bits depend on the numpy build and the CPU targets it dispatches to, so the
+# file names the ones it was written on.
+PINNED = json.loads((Path(__file__).parent / "data" / "output_digests.json").read_text())
+
+
+def _numpy_build():
+    """(numpy version, the CPU targets numpy dispatches to here)."""
+    if np.__version__ != PINNED["numpy"]:
+        return np.__version__, None
+    from numpy._core import _multiarray_umath as umath
+
+    found = {name for name, on in umath.__cpu_features__.items() if on}
+    return np.__version__, sorted(set(umath.__cpu_dispatch__) & found)
+
+
+@pytest.mark.parametrize("variant", list(PINNED["variants"]))
+def test_outputs_keep_their_pinned_digests(variant, tmp_path):
+    build = _numpy_build()
+    if build != (PINNED["numpy"], PINNED["cpu_targets"]):
+        pytest.skip(
+            f"digests pinned on numpy {PINNED['numpy']} dispatching to "
+            f"{PINNED['cpu_targets']}; this machine has numpy {build[0]} "
+            f"dispatching to {build[1]}"
+        )
+    pinned = PINNED["variants"][variant]
+    config = None
+    if pinned["config"] is not None:
+        config = tmp_path / "config.yaml"
+        config.write_text(pinned["config"])
+        config = str(config)
+    runs = {}  # (command, offset) of each block of lines, in order
+    for line in pinned["lines"]:
+        runs.setdefault(tuple(line.split("  ")[1].split("/")[0].partition("@")[::2]), None)
+    lines = []
+    for command, offset in runs:
+        extra = ["--a3-offset-db", offset] if offset else []
+        block = output_digests.digests(1, 2, {command: extra}, config)
+        if offset:
+            block = [line.replace(f"  {command}/", f"  {command}@{offset}/") for line in block]
+        lines += block
+    assert lines == pinned["lines"]
 
 
 # the last two lines `perfbench/run.py --trace 0` prints for one run, the
