@@ -717,9 +717,9 @@ def test_block_bounds_equal_each_track_bounded_alone():
         streams, seen = [], []
 
         def line_kept(*args):
-            user, rng, line, pos = track_line(*args)
+            user, rng, line, n_t = track_line(*args)
             streams.append(copy.deepcopy(rng))  # before the thresholds
-            return user, rng, line, pos
+            return user, rng, line, n_t
 
         def kept(block, i, pos_xyz, *args):
             seen.append((pos_xyz, block, i))
@@ -800,9 +800,9 @@ def _events_and_full_evaluation(scenario, seed, offset_db, track):
     seen, track_line = {}, mobility._track_line
 
     def line_kept(*args):
-        user, rng, line, pos = track_line(*args)
+        user, rng, line, n_t = track_line(*args)
         seen["rng"] = copy.deepcopy(rng)  # before the thresholds
-        return user, rng, line, pos
+        return user, rng, line, n_t
 
     def held(block, i, pos_xyz, threshold, rng, rho, shadowed):
         seen["pos"] = pos_xyz

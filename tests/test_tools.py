@@ -227,9 +227,9 @@ def test_outputs_keep_their_pinned_digests(variant, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(pinned["config"])
         config = str(config)
-    runs = {}  # (command, offset) of each block of lines, in order
-    for line in pinned["lines"]:
-        runs.setdefault(tuple(line.split("  ")[1].split("/")[0].partition("@")[::2]), None)
+    # (command, offset) of each block of lines, in order
+    names = (line.split("  ")[1].split("/")[0] for line in pinned["lines"])
+    runs = dict.fromkeys(name.partition("@")[::2] for name in names)
     lines = []
     for command, offset in runs:
         extra = ["--a3-offset-db", offset] if offset else []
